@@ -30,6 +30,9 @@ func stressGraphs() []*graph.Graph {
 		gen.Random(800, 1600, 3),
 		graph.Union(gen.Chain(50), gen.Star(40), gen.Random(200, 300, 9)),
 		gen.Torus2D(16, 16),
+		// ~1,500 tiny components: the quiescence sweep does most of the
+		// work, under claim stalls and aimed panics.
+		gen.Random(3000, 1500, 4),
 	}
 }
 

@@ -14,11 +14,17 @@
 //     color the same vertex are benign — whichever processor wins yields
 //     a valid tree, only its shape differs. Idle processors steal half
 //     of a random victim's queue; if even stealing finds nothing, they
-//     sleep, and a quiescence protocol either hands out the next
-//     uncovered component or (for pathological low-connectivity inputs,
-//     when the sleeper count crosses a threshold) aborts into a
-//     Shiloach-Vishkin pass over the contracted graph, the paper's
-//     detection-and-fallback mechanism.
+//     sleep, and a quiescence protocol either hands out the uncovered
+//     components or (for pathological low-connectivity inputs, when the
+//     sleeper count crosses a threshold) aborts into a Shiloach-Vishkin
+//     pass over the contracted graph, the paper's detection-and-fallback
+//     mechanism. The hand-out is a private sweep: the processor elected
+//     at quiescence claims the next uncovered vertex as a root, traverses
+//     that component on its own buffer, and moves on to the next root,
+//     until a component turns out big enough to share — its frontier then
+//     goes onto the leader's queue for the team to steal. A graph with
+//     tens of thousands of tiny components thus costs one quiescence
+//     episode per big component instead of one per component.
 //
 // The expected running time scales linearly with p for n >> p^2: each
 // processor performs O((n+m)/p) work with O(1) barrier synchronizations,
@@ -160,9 +166,6 @@ type Options struct {
 	// fallback (the paper notes it is "almost never" triggered; the
 	// degenerate-chain experiment enables it).
 	FallbackThreshold int
-	// IdleSleep is how long an idle processor sleeps between scans
-	// (the paper's "go to sleep for a duration"); 0 means 20µs.
-	IdleSleep time.Duration
 
 	// StallBudget, if > 0, arms the stuck-run watchdog: every worker
 	// bumps a padded heartbeat slot whenever it advances (drains a
@@ -207,11 +210,17 @@ func (o *Options) withDefaults() Options {
 	if out.BottomUpAlpha <= 0 {
 		out.BottomUpAlpha = defaultBottomUpAlpha
 	}
-	if out.IdleSleep == 0 {
-		out.IdleSleep = 20 * time.Microsecond
-	}
 	return out
 }
+
+// idleSleep is how long an idle processor sleeps between scans once its
+// Gosched retries run out (the paper's "go to sleep for a duration").
+// The 20µs is only what is asked for: with Go 1.24's timer granularity,
+// time.Sleep(20µs) measures p10 30µs and p50 ~1ms on a 2-vCPU Linux
+// host, so a sleeper typically rejoins a millisecond later. That wake
+// latency is why quiescence hands the leader a whole sweep of
+// components rather than one root per episode.
+const idleSleep = 20 * time.Microsecond
 
 // Stats reports what a run did.
 type Stats struct {
@@ -830,7 +839,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 				continue
 			}
 		}
-		if !t.idleOnce(tid, myQ, fruitless, ws.probe, ws.ow) {
+		if !t.idleOnce(tid, myQ, fruitless, ws) {
 			return // done or aborted
 		}
 		fruitless++
@@ -1014,10 +1023,11 @@ func (t *traversal) stealFrom(victim int, myQ workQueue, stealBuf *[]int32,
 // is processing a vertex, so no claims are in flight; every vertex
 // adjacent to a colored vertex is itself colored, hence the uncolored
 // vertices form whole components. The elected leader (the processor
-// that observes sleepers == p) may therefore claim the next uncolored
-// vertex as a fresh root — that is how disconnected inputs become
-// spanning forests with exactly one root per component.
-func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, probe *smpmodel.Probe, ow *obs.Worker) bool {
+// that observes sleepers == p) may therefore sweep them: claim an
+// uncolored vertex as a fresh root, cover its component, repeat — that
+// is how disconnected inputs become spanning forests with exactly one
+// root per component.
+func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, ws *workerState) bool {
 	t.inj.Visit(t.tidBase+tid, chaos.PointIdle)
 	t.sleepers.Add(1)
 	defer t.sleepers.Add(-1)
@@ -1031,61 +1041,137 @@ func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, probe *smpmo
 	// startup and wind-down does not trip the threshold.
 	if th := t.o.FallbackThreshold; th > 0 && fruitless >= 8 && int(s) >= th {
 		if t.abort.CompareAndSwap(false, true) {
-			ow.Incr(obs.FallbackTriggers)
-			ow.Trace(obs.EvFallback, int64(s), 0)
+			ws.ow.Incr(obs.FallbackTriggers)
+			ws.ow.Trace(obs.EvFallback, int64(s), 0)
 		}
 		return false
 	}
 	if int(s) == t.o.NumProcs {
-		// Everyone is asleep: elect a leader to seed the next uncovered
-		// component from the cursor. When the cursor is exhausted every
+		// Everyone is asleep: elect a leader to sweep the uncovered
+		// components from the cursor. When the cursor is exhausted every
 		// vertex has been inspected and colored, so visited == n and the
 		// caller's loop exits on the next check.
-		t.trySeedNextComponent(tid, myQ, probe)
+		t.trySeedNextComponent(tid, myQ, ws)
 		return true
 	}
 	if fruitless < 4 {
 		runtime.Gosched()
 	} else {
-		time.Sleep(t.o.IdleSleep)
+		time.Sleep(idleSleep)
 	}
 	return true
 }
 
-// trySeedNextComponent claims the next uncolored vertex as a fresh root
-// under the seeding mutex. The re-checks inside the mutex make the
-// quiescence decision sound: with all p processors asleep and every
-// queue empty, no claim is in flight, so every vertex adjacent to a
-// colored vertex is already colored and the uncolored set is a union of
-// whole components — claiming one vertex per quiescence episode yields
-// exactly one root per component.
-func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, probe *smpmodel.Probe) bool {
+// trySeedNextComponent elects the quiescence leader under the seeding
+// mutex and runs its sweep. The re-checks inside the mutex make the
+// quiescence decision sound, and their order matters: every queue empty
+// first, then all p processors asleep. Only a queue's owner pushes onto
+// it, a processor goes to sleep only with its own queue empty, and the
+// one push made while asleep — a sweep's spill — happens under this
+// mutex. So outside the mutex a queue never gains vertices while its
+// owner sleeps, and all queues empty, then all p asleep, means all
+// queues are still empty and no claim is in flight: every vertex
+// adjacent to a colored vertex is colored, and the uncolored set is a
+// union of whole components. (Checked the other way round, a leader
+// counted asleep just after spilling could wake and drain its whole
+// queue before the queue scan, passing both checks mid-traversal.)
+// Other processors that reach quiescence during a sweep block here
+// until it ends.
+func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, ws *workerState) {
 	t.seedMu.Lock()
 	defer t.seedMu.Unlock()
-	if int(t.sleepers.Load()) != t.o.NumProcs {
-		return false
-	}
 	for i := 0; i < t.o.NumProcs; i++ {
 		if t.queues[i].Len() > 0 {
-			return false
+			return
 		}
 	}
-	v, ok := t.nextUncolored(probe)
-	if !ok {
-		return false
+	if int(t.sleepers.Load()) != t.o.NumProcs {
+		return
 	}
-	if !t.claimSeq(v, graph.None) {
-		return false // unreachable at true quiescence, kept for safety
+	t.sweep(tid, myQ, ws)
+}
+
+// sweep is the quiescence leader's private pass over the uncovered
+// components, run under seedMu with every other processor asleep and
+// every queue empty. It claims the next uncolored vertex as a root and
+// covers that component on its own FIFO frontier (ws.out, live part
+// fr[head:]) with the same process step the drain loop uses — so the
+// layouts, the claim order (BFS from the root, as a queue drain would
+// produce) and the obs counters are those of the drain loop — publishes
+// the visit count once per component, and only then claims the next
+// root. Nobody else holds work meanwhile, so each root starts a
+// component no other processor can reach: one root per component by
+// construction.
+//
+// A component whose frontier reaches DefaultChunkSize is big: the
+// frontier goes onto the leader's queue in one PushBatch, the sweep
+// ends, and the team steals it; the next root waits for the next
+// quiescence. The leader owns the cursor for the whole sweep — one
+// load, a local scan, one store. Every DefaultChunkSize steps (cursor
+// positions plus processed vertices) it polls for a stop, runs the test
+// hook and the drain chaos point, and beats the watchdog: cancel latency
+// stays at one chunk, a long sweep does not read as a stall, and the SV
+// fallback can take over mid-sweep (it completes any partial forest, so
+// the abandoned frontier needs no repair).
+func (t *traversal) sweep(tid int, myQ workQueue, ws *workerState) {
+	slot := t.tidBase + tid
+	i, n := t.cursor.Load(), int64(t.n)
+	fr, head := ws.out[:0], 0
+	for steps := DefaultChunkSize; ; steps++ {
+		if steps >= DefaultChunkSize {
+			steps = 0
+			if t.abort.Load() || t.cancel.Tripped() {
+				break
+			}
+			if h := t.o.testHook; h != nil {
+				h(tid)
+			}
+			t.inj.Visit(slot, chaos.PointDrain)
+			t.wd.Beat(slot)
+		}
+		if head < len(fr) {
+			v := fr[head]
+			head++
+			t.process(tid, graph.VID(v), ws.probe, &fr, &ws.lc, &ws.pend)
+			if live := len(fr) - head; live >= DefaultChunkSize {
+				myQ.PushBatch(fr[head:])
+				ws.probe.NonContig(2 + int64(live)) // one locked batch enqueue
+				break
+			}
+			if head >= DefaultChunkSize {
+				// Slide the short live frontier to the front, so a long thin
+				// component (a chain) does not grow the buffer.
+				fr, head = fr[:copy(fr, fr[head:])], 0
+			}
+			continue
+		}
+		// The current component (if any) is covered: publish it, then
+		// look for the next root.
+		t.flushVisited(ws)
+		if i >= n {
+			break
+		}
+		v := t.lo + graph.VID(i)
+		i++
+		ws.probe.NonContig(1) // cursor inspection of parent[v]
+		if atomic.LoadInt32(&t.parent[v]) != graph.None || !t.claim(v, graph.None) {
+			continue
+		}
+		ws.pend++
+		ws.lc.Incr(obs.SeededComponents)
+		ws.ow.Trace(obs.EvComponentSeed, int64(v), 0)
+		fr, head = append(fr[:0], int32(v)), 0
 	}
-	ow := t.rec.Worker(t.tidBase + tid)
-	ow.Incr(obs.SeededComponents)
-	ow.Trace(obs.EvComponentSeed, int64(v), 0)
-	myQ.Push(int32(v))
-	return true
+	t.cursor.Store(i)
+	t.flushVisited(ws)
+	ws.lc.FlushTo(ws.ow)
+	ws.out = fr[:0]
 }
 
 // nextUncolored advances the shared cursor to the next uncolored vertex
-// of this traversal's range.
+// of this traversal's range. Only the lockstep driver uses it: the
+// model deliberately keeps one seed per quiescence round, so its counts
+// are those of the paper's protocol, not of the concurrent sweep.
 func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 	for {
 		i := t.cursor.Add(1) - 1

@@ -155,8 +155,10 @@ func TestPanicIsolationDegradesToSequential(t *testing.T) {
 			parent, stats, err := run(g, Options{
 				NumProcs: p,
 				Seed:     13,
-				testHook: func(tid int) {
-					if tid == p-1 && hits.Add(1) == 3 {
+				// The third hook call panics, whichever worker makes it: a
+				// fixed tid can be starved of chunk boundaries entirely.
+				testHook: func(int) {
+					if hits.Add(1) == 3 {
 						panic("injected test panic")
 					}
 				},
@@ -195,14 +197,18 @@ func TestPanicIsolationDegradesToSequential(t *testing.T) {
 // the recovery increments the panicking worker's own counter slot.
 func TestPanicRecordedInObs(t *testing.T) {
 	g := gen.Chain(500)
-	var hits atomic.Int64
+	var hits, panicked atomic.Int64
 	flag := &fault.Flag{}
 	_, stats, err := SpanningForest(g, Options{
 		NumProcs: 2,
 		Seed:     7,
 		Cancel:   flag,
+		// The second hook call panics, whichever worker makes it (a fixed
+		// tid may never reach a chunk boundary); the test then checks the
+		// panic is attributed to that worker.
 		testHook: func(tid int) {
-			if tid == 1 && hits.Add(1) == 2 {
+			if hits.Add(1) == 2 {
+				panicked.Store(int64(tid))
 				panic("obs probe")
 			}
 		},
@@ -210,8 +216,8 @@ func TestPanicRecordedInObs(t *testing.T) {
 	if err != nil || stats.Panic == nil {
 		t.Fatalf("err=%v panic=%v, want isolated panic", err, stats.Panic)
 	}
-	if stats.Panic.Worker != 1 {
-		t.Fatalf("panic attributed to worker %d, want 1", stats.Panic.Worker)
+	if want := int(panicked.Load()); stats.Panic.Worker != want {
+		t.Fatalf("panic attributed to worker %d, want %d", stats.Panic.Worker, want)
 	}
 	if flag.Cause() != fault.CausePanicked {
 		t.Fatalf("caller flag cause = %v, want panicked", flag.Cause())

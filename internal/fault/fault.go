@@ -194,15 +194,19 @@ func (f *Flag) Err() error {
 // Watch trips f when ctx is done, translating ctx.Err() into
 // CauseCanceled or CauseDeadline. It returns a stop function that must
 // be called (typically deferred) to release the watcher goroutine; stop
-// is idempotent. When ctx can never be canceled (context.Background()),
-// no goroutine is spawned and stop is a no-op.
+// is idempotent and returns only once the watcher has finished, so no
+// trip can land after it — a caller may Reset f and start the next run
+// right away. When ctx can never be canceled (context.Background()), no
+// goroutine is spawned and stop is a no-op.
 func Watch(ctx context.Context, f *Flag) (stop func()) {
 	done := ctx.Done()
 	if done == nil || f == nil {
 		return func() {}
 	}
 	quit := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-done:
 			// A stop() that happened before the cancellation must win even
@@ -221,6 +225,7 @@ func Watch(ctx context.Context, f *Flag) (stop func()) {
 	return func() {
 		if once.CompareAndSwap(false, true) {
 			close(quit)
+			<-exited
 		}
 	}
 }

@@ -169,3 +169,44 @@ func TestWatchStopReleasesWatcher(t *testing.T) {
 		t.Fatal("stopped watcher still tripped the flag")
 	}
 }
+
+// gatedCtx is a canceled context whose Err blocks until gate closes,
+// freezing a watcher between its decision to trip and the trip itself.
+type gatedCtx struct {
+	context.Context
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (c *gatedCtx) Err() error {
+	c.once.Do(func() { close(c.entered) })
+	<-c.gate
+	return context.Canceled
+}
+
+// TestWatchStopWaitsForTrip pins the reuse contract: a watcher that had
+// already decided to trip when stop was called finishes before stop
+// returns, so a Reset right after stop is never undone by a late trip
+// (which would cancel the next run on a reused flag).
+func TestWatchStopWaitsForTrip(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &gatedCtx{Context: parent, entered: make(chan struct{}), gate: make(chan struct{})}
+	var f Flag
+	stop := Watch(ctx, &f)
+	<-ctx.entered // the watcher is past its quit check, inside Err
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(ctx.gate)
+	}()
+	stop()
+	f.Reset()
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		if f.Tripped() {
+			t.Fatal("watcher tripped the flag after stop returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

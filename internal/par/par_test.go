@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -150,20 +151,35 @@ func TestForDynamicStealsFromSkew(t *testing.T) {
 	const n = 1 << 14
 	team := NewTeam(4, nil)
 	var who [n]int32
+	lo, hi := BlockRange(n, 4, 0)
+	// ForDynamic has no entry barrier, so left to the scheduler the test
+	// would race: an unloaded worker that drains its block before worker
+	// 0 has published its slot finds nothing to steal and returns, and
+	// worker 0 can run its whole block before any thief looks. Both
+	// orders are pinned here instead. The unloaded workers cannot finish
+	// before worker 0 has started (and so published its slot), and worker
+	// 0 then holds its block until a thief has taken part of it. The hold
+	// is bounded, so a broken steal path fails below instead of hanging.
+	var started, raided atomic.Bool
+	deadline := time.Now().Add(10 * time.Second)
 	team.Run(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {
-			// Skew: only indices in worker 0's static block cost
-			// anything. The Gosched makes the skew observable even on a
-			// single-CPU box, where goroutines interleave only at yield
-			// points — without it the loaded worker can run its whole
-			// block before any thief gets scheduled.
-			if lo, hi := BlockRange(n, 4, 0); i >= lo && i < hi {
-				runtime.Gosched()
+			switch {
+			case i < lo || i >= hi:
+				for !started.Load() {
+					runtime.Gosched()
+				}
+			case c.TID() == 0:
+				started.Store(true)
+				for !raided.Load() && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+			default:
+				raided.Store(true)
 			}
 			atomic.StoreInt32(&who[i], int32(c.TID())+1)
 		})
 	})
-	lo, hi := BlockRange(n, 4, 0)
 	stolen := 0
 	for i := lo; i < hi; i++ {
 		if who[i] == 0 {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spantree/internal/fault"
 	"spantree/internal/gen"
@@ -210,6 +211,24 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits up to two seconds for the goroutine count to
+// fall to want or below, and fails with every goroutine's stack if it
+// does not. Goroutines whose work is done still need a moment to exit
+// (WaitGroup.Done runs before the goroutine returns), and under a
+// loaded test binary that moment can outlast any fixed number of yields.
+func settleGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%s: %d goroutines, want <= %d\n%s", what, runtime.NumGoroutine(), want, buf[:n])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestWorkspaceTeamDoesNotGrow: the parked team is created once — the
 // goroutine count is flat across requests, and Close releases it.
 func TestWorkspaceTeamDoesNotGrow(t *testing.T) {
@@ -228,16 +247,9 @@ func TestWorkspaceTeamDoesNotGrow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > base {
-		t.Fatalf("goroutines grew with requests: %d -> %d", base, after)
-	}
+	settleGoroutines(t, base, "goroutines grew with requests")
 	w.Close()
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked after Close: %d -> %d", before, after)
-	}
+	settleGoroutines(t, before, "goroutines leaked after Close")
 	if _, _, err := w.Run(1); !errors.Is(err, ErrWorkspaceClosed) {
 		t.Fatalf("Run after Close: err = %v, want ErrWorkspaceClosed", err)
 	}

@@ -71,11 +71,6 @@ func TestSessionStalledThenReuse(t *testing.T) {
 		t.Errorf("AllocsPerRun after a stall trip = %v, want 0", avg)
 	}
 	// The watchdog monitor is parked, not respawned, so the goroutine
-	// count stays flat across the trip (allow the scheduler a moment).
-	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > base {
-		t.Fatalf("goroutines grew across a stall trip: %d -> %d", base, after)
-	}
+	// count settles back to the pre-trip level.
+	waitNumGoroutine(t, base)
 }

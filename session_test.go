@@ -79,22 +79,29 @@ func TestSessionMatchesFind(t *testing.T) {
 // TestSessionZeroAlloc is the headline serving guarantee: a warmed
 // session executes FindContext with zero steady-state heap allocations.
 // context.Background is the alloc-free path — a cancellable context
-// additionally pays for its fault watcher.
+// additionally pays for its fault watcher. The many-component random
+// graph keeps the quiescence sweep on the pinned path.
 func TestSessionZeroAlloc(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		s, err := NewSession(gen.Torus2D(32, 32), SessionOptions{NumProcs: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			if _, err := s.FindContext(context.Background(), 42); err != nil {
+	graphs := map[string]*Graph{
+		"torus":      gen.Torus2D(32, 32),
+		"components": gen.Random(4096, 3072, 1),
+	}
+	for name, g := range graphs {
+		for _, p := range []int{1, 4} {
+			s, err := NewSession(g, SessionOptions{NumProcs: p})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if avg != 0 {
-			t.Errorf("p=%d: AllocsPerRun = %v, want 0", p, avg)
+			avg := testing.AllocsPerRun(10, func() {
+				if _, err := s.FindContext(context.Background(), 42); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("%s p=%d: AllocsPerRun = %v, want 0", name, p, avg)
+			}
+			s.Close()
 		}
-		s.Close()
 	}
 }
 
@@ -236,16 +243,9 @@ func TestSessionPoolGoroutinesFlat(t *testing.T) {
 		}
 		pool.Release(s)
 	}
-	if after := runtime.NumGoroutine(); after > base {
-		t.Fatalf("goroutines grew with requests: %d -> %d", base, after)
-	}
+	waitNumGoroutine(t, base)
 	pool.Close()
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked after pool Close: %d -> %d", before, after)
-	}
+	waitNumGoroutine(t, before)
 	if _, err := pool.Acquire(context.Background()); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Acquire after Close: err = %v, want ErrSessionClosed", err)
 	}
