@@ -163,29 +163,6 @@ func BenchmarkAblationNoStub(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDeque compares the steal-half queue against the
-// Chase-Lev steal-one deque on the star stress case.
-func BenchmarkAblationDeque(b *testing.B) {
-	g := benchGraph("star")
-	p := benchProcs()[len(benchProcs())-1]
-	b.Run("stealhalf", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := findWS(g, p, wsToggles{noStub: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stealone", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := findWS(g, p, wsToggles{noStub: true, stealOne: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationChunk isolates the owner hot path's drain policy:
 // fixed-1 reproduces the unbatched one-lock-op-per-vertex traversal,
 // fixed-64 the statically batched drain, and adaptive the default

@@ -6,9 +6,8 @@ import "spantree/internal/core"
 // which are deliberately not part of the public Options.
 
 type wsToggles struct {
-	noSteal  bool
-	noStub   bool
-	stealOne bool
+	noSteal bool
+	noStub  bool
 }
 
 func findWS(g *Graph, p int, t wsToggles) ([]VID, error) {
@@ -17,7 +16,6 @@ func findWS(g *Graph, p int, t wsToggles) ([]VID, error) {
 		Seed:     1,
 		NoSteal:  t.noSteal,
 		NoStub:   t.noStub,
-		StealOne: t.stealOne,
 	})
 	return parent, err
 }

@@ -31,8 +31,7 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		chunk    = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk; 0 keeps the adaptive controller")
 		chunkPol = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
-		dirName  = fs.String("direction", "auto", "traversal direction policy for the work-stealing runs: auto or topdown (the direction/layout ablation pins its own)")
-		layName  = fs.String("layout", "wide", "CSR layout for the work-stealing runs: wide or compact (the direction/layout ablation pins its own)")
+		layName  = fs.String("layout", "wide", "CSR layout for the work-stealing runs: wide or compact (the layout ablation pins its own)")
 		shards   = fs.Int("shards", 0, "shard count for the work-stealing runs: 0 or 1 = single team (the shard ablation pins its own)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
@@ -54,10 +53,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dir, err := core.ParseDirection(*dirName)
-	if err != nil {
-		return err
-	}
 	lay, err := core.ParseLayout(*layName)
 	if err != nil {
 		return err
@@ -69,7 +64,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		Verify:      true,
 		ChunkPolicy: policy,
 		ChunkSize:   *chunk,
-		Direction:   dir,
 		Layout:      lay,
 		Shards:      *shards,
 	}

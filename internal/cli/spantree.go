@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spantree"
+	"spantree/internal/core"
 	"spantree/internal/gen"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -40,7 +41,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		deg2      = fs.Bool("deg2", false, "enable degree-2 elimination preprocessing")
 		chunk     = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk (1 = unbatched); 0 keeps the adaptive controller (where it caps growth)")
 		chunkPol  = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
-		direction = fs.String("direction", "auto", "traversal direction policy for the work-stealing algorithm: auto (top-down/bottom-up switching) or topdown (pure push)")
 		layout    = fs.String("layout", "wide", "CSR layout for the work-stealing hot path: wide (int64 offsets) or compact (uint32 arena)")
 		shards    = fs.Int("shards", 0, "shard count for the work-stealing algorithm: partition the CSR into contiguous vertex ranges, run one team per shard, stitch the forests (0 or 1 = single team; requires -fallback 0 when > 1)")
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
@@ -83,10 +83,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dir, err := spantree.ParseDirection(*direction)
-	if err != nil {
-		return err
-	}
 	lay, err := spantree.ParseLayout(*layout)
 	if err != nil {
 		return err
@@ -114,7 +110,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			FallbackThreshold: *fallback,
 			ChunkPolicy:       policy,
 			ChunkSize:         *chunk,
-			Direction:         dir,
 			Layout:            lay,
 			Shards:            *shards,
 			Verify:            !*noverify,
@@ -155,17 +150,7 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "verified: spanning forest is valid")
 	}
 	if ws := best.WorkStealing; ws != nil {
-		fmt.Fprintf(stdout, "workstealing: stub=%d steals=%d stolen=%d failedClaims=%d cursorRoots=%d imbalance=%.2f\n",
-			ws.StubSize, ws.Steals, ws.StolenVertices, ws.FailedClaims, ws.CursorRoots, ws.MaxLoadImbalance())
-		fmt.Fprintf(stdout, "chunk: policy=%v stealHitRate=%.3f grow=%d shrink=%d\n",
-			policy, ws.StealHitRate(), ws.ChunkGrow, ws.ChunkShrink)
-		if ws.FallbackTriggered {
-			fmt.Fprintf(stdout, "fallback: SV completion ran (%d grafts in %d iterations)\n",
-				ws.SVStats.Grafts, ws.SVStats.Iterations)
-		}
-		if ws.DegradedToSeq {
-			fmt.Fprintf(stdout, "degraded: worker panic recovered (%v); forest recomputed sequentially\n", ws.Panic)
-		}
+		reportWorkStealing(stdout, ws, policy)
 	}
 	if sv := best.SV; sv != nil {
 		fmt.Fprintf(stdout, "sv: iterations=%d shortcutRounds=%d grafts=%d\n", sv.Iterations, sv.ShortcutRounds, sv.Grafts)
@@ -198,7 +183,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			"p":           fmt.Sprint(*procs),
 			"seed":        fmt.Sprint(*seed),
 			"chunkpolicy": policy.String(),
-			"direction":   dir.String(),
 			"layout":      lay.String(),
 			"shards":      fmt.Sprint(max(1, *shards)),
 		}
@@ -220,6 +204,23 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// reportWorkStealing prints the work-stealing traversal's statistics:
+// the protocol counters, the chunk controller's activity, and the
+// fallback and degradation outcomes when they occurred.
+func reportWorkStealing(w io.Writer, ws *core.Stats, policy spantree.ChunkPolicy) {
+	fmt.Fprintf(w, "workstealing: stub=%d steals=%d stolen=%d failedClaims=%d cursorRoots=%d imbalance=%.2f\n",
+		ws.StubSize, ws.Steals, ws.StolenVertices, ws.FailedClaims, ws.CursorRoots, ws.MaxLoadImbalance())
+	fmt.Fprintf(w, "chunk: policy=%v stealHitRate=%.3f grow=%d shrink=%d\n",
+		policy, ws.StealHitRate(), ws.ChunkGrow, ws.ChunkShrink)
+	if ws.FallbackTriggered {
+		fmt.Fprintf(w, "fallback: SV completion ran (%d grafts in %d iterations)\n",
+			ws.SVStats.Grafts, ws.SVStats.Iterations)
+	}
+	if ws.DegradedToSeq {
+		fmt.Fprintf(w, "degraded: worker panic recovered (%v); forest recomputed sequentially\n", ws.Panic)
+	}
 }
 
 // resolveChunkPolicy maps the -chunkpolicy/-chunk flag pair onto a

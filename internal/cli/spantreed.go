@@ -82,7 +82,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")
 		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default)")
-		dirName  = fs.String("direction", "auto", "traversal direction policy for pooled sessions: auto or topdown")
 		layName  = fs.String("layout", "auto", "CSR layout policy for pooled sessions: auto (compact when the graph fits uint32), wide, or compact")
 		shards   = fs.Int("shards", 0, "shard policy for pooled work-stealing sessions: 0 picks per graph (one shard per 256Ki vertices, capped at 8), a positive count forces it (1 = single team)")
 		algName  = fs.String("alg", "workstealing", "pooled algorithm: workstealing or spanuf")
@@ -96,10 +95,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return err
 	}
 
-	dir, err := spantree.ParseDirection(*dirName)
-	if err != nil {
-		return fmt.Errorf("spantreed: %w", err)
-	}
 	switch *layName {
 	case serve.LayoutAuto, serve.LayoutWide, serve.LayoutCompact:
 	default:
@@ -122,7 +117,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		MaxVertices: *maxVerts,
 		MaxTimeout:  *timeout,
 		Warmups:     *warmups,
-		Direction:   dir,
 		Layout:      *layName,
 		Shards:      *shards,
 		Algorithm:   alg,

@@ -6,6 +6,7 @@ import (
 	"spantree/internal/gen"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
+	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/verify"
 )
@@ -17,8 +18,8 @@ import (
 func TestMinStealLenScaling(t *testing.T) {
 	want := map[int]int{1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 3, 8: 4, 16: 8, 32: 16}
 	for p, w := range want {
-		if got := minStealLen(p); got != w {
-			t.Errorf("minStealLen(%d) = %d, want %d", p, got, w)
+		if got := sched.MinStealLen(p); got != w {
+			t.Errorf("sched.MinStealLen(%d) = %d, want %d", p, got, w)
 		}
 	}
 	// The traversal must wire it from NumProcs.
@@ -29,23 +30,16 @@ func TestMinStealLenScaling(t *testing.T) {
 	}
 }
 
-// TestChunkPolicyNames pins the CLI vocabulary.
+// TestChunkPolicyNames pins that the zero Options run the adaptive
+// controller (the CLI vocabulary itself is sched's).
 func TestChunkPolicyNames(t *testing.T) {
-	if ChunkAdaptive.String() != "adaptive" || ChunkFixed.String() != "fixed" {
-		t.Fatalf("policy names: %v %v", ChunkAdaptive, ChunkFixed)
+	var zero Options
+	if o := zero.withDefaults(); o.ChunkPolicy != sched.ChunkAdaptive || o.ChunkSize != 0 {
+		t.Fatalf("zero Options resolve to %v/%d, want adaptive/0", o.ChunkPolicy, o.ChunkSize)
 	}
-	for _, name := range []string{"adaptive", "fixed"} {
-		cp, err := ParseChunkPolicy(name)
-		if err != nil || cp.String() != name {
-			t.Fatalf("ParseChunkPolicy(%q) = %v, %v", name, cp, err)
-		}
-	}
-	if _, err := ParseChunkPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy name accepted")
-	}
-	var zero ChunkPolicy
-	if zero != ChunkAdaptive {
-		t.Fatal("zero value is not the adaptive default")
+	fixed := Options{ChunkPolicy: sched.ChunkFixed}
+	if o := fixed.withDefaults(); o.ChunkSize != DefaultChunkSize {
+		t.Fatalf("fixed policy ChunkSize = %d, want DefaultChunkSize", o.ChunkSize)
 	}
 }
 
@@ -54,14 +48,14 @@ func TestChunkPolicyNames(t *testing.T) {
 // the traversal must build its controllers from Options and its
 // per-victim failed-steal signal with one slot per processor.
 func TestControllerWiring(t *testing.T) {
-	raw := Options{ChunkPolicy: ChunkAdaptive, ChunkSize: 4}
-	o := raw.withDefaults()
-	c := newChunkController(&o)
-	if c.Chunk() != 4 || c.Max() != 4 {
-		t.Fatalf("ChunkSize cap not wired: %d/%d, want 4/4", c.Chunk(), c.Max())
-	}
-	topt := Options{NumProcs: 8}
+	topt := Options{NumProcs: 8, ChunkPolicy: sched.ChunkAdaptive, ChunkSize: 4}
 	tr, _ := newTraversal(gen.Chain(10), topt.withDefaults())
+	var ws workerState
+	tr.resetWorkerState(0, &ws)
+	if ws.ctrl.Chunk() != 4 || ws.ctrl.Max() != 4 || len(ws.chunk) != 4 {
+		t.Fatalf("ChunkSize cap not wired: %d/%d (buffer %d), want 4/4",
+			ws.ctrl.Chunk(), ws.ctrl.Max(), len(ws.chunk))
+	}
 	tr.fail.Record(7)
 	if tr.fail.Load(7) != 1 || tr.fail.Load(0) != 0 {
 		t.Fatal("per-victim fail signal not wired per processor")
@@ -122,16 +116,16 @@ func TestAdaptiveObsCounters(t *testing.T) {
 		if tot.ChunkGrow == 0 {
 			t.Errorf("%s: controller never grew on a deep torus frontier", name)
 		}
-		if tot.ChunkHighWater < AdaptiveInitChunk {
+		if tot.ChunkHighWater < sched.AdaptiveInitChunk {
 			t.Errorf("%s: chunk high-water %d below the starting chunk %d",
-				name, tot.ChunkHighWater, AdaptiveInitChunk)
+				name, tot.ChunkHighWater, sched.AdaptiveInitChunk)
 		}
 		if tot.DrainHist == nil {
 			t.Errorf("%s: no drain-size histogram", name)
 		}
 
 		rec = obs.New(2)
-		if _, _, err := run(g, Options{NumProcs: 2, Seed: 11, Obs: rec, ChunkPolicy: ChunkFixed}); err != nil {
+		if _, _, err := run(g, Options{NumProcs: 2, Seed: 11, Obs: rec, ChunkPolicy: sched.ChunkFixed}); err != nil {
 			t.Fatalf("%s fixed: %v", name, err)
 		}
 		tot = rec.Snapshot().Totals

@@ -53,7 +53,8 @@
 // are succeeding and shrinks it toward 1 when thieves starve, so deep
 // regular frontiers get the lock amortization of a large chunk while
 // shallow or high-diameter frontiers keep their few vertices visible to
-// thieves. ChunkFixed with Options.ChunkSize restores the static chunk.
+// thieves. sched.ChunkFixed with Options.ChunkSize restores the static
+// chunk.
 package core
 
 import (
@@ -101,30 +102,21 @@ type Options struct {
 	StubSteps int
 
 	// ChunkPolicy selects how the queue-drain chunk is chosen. The zero
-	// value is ChunkAdaptive: a per-worker controller that grows the
-	// chunk while the local queue is deep and steals are succeeding and
-	// shrinks it toward 1 when thieves starve. ChunkFixed drains exactly
-	// ChunkSize vertices per lock acquisition.
-	ChunkPolicy ChunkPolicy
+	// value is sched.ChunkAdaptive: a per-worker controller that grows
+	// the chunk while the local queue is deep and steals are succeeding
+	// and shrinks it toward 1 when thieves starve. sched.ChunkFixed
+	// drains exactly ChunkSize vertices per lock acquisition.
+	ChunkPolicy sched.ChunkPolicy
 
 	// ChunkSize is the number of vertices a processor drains from its
 	// queue per lock acquisition, and therefore also the flush cadence of
-	// the per-worker child and progress batches. Under ChunkFixed, <= 0
-	// means DefaultChunkSize and 1 reproduces the unbatched
-	// one-lock-op-per-vertex hot path (ablation). Under ChunkAdaptive it
-	// caps the controller's growth (<= 0 means AdaptiveMaxChunk).
+	// the per-worker child and progress batches. Under sched.ChunkFixed,
+	// <= 0 means DefaultChunkSize and 1 reproduces the unbatched
+	// one-lock-op-per-vertex hot path (ablation). Under
+	// sched.ChunkAdaptive it caps the controller's growth (<= 0 means
+	// sched.AdaptiveMaxChunk).
 	ChunkSize int
 
-	// Direction selects the traversal's direction policy. The zero value
-	// DirectionAuto lets workers switch to a bottom-up sweep when the
-	// live frontier is a large fraction of the unclaimed remainder (on
-	// graphs of at least buMinGraph vertices); DirectionTopDown pins the
-	// pure push traversal (the ablation baseline).
-	Direction Direction
-	// BottomUpAlpha tunes the top-down to bottom-up switch: the sweep
-	// starts when frontier*alpha >= remaining. <= 0 means the default
-	// (defaultBottomUpAlpha).
-	BottomUpAlpha int
 	// Layout selects the CSR layout the traversal hot loops read. The
 	// zero value LayoutWide reads graph.Graph directly; LayoutCompact
 	// builds (or, through a Workspace, reuses) a uint32 graph.CSR32
@@ -156,9 +148,6 @@ type Options struct {
 	// NoStub skips the stub spanning tree and seeds only processor 0
 	// (ablation).
 	NoStub bool
-	// StealOne replaces the steal-half queue with a Chase-Lev steal-one
-	// deque (ablation of the bulk-stealing design choice).
-	StealOne bool
 
 	// FallbackThreshold, if > 0, aborts the traversal into the SV
 	// fallback once at least this many processors are asleep with no
@@ -169,7 +158,7 @@ type Options struct {
 
 	// StallBudget, if > 0, arms the stuck-run watchdog: every worker
 	// bumps a padded heartbeat slot whenever it advances (drains a
-	// chunk, lands a steal, scans a bottom-up quantum), and if no
+	// chunk, lands a steal, or sweeps uncovered components), and if no
 	// worker anywhere advances for a full budget the run's flag trips
 	// with fault.CauseStalled and the workers drain cooperatively,
 	// returning fault.ErrStalled with partial stats. The watchdog
@@ -201,14 +190,11 @@ func (o *Options) withDefaults() Options {
 	if out.StubSteps == 0 {
 		out.StubSteps = 2 * out.NumProcs
 	}
-	// Under ChunkAdaptive, ChunkSize <= 0 is meaningful (the controller
-	// uses its own AdaptiveMaxChunk cap), so only the fixed policy
-	// defaults it.
-	if out.ChunkPolicy == ChunkFixed && out.ChunkSize <= 0 {
+	// Under sched.ChunkAdaptive, ChunkSize <= 0 is meaningful (the
+	// controller uses its own sched.AdaptiveMaxChunk cap), so only the
+	// fixed policy defaults it.
+	if out.ChunkPolicy == sched.ChunkFixed && out.ChunkSize <= 0 {
 		out.ChunkSize = DefaultChunkSize
-	}
-	if out.BottomUpAlpha <= 0 {
-		out.BottomUpAlpha = defaultBottomUpAlpha
 	}
 	return out
 }
@@ -342,77 +328,6 @@ func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 	return parent, stats, nil
 }
 
-// workQueue abstracts the two queue designs (steal-half FIFO and
-// Chase-Lev steal-one) behind the operations the traversal needs.
-type workQueue interface {
-	Push(v int32)
-	PushBatch(vs []int32)
-	Pop() (int32, bool)
-	// PopBatch moves up to len(dst) elements into dst (owner side),
-	// returning the count — the chunked drain of the hot path.
-	PopBatch(dst []int32) int
-	// PopBatchLen is PopBatch plus the post-drain queue length observed
-	// under the same synchronization, the adaptive controller's exact
-	// depth signal.
-	PopBatchLen(dst []int32) (n, remaining int)
-	// StealInto moves one batch from the queue into buf, returning the
-	// extended slice (unchanged when nothing was stolen).
-	StealInto(buf []int32) []int32
-	Len() int
-	// HighWater is the maximum length the queue ever reached.
-	HighWater() int
-}
-
-type stealHalfQueue struct{ q *wsq.StealHalf }
-
-func (s stealHalfQueue) Push(v int32)             { s.q.Push(v) }
-func (s stealHalfQueue) PushBatch(vs []int32)     { s.q.PushBatch(vs) }
-func (s stealHalfQueue) Pop() (int32, bool)       { return s.q.Pop() }
-func (s stealHalfQueue) PopBatch(dst []int32) int { return s.q.PopBatch(dst) }
-func (s stealHalfQueue) PopBatchLen(dst []int32) (int, int) {
-	return s.q.PopBatchLen(dst)
-}
-func (s stealHalfQueue) StealInto(buf []int32) []int32 { return s.q.Steal(buf) }
-func (s stealHalfQueue) Len() int                      { return s.q.Len() }
-func (s stealHalfQueue) HighWater() int                { return s.q.HighWater() }
-
-type chaseLevQueue struct{ q *wsq.ChaseLev }
-
-func (c chaseLevQueue) Push(v int32) { c.q.Push(v) }
-func (c chaseLevQueue) PushBatch(vs []int32) {
-	for _, v := range vs {
-		c.q.Push(v)
-	}
-}
-func (c chaseLevQueue) Pop() (int32, bool) { return c.q.Pop() }
-func (c chaseLevQueue) PopBatch(dst []int32) int {
-	// The Chase-Lev deque has no bulk owner op; the ablation drains one
-	// element per lock-free Pop.
-	n := 0
-	for n < len(dst) {
-		v, ok := c.q.Pop()
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
-	}
-	return n
-}
-func (c chaseLevQueue) PopBatchLen(dst []int32) (int, int) {
-	// No bulk owner op on the deque; the remaining length is a racy
-	// post-drain snapshot, which is all the ablation needs.
-	return c.PopBatch(dst), c.q.Len()
-}
-func (c chaseLevQueue) StealInto(buf []int32) []int32 {
-	if v, ok := c.q.Steal(); ok {
-		return append(buf, v)
-	}
-	return buf
-}
-func (c chaseLevQueue) Len() int       { return c.q.Len() }
-func (c chaseLevQueue) HighWater() int { return c.q.HighWater() }
-
 // traversal holds the shared state of the work-stealing phase of one
 // team. A single-team run has one traversal covering the whole graph; a
 // sharded run (engine.go) has one per shard, all writing into the same
@@ -445,7 +360,7 @@ type traversal struct {
 	// accesses per scanned edge versus a separate color array and
 	// shrinks per-vertex state by 4 bytes.
 	parent []graph.VID
-	queues []workQueue
+	queues []*wsq.StealHalf
 	// span[v], in non-contiguous-access units, is the earliest virtual
 	// time at which v's claim can complete: its parent's span plus the
 	// cost of processing the parent. The maximum over vertices is the
@@ -456,7 +371,8 @@ type traversal struct {
 	span []int64
 
 	// minSteal is the smallest victim queue worth stealing from,
-	// minStealLen(p): the constant floor of 2 scaled by p/2 at high p.
+	// sched.MinStealLen(p): the constant floor of 2 scaled by p/2 at high
+	// p.
 	minSteal int
 
 	visited atomic.Int64 // claimed vertices; == n means the forest is done
@@ -472,20 +388,6 @@ type traversal struct {
 
 	sleepers atomic.Int32
 	abort    atomic.Bool // set when the fallback threshold trips
-
-	// Direction-optimization state (see direction.go). dirOpt is true
-	// when Options.Direction is DirectionAuto and the graph is large
-	// enough to ever profit from a sweep; buAlpha is the resolved switch
-	// threshold. phase is the current traversal direction; buCursor the
-	// shared bottom-up sweep cursor; buClaims the running claim count of
-	// the current sweep; buMu serializes phase transitions and the
-	// sweep-end decision.
-	dirOpt   bool
-	buAlpha  int
-	phase    atomic.Int32
-	buCursor atomic.Int64
-	buClaims atomic.Int64
-	buMu     sync.Mutex
 
 	// cancel is the run's stop flag (never nil: newTraversal substitutes
 	// a private flag when the caller passed none, so panic isolation
@@ -514,7 +416,7 @@ func newTraversal(g *graph.Graph, o Options) (*traversal, error) {
 // newTraversalQ is newTraversal with an optional queue supplier (the
 // Workspace path injects its pooled queues; nil allocates one-shot
 // queues).
-func newTraversalQ(g *graph.Graph, o Options, mk func(n int) workQueue) (*traversal, error) {
+func newTraversalQ(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*traversal, error) {
 	n := g.NumVertices()
 	rec := o.Obs
 	if rec == nil {
@@ -525,14 +427,12 @@ func newTraversalQ(g *graph.Graph, o Options, mk func(n int) workQueue) (*traver
 		o:        o,
 		n:        n,
 		parent:   make([]graph.VID, n),
-		queues:   make([]workQueue, o.NumProcs),
-		minSteal: minStealLen(o.NumProcs),
+		queues:   make([]*wsq.StealHalf, o.NumProcs),
+		minSteal: sched.MinStealLen(o.NumProcs),
 		fail:     sched.NewFailSignal(o.NumProcs),
 		rec:      rec,
 		cancel:   o.Cancel,
 		inj:      o.Chaos,
-		dirOpt:   o.Direction == DirectionAuto && n >= buMinGraph && len(g.Adj) >= buMinAvgDeg*n,
-		buAlpha:  o.BottomUpAlpha,
 	}
 	if o.Layout == LayoutCompact {
 		cg, err := graph.CompactOf(g)
@@ -559,7 +459,7 @@ func newTraversalQ(g *graph.Graph, o Options, mk func(n int) workQueue) (*traver
 // shard-major tid order, handed the team range's vertex count);
 // otherwise one-shot queues sized for the team's share of its range are
 // allocated.
-func (t *traversal) initQueues(mk func(n int) workQueue) {
+func (t *traversal) initQueues(mk func(n int) *wsq.StealHalf) {
 	if mk != nil {
 		for i := range t.queues {
 			t.queues[i] = mk(t.n)
@@ -568,17 +468,11 @@ func (t *traversal) initQueues(mk func(n int) workQueue) {
 	}
 	initCap := t.n/t.o.NumProcs + 16
 	for i := range t.queues {
-		if t.o.StealOne {
-			q := wsq.NewChaseLev(64)
-			// Queue high-water accounting costs a check on every push, so
-			// it runs only when the caller asked to observe the run.
-			q.TrackHighWater(t.o.Obs != nil)
-			t.queues[i] = chaseLevQueue{q}
-		} else {
-			q := wsq.NewStealHalf(min(initCap, 1<<16))
-			q.TrackHighWater(t.o.Obs != nil)
-			t.queues[i] = stealHalfQueue{q}
-		}
+		q := wsq.NewStealHalf(min(initCap, 1<<16))
+		// Queue high-water accounting costs a check on every push, so it
+		// runs only when the caller asked to observe the run.
+		q.TrackHighWater(t.o.Obs != nil)
+		t.queues[i] = q
 	}
 }
 
@@ -684,7 +578,7 @@ type workerState struct {
 // the counter batch is zeroed. The cached recorder handle survives
 // because a pooled traversal keeps one Recorder for its whole life.
 func (t *traversal) resetWorkerState(tid int, ws *workerState) {
-	ws.ctrl = newChunkController(&t.o)
+	ws.ctrl = sched.NewController(t.o.ChunkPolicy, t.o.ChunkSize)
 	if cap(ws.chunk) < ws.ctrl.Max() {
 		ws.chunk = make([]int32, ws.ctrl.Max())
 	}
@@ -754,17 +648,6 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			h(tid)
 		}
 		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
-		if t.dirOpt && t.phase.Load() == phaseBottomUp {
-			// Bottom-up phase: scan one sweep quantum instead of draining
-			// the queue (the queued frontier keeps for the return to
-			// top-down; sweeping claims around it). The quantum always
-			// advances the shared cursor or ends the sweep, so it counts
-			// as watchdog progress.
-			t.bottomUpQuantum(ws, myQ)
-			t.wd.Beat(t.tidBase + tid)
-			fruitless = 0
-			continue
-		}
 		nPop, qrem := myQ.PopBatchLen(ws.chunk[:ws.ctrl.Chunk()])
 		if nPop > 0 {
 			// The progress heartbeat rides the chunk boundary the loop
@@ -802,13 +685,6 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			if processed >= DefaultChunkSize {
 				processed = 0
 				ws.lc.FlushTo(ws.ow)
-				// The direction check shares the yield cadence: one
-				// frontier poll per DefaultChunkSize vertices processed.
-				if t.dirOpt && t.phase.Load() == phaseTopDown {
-					if frontier, ok := t.buShouldSwitch(ws.probe); ok {
-						t.buEnter(frontier, ws.ow)
-					}
-				}
 				runtime.Gosched()
 			}
 			continue
@@ -868,9 +744,10 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 	if t.span != nil {
 		// A child claimed while processing v completes no earlier than
 		// v's own claim plus the cost of scanning v's neighborhood.
-		// Span cells are accessed atomically because bottom-up sweeps
-		// read a claimed neighbor's span concurrently with this store.
-		childSpan = atomic.LoadInt64(&t.span[v]) + procCostNC(len(nb))
+		// span[v] was written by v's claimer before v was queued, and
+		// span[w] is written only by w's winning claimer, so the queue
+		// handoff orders every access.
+		childSpan = t.span[v] + procCostNC(len(nb))
 	}
 	for _, w := range nb {
 		probe.NonContig(1) // fused claim-state load of parent[w]
@@ -880,7 +757,7 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 		if t.claim(w, v) {
 			probe.NonContig(1) // winning claim CAS
 			if t.span != nil {
-				atomic.StoreInt64(&t.span[w], childSpan)
+				t.span[w] = childSpan
 			}
 			*out = append(*out, int32(w))
 			*pend++
@@ -939,7 +816,7 @@ func (t *traversal) spanMax() int64 {
 // chunk controllers read their own slot as the signal to shrink and
 // keep work visible. Empty victims are not charged (they are starving
 // too), and neither is the thief itself.
-func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ workQueue,
+func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ *wsq.StealHalf,
 	stealBuf *[]int32, probe *smpmodel.Probe, ow *obs.Worker) (graph.VID, bool) {
 	p := t.o.NumProcs
 	if p == 1 {
@@ -999,10 +876,10 @@ func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ workQueue,
 
 // stealFrom attempts one steal-half operation against victim, pushing
 // all but the first stolen vertex onto myQ and returning the first.
-func (t *traversal) stealFrom(victim int, myQ workQueue, stealBuf *[]int32,
+func (t *traversal) stealFrom(victim int, myQ *wsq.StealHalf, stealBuf *[]int32,
 	probe *smpmodel.Probe, ow *obs.Worker) (graph.VID, bool) {
 	*stealBuf = (*stealBuf)[:0]
-	*stealBuf = t.queues[victim].StealInto(*stealBuf)
+	*stealBuf = t.queues[victim].Steal(*stealBuf)
 	if len(*stealBuf) == 0 {
 		return 0, false
 	}
@@ -1027,7 +904,7 @@ func (t *traversal) stealFrom(victim int, myQ workQueue, stealBuf *[]int32,
 // uncolored vertex as a fresh root, cover its component, repeat — that
 // is how disconnected inputs become spanning forests with exactly one
 // root per component.
-func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, ws *workerState) bool {
+func (t *traversal) idleOnce(tid int, myQ *wsq.StealHalf, fruitless int, ws *workerState) bool {
 	t.inj.Visit(t.tidBase+tid, chaos.PointIdle)
 	t.sleepers.Add(1)
 	defer t.sleepers.Add(-1)
@@ -1077,7 +954,7 @@ func (t *traversal) idleOnce(tid int, myQ workQueue, fruitless int, ws *workerSt
 // queue before the queue scan, passing both checks mid-traversal.)
 // Other processors that reach quiescence during a sweep block here
 // until it ends.
-func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, ws *workerState) {
+func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *workerState) {
 	t.seedMu.Lock()
 	defer t.seedMu.Unlock()
 	for i := 0; i < t.o.NumProcs; i++ {
@@ -1113,7 +990,7 @@ func (t *traversal) trySeedNextComponent(tid int, myQ workQueue, ws *workerState
 // stays at one chunk, a long sweep does not read as a stall, and the SV
 // fallback can take over mid-sweep (it completes any partial forest, so
 // the abandoned frontier needs no repair).
-func (t *traversal) sweep(tid int, myQ workQueue, ws *workerState) {
+func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 	slot := t.tidBase + tid
 	i, n := t.cursor.Load(), int64(t.n)
 	fr, head := ws.out[:0], 0

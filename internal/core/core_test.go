@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spantree/internal/gen"
 	"spantree/internal/graph"
@@ -81,12 +82,10 @@ func TestOptionCombinations(t *testing.T) {
 	combos := []Options{
 		{NoSteal: true},
 		{NoStub: true},
-		{StealOne: true},
 		{Deg2Eliminate: true},
 		{FallbackThreshold: 1},
 		{FallbackThreshold: 2, Deg2Eliminate: true},
 		{NoSteal: true, NoStub: true},
-		{StealOne: true, Deg2Eliminate: true},
 		{StubSteps: 1},
 		{StubSteps: 1000},
 	}
@@ -187,12 +186,21 @@ func TestCursorRootsOnDisconnected(t *testing.T) {
 	}
 }
 
+// TestFallbackTriggersOnChain drives both drivers into the SV fallback
+// on the degenerate chain. The lockstep driver is deterministic. Left to
+// itself, the concurrent driver triggers only if enough idle workers
+// happen to sleep at once before the chain's two frontier ends run out,
+// so the test hook holds every worker that still has frontier after its
+// first drain until the fallback fires. Only empty-handed workers keep
+// cycling through the idle protocol, and they reach the threshold
+// whatever the scheduler does.
 func TestFallbackTriggersOnChain(t *testing.T) {
 	g := gen.Chain(1 << 14)
-	for name, run := range drivers() {
-		parent, st, err := run(g, Options{NumProcs: 6, Seed: 3, FallbackThreshold: 3})
+	opt := Options{NumProcs: 6, Seed: 3, FallbackThreshold: 3}
+	check := func(name string, parent []graph.VID, st Stats, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := verify.Forest(g, parent); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -204,6 +212,27 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 			t.Fatalf("%s: fallback ran but grafted nothing", name)
 		}
 	}
+	parent, st, err := LockstepForest(g, opt)
+	check("lockstep", parent, st, err)
+
+	e, err := newEngine(g, opt.withDefaults(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := e.ts[0]
+	calls := make([]int, opt.NumProcs) // calls[tid] is touched only by worker tid
+	// The deadline turns a broken trigger into a test failure, not a hang.
+	deadline := time.Now().Add(10 * time.Second)
+	tr.o.testHook = func(tid int) {
+		if calls[tid]++; calls[tid] == 1 {
+			return
+		}
+		for tr.queues[tid].Len() > 0 && !tr.abort.Load() && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	parent, st, err = e.run()
+	check("concurrent", parent, st, err)
 }
 
 func TestFallbackNeverTriggersOnDenseGraph(t *testing.T) {

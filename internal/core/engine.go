@@ -39,6 +39,7 @@ import (
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanseq"
 	"spantree/internal/spanuf"
+	"spantree/internal/wsq"
 	"spantree/internal/xrand"
 )
 
@@ -75,7 +76,7 @@ type engine struct {
 // newEngine builds the engine for one run of g under o (withDefaults
 // already applied). mk, when non-nil, supplies pooled work queues in
 // shard-major tid order (the Workspace path).
-func newEngine(g *graph.Graph, o Options, mk func(n int) workQueue) (*engine, error) {
+func newEngine(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*engine, error) {
 	if o.Shards > 1 && o.FallbackThreshold > 0 {
 		return nil, errShardsFallback
 	}
@@ -213,14 +214,12 @@ func (e *engine) newShardTraversal(sh *graph.Shard, team, base int) *traversal {
 		tidBase:  base,
 		parent:   e.parent,
 		span:     e.span,
-		queues:   make([]workQueue, team),
-		minSteal: minStealLen(team),
+		queues:   make([]*wsq.StealHalf, team),
+		minSteal: sched.MinStealLen(team),
 		fail:     sched.NewFailSignal(team),
 		rec:      e.rec,
 		cancel:   e.cancel,
 		inj:      e.o.Chaos,
-		dirOpt:   e.o.Direction == DirectionAuto && ns >= buMinGraph && len(sh.CSR.Adj) >= buMinAvgDeg*ns,
-		buAlpha:  e.o.BottomUpAlpha,
 	}
 }
 
@@ -485,8 +484,8 @@ func (e *engine) finishStatsPooled(stats *Stats, slotOW []*obs.Worker) {
 }
 
 // rearm resets every run-scoped field of the engine's traversals for
-// the next pooled Run: parent sentinels, cursors, phases, the failed-
-// steal signals, and the per-run seed. The recorder reset is the
+// the next pooled Run: parent sentinels, cursors, the failed-steal
+// signals, the work queues, and the per-run seed. The recorder reset is the
 // caller's (it is engine-global, one per workspace).
 func (e *engine) rearm(seed uint64) {
 	for i := range e.parent {
@@ -500,8 +499,8 @@ func (e *engine) rearm(seed uint64) {
 		t.cursor.Store(0)
 		t.sleepers.Store(0)
 		t.abort.Store(false)
-		t.phase.Store(phaseTopDown)
-		t.buCursor.Store(0)
-		t.buClaims.Store(0)
+		for _, q := range t.queues {
+			q.Reset()
+		}
 	}
 }

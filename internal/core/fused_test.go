@@ -6,6 +6,7 @@ import (
 
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/sched"
 	"spantree/internal/verify"
 )
 
@@ -22,11 +23,11 @@ func TestFusedClaimForests(t *testing.T) {
 		graph.Union(gen.Random(80, 60, 3), gen.Cycle(12)), // random part is itself disconnected
 	}
 	variants := []struct {
-		policy ChunkPolicy
+		policy sched.ChunkPolicy
 		chunk  int
 	}{
-		{ChunkAdaptive, 0}, {ChunkAdaptive, 2}, {ChunkAdaptive, 64},
-		{ChunkFixed, 1}, {ChunkFixed, 2}, {ChunkFixed, 64},
+		{sched.ChunkAdaptive, 0}, {sched.ChunkAdaptive, 2}, {sched.ChunkAdaptive, 64},
+		{sched.ChunkFixed, 1}, {sched.ChunkFixed, 2}, {sched.ChunkFixed, 64},
 	}
 	for name, run := range drivers() {
 		for _, g := range inputs {
@@ -60,36 +61,41 @@ func TestFusedClaimForests(t *testing.T) {
 // any size, or adaptive at any cap — is purely a cost-model parameter
 // for the deterministic driver: the round-robin schedule pops one
 // vertex per turn regardless, so the forest and the work distribution
-// must be bit-identical across every chunk configuration.
+// must be bit-identical across every chunk configuration — on a small
+// sparse graph and on a dense low-diameter one whose frontier balloons.
 func TestLockstepChunkInvariantForest(t *testing.T) {
-	g := gen.Random(400, 700, 13)
-	base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: ChunkFixed, ChunkSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	variants := []struct {
-		policy ChunkPolicy
+		policy sched.ChunkPolicy
 		chunk  int
 	}{
-		{ChunkFixed, 2}, {ChunkFixed, 16}, {ChunkFixed, 64}, {ChunkFixed, 1024},
-		{ChunkAdaptive, 0}, {ChunkAdaptive, 8}, {ChunkAdaptive, 512},
+		{sched.ChunkFixed, 2}, {sched.ChunkFixed, 16}, {sched.ChunkFixed, 64}, {sched.ChunkFixed, 1024},
+		{sched.ChunkAdaptive, 0}, {sched.ChunkAdaptive, 8}, {sched.ChunkAdaptive, 512},
 	}
-	for _, v := range variants {
-		tag := v.policy.String()
-		parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: v.policy, ChunkSize: v.chunk})
+	for _, g := range []*graph.Graph{gen.Random(400, 700, 13), gen.Random(1<<14, 12<<14, 7)} {
+		base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: sched.ChunkFixed, ChunkSize: 1})
 		if err != nil {
-			t.Fatalf("%s chunk=%d: %v", tag, v.chunk, err)
+			t.Fatal(err)
 		}
-		for w := range parent {
-			if parent[w] != base[w] {
-				t.Fatalf("%s chunk=%d: parent[%d] = %d, differs from fixed-1's %d",
-					tag, v.chunk, w, parent[w], base[w])
+		if err := verify.Forest(g, base); err != nil {
+			t.Fatalf("%v: %v", g, err)
+		}
+		for _, v := range variants {
+			tag := v.policy.String()
+			parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: v.policy, ChunkSize: v.chunk})
+			if err != nil {
+				t.Fatalf("%v %s chunk=%d: %v", g, tag, v.chunk, err)
 			}
-		}
-		for i := range stats.VerticesPerProc {
-			if stats.VerticesPerProc[i] != baseStats.VerticesPerProc[i] {
-				t.Fatalf("%s chunk=%d: worker %d claimed %d vertices, fixed-1 claimed %d",
-					tag, v.chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
+			for w := range parent {
+				if parent[w] != base[w] {
+					t.Fatalf("%v %s chunk=%d: parent[%d] = %d, differs from fixed-1's %d",
+						g, tag, v.chunk, w, parent[w], base[w])
+				}
+			}
+			for i := range stats.VerticesPerProc {
+				if stats.VerticesPerProc[i] != baseStats.VerticesPerProc[i] {
+					t.Fatalf("%v %s chunk=%d: worker %d claimed %d vertices, fixed-1 claimed %d",
+						g, tag, v.chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
+				}
 			}
 		}
 	}

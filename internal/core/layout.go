@@ -63,7 +63,7 @@ func (t *traversal) processCompact(v graph.VID, probe *smpmodel.Probe,
 	lc.Add(obs.EdgesScanned, int64(len(nb)))
 	var childSpan int64
 	if t.span != nil {
-		childSpan = atomic.LoadInt64(&t.span[v]) + procCostNC(len(nb))
+		childSpan = t.span[v] + procCostNC(len(nb))
 	}
 	for _, w := range nb {
 		probe.NonContig(1) // fused claim-state load of parent[w]
@@ -73,7 +73,7 @@ func (t *traversal) processCompact(v graph.VID, probe *smpmodel.Probe,
 		if t.claim(graph.VID(w), v) {
 			probe.NonContig(1) // winning claim CAS
 			if t.span != nil {
-				atomic.StoreInt64(&t.span[w], childSpan)
+				t.span[w] = childSpan
 			}
 			*out = append(*out, int32(w))
 			*pend++

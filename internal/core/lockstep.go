@@ -7,6 +7,7 @@ import (
 	"spantree/internal/obs"
 	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
+	"spantree/internal/wsq"
 	"spantree/internal/xrand"
 )
 
@@ -202,22 +203,16 @@ func lockstepDrive(t *traversal, stats *Stats) {
 	ctrls := make([]sched.Controller, p)
 	remaining := make([]int, p)
 	for tid := range ctrls {
-		ctrls[tid] = newChunkController(&o)
+		ctrls[tid] = sched.NewController(o.ChunkPolicy, o.ChunkSize)
 	}
 	idleStreak := make([]int, p)
 	seededRoots := 0
-	// sinceDirCheck accumulates processed turns toward the next
-	// direction-switch evaluation, matching the concurrent driver's
-	// one-poll-per-DefaultChunkSize-vertices cadence; round counts and
-	// queue lengths are deterministic, so the switch points are too.
-	sinceDirCheck := 0
-	dirPolls := 0
 
 	// processOne runs the batched process step for one vertex: children
 	// accumulate in out, are flushed with one PushBatch, and the progress
 	// batch publishes immediately (the single-goroutine driver has no
 	// concurrent readers to batch against).
-	processOne := func(tid int, v graph.VID, probe *smpmodel.Probe, myQ workQueue) {
+	processOne := func(tid int, v graph.VID, probe *smpmodel.Probe, myQ *wsq.StealHalf) {
 		t.wd.Beat(t.tidBase + tid)
 		out = out[:0]
 		var pend int64
@@ -242,40 +237,6 @@ func lockstepDrive(t *traversal, stats *Stats) {
 			}
 		}()
 		for t.visited.Load() < int64(t.n) && !t.abort.Load() && !t.cancel.Tripped() {
-			if t.dirOpt && t.phase.Load() == phaseBottomUp {
-				// Bottom-up round: every processor scans one fixed sweep
-				// quantum (never idle, so the fallback and quiescence
-				// bookkeeping skips the round). When the sweep cursor runs
-				// past n the tid that notices runs the sweep-end decision;
-				// later tids in the same round bail out of buSweepEnd and
-				// simply lose their turn.
-				for tid := 0; tid < p && t.visited.Load() < int64(t.n) && !t.cancel.Tripped(); tid++ {
-					curTid = tid
-					if h := o.testHook; h != nil {
-						h(tid)
-					}
-					probe := o.Model.Probe(t.tidBase + tid)
-					start := t.buCursor.Add(buChunk) - buChunk
-					probe.NonContig(1) // shared sweep-cursor fetch-add
-					if start >= int64(t.n) {
-						t.buSweepEnd(workers[tid])
-						continue
-					}
-					hi := min(int(start)+buChunk, t.n)
-					t.wd.Beat(t.tidBase + tid)
-					var pend int64
-					stealBuf = t.scanBottomUp(int(start), hi, probe, &locals[tid], &pend, stealBuf[:0])
-					if len(stealBuf) > 0 {
-						t.queues[tid].PushBatch(stealBuf)
-						probe.NonContig(2 + int64(len(stealBuf)))
-						t.buClaims.Add(int64(len(stealBuf)))
-					}
-					t.visited.Add(pend)
-					idleStreak[tid] = 0
-				}
-				stats.LockstepRounds++
-				continue
-			}
 			idleThisRound := 0
 			patientIdlers := 0
 			for tid := 0; tid < p && t.visited.Load() < int64(t.n) && !t.cancel.Tripped(); tid++ {
@@ -331,7 +292,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 						if t.queues[victim].Len() < t.minSteal {
 							continue
 						}
-						stealBuf = t.queues[victim].StealInto(stealBuf[:0])
+						stealBuf = t.queues[victim].Steal(stealBuf[:0])
 						if len(stealBuf) == 0 {
 							continue
 						}
@@ -399,23 +360,6 @@ func lockstepDrive(t *traversal, stats *Stats) {
 				}
 				// Cursor exhausted means every vertex is colored; the loop
 				// condition ends the traversal.
-			}
-			if t.dirOpt && t.phase.Load() == phaseTopDown {
-				sinceDirCheck += p - idleThisRound
-				if sinceDirCheck >= DefaultChunkSize {
-					sinceDirCheck = 0
-					// Rotate the frontier-poll charge across processors so
-					// the ~n/DefaultChunkSize checks do not pile their p
-					// queue-length reads onto one processor's T_M. The poll
-					// count — not the round count — drives the rotation:
-					// polls fire every ~DefaultChunkSize/p rounds, so a
-					// round-based index would repeat the same residue.
-					chk := dirPolls % p
-					dirPolls++
-					if frontier, ok := t.buShouldSwitch(o.Model.Probe(t.tidBase + chk)); ok {
-						t.buEnter(frontier, workers[chk])
-					}
-				}
 			}
 		}
 	}()

@@ -9,6 +9,7 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
+	"spantree/internal/sched"
 	"spantree/internal/spanseq"
 	"spantree/internal/wsq"
 	"spantree/internal/xrand"
@@ -58,8 +59,7 @@ type parkedWorker struct {
 // Close releases the parked team; it is the only way the goroutines
 // exit, so callers must Close workspaces they drop.
 type Workspace struct {
-	e  *engine
-	qs []*wsq.StealHalf // concrete queues, for Reset between runs
+	e *engine
 	// workers[wv] holds the parked goroutines of wave wv, joined through
 	// bars[wv] (the coordinator is the extra participant).
 	workers [][]parkedWorker
@@ -82,7 +82,7 @@ type Workspace struct {
 // opt.Seed is ignored (each Run takes its own); opt.Cancel must be nil —
 // the workspace owns its cancel flag, exposed through Flag. Options that
 // allocate per run or change the memory shape (Model, Obs, Chaos,
-// StealOne, Deg2Eliminate) are rejected: a workspace is the serving
+// Deg2Eliminate) are rejected: a workspace is the serving
 // fast path, not the experiment harness. Shards is supported — the
 // partition, the per-shard views and the stitch scratch are built once
 // here, so sharded pooled runs stay allocation-free too.
@@ -99,27 +99,22 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 		return nil, errors.New("core: Workspace does not support chaos injection")
 	case opt.Cancel != nil:
 		return nil, errors.New("core: Workspace owns its cancel flag; use Flag instead of Options.Cancel")
-	case opt.StealOne:
-		return nil, errors.New("core: Workspace does not support the StealOne ablation")
 	case opt.Deg2Eliminate:
 		return nil, errors.New("core: Workspace does not support Deg2Eliminate")
 	}
 	o := opt.withDefaults()
 
-	w := &Workspace{}
 	// The queue supplier runs once per worker during engine construction,
-	// in shard-major tid order, handed the owning team range's vertex
-	// count; twice the provisioned frontier, see WorkspaceOptions.
-	mk := func(ns int) workQueue {
-		q := wsq.NewStealHalf(2 * poolQueueCap(ns, wopt))
-		w.qs = append(w.qs, q)
-		return stealHalfQueue{q}
+	// handed the owning team range's vertex count; twice the provisioned
+	// frontier, see WorkspaceOptions.
+	mk := func(ns int) *wsq.StealHalf {
+		return wsq.NewStealHalf(2 * poolQueueCap(ns, wopt))
 	}
 	e, err := newEngine(g, o, mk)
 	if err != nil {
 		return nil, err
 	}
-	w.e = e
+	w := &Workspace{e: e}
 
 	// Per-worker buffers, provisioned for the worst case so the hot loop
 	// never grows them: the child buffer can receive every not-yet-claimed
@@ -133,7 +128,7 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 	w.wss = make([][]workerState, len(e.ts))
 	for si, t := range e.ts {
 		qcap := poolQueueCap(t.n, wopt)
-		ctrl := newChunkController(&t.o)
+		ctrl := sched.NewController(t.o.ChunkPolicy, t.o.ChunkSize)
 		ctrlMax := ctrl.Max()
 		outCap := 4 * ctrlMax
 		if outCap < qcap {
@@ -251,9 +246,6 @@ func (w *Workspace) Run(seed uint64) ([]graph.VID, *Stats, error) {
 	// goroutine before the wake sends, which happen-before the workers'
 	// reads.
 	e.rearm(seed)
-	for _, q := range w.qs {
-		q.Reset()
-	}
 	e.rec.Reset()
 	vp, ep := w.stats.VerticesPerProc, w.stats.EdgesPerProc
 	clear(vp)

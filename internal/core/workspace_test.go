@@ -217,7 +217,6 @@ func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 	g := gen.Chain(10)
 	bad := []Options{
 		{NumProcs: 0},
-		{NumProcs: 1, StealOne: true},
 		{NumProcs: 1, Deg2Eliminate: true},
 		{NumProcs: 1, Cancel: &fault.Flag{}},
 	}

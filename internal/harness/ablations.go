@@ -6,13 +6,14 @@ import (
 	"spantree/internal/core"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/stats"
 )
 
 // The ablation experiments isolate the design choices the paper calls
-// out: work stealing itself, the stub spanning tree, steal-half vs
-// steal-one, CAS elections vs locks in SV, degree-2 elimination, the
+// out: work stealing itself, the stub spanning tree, CAS elections vs
+// locks in SV, degree-2 elimination, the
 // pathological-case fallback, the HCS-behaves-like-SV observation, and
 // the machine-profile sensitivity of the modeled results.
 func registerAblations() {
@@ -27,12 +28,6 @@ func registerAblations() {
 		Title:       "Ablation: stub spanning tree vs single seed",
 		Description: "Without the stub tree only one processor has initial work, so everything must be stolen.",
 		run:         runAblNoStub,
-	})
-	register(Experiment{
-		ID:          "abl-stealone",
-		Title:       "Ablation: steal-half queue vs Chase-Lev steal-one",
-		Description: "Bulk stealing moves the frontier in O(1) steals; steal-one pays a steal per vertex when feeding starved processors.",
-		run:         runAblStealOne,
 	})
 	register(Experiment{
 		ID:          "abl-svlock",
@@ -71,10 +66,10 @@ func registerAblations() {
 		run:         runAblChunk,
 	})
 	register(Experiment{
-		ID:          "abl-direction",
-		Title:       "Ablation: traversal direction policy x CSR layout",
-		Description: "Direction-optimizing (top-down/bottom-up auto switching) vs pure top-down, crossed with the wide int64 CSR vs the compact uint32 arena, on the low-diameter shapes where bottom-up pays (torus, geometric) and the high-diameter chain where it must stay out of the way.",
-		run:         runAblDirection,
+		ID:          "abl-layout",
+		Title:       "Ablation: CSR layout (wide int64 vs compact uint32)",
+		Description: "The top-down traversal reading the wide int64-offset CSR vs the compact uint32 arena, on the low-diameter shapes where the frontier is deep (torus, geometric) and the high-diameter chain where the traversal is serial.",
+		run:         runAblLayout,
 	})
 	register(Experiment{
 		ID:          "abl-stublen",
@@ -156,36 +151,6 @@ func runAblNoStub(cfg Config) (*Report, error) {
 			Name:   "stub seeding is not slower than single-seed",
 			Pass:   with.time <= without.time*11/10,
 			Detail: fmt.Sprintf("stub %v vs nostub %v", stats.FormatDuration(with.time), stats.FormatDuration(without.time)),
-		})
-	}
-	return rep, nil
-}
-
-func runAblStealOne(cfg Config) (*Report, error) {
-	// A star with a single seed is the stress case for the stealing
-	// policy: after the hub is processed one queue holds every leaf, and
-	// the other p-1 processors must be fed from it. Steal-half moves the
-	// frontier in O(log) bulk operations; steal-one pays a steal per
-	// leaf.
-	g := gen.Star(cfg.Scale)
-	p := maxProcs(cfg)
-	rep := &Report{ID: "abl-stealone", Title: "steal-half vs steal-one (star, single seed, p = " + fmt.Sprint(p) + ")"}
-	rep.Table = stats.NewTable("variant", "time", "detail")
-	half, err := measure(cfg, g, kindWS, p, wsConfig{noStub: true})
-	if err != nil {
-		return nil, err
-	}
-	one, err := measure(cfg, g, kindWS, p, wsConfig{noStub: true, stealOne: true})
-	if err != nil {
-		return nil, err
-	}
-	rep.Table.AddRow("steal-half", stats.FormatDuration(half.time), half.extra)
-	rep.Table.AddRow("steal-one", stats.FormatDuration(one.time), one.extra)
-	if cfg.Mode == Modeled {
-		rep.Checks = append(rep.Checks, Check{
-			Name:   "steal-half needs no more time than steal-one",
-			Pass:   half.time <= one.time*11/10,
-			Detail: fmt.Sprintf("half %v vs one %v", stats.FormatDuration(half.time), stats.FormatDuration(one.time)),
 		})
 	}
 	return rep, nil
@@ -357,9 +322,9 @@ func runAblChunk(cfg Config) (*Report, error) {
 		name string
 		ws   wsConfig
 	}{
-		{"fixed-1", wsConfig{forceChunk: true, chunkPolicy: core.ChunkFixed, chunkSize: 1}},
-		{"fixed-64", wsConfig{forceChunk: true, chunkPolicy: core.ChunkFixed, chunkSize: 64}},
-		{"adaptive", wsConfig{forceChunk: true, chunkPolicy: core.ChunkAdaptive}},
+		{"fixed-1", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkFixed, chunkSize: 1}},
+		{"fixed-64", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkFixed, chunkSize: 64}},
+		{"adaptive", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkAdaptive}},
 	}
 	rep := &Report{ID: "abl-chunk", Title: "drain chunk policy sweep (p = " + fmt.Sprint(p) + ")"}
 	rep.Table = stats.NewTable("graph", "variant", "time", "stealhit", "grow", "shrink")
@@ -432,7 +397,7 @@ func runAblChunk(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func runAblDirection(cfg Config) (*Report, error) {
+func runAblLayout(cfg Config) (*Report, error) {
 	s := sqrtSide(cfg.Scale)
 	p := maxProcs(cfg)
 	families := []struct {
@@ -447,12 +412,10 @@ func runAblDirection(cfg Config) (*Report, error) {
 		name string
 		ws   wsConfig
 	}{
-		{"topdown/wide", wsConfig{forceDirLayout: true, direction: core.DirectionTopDown, layout: core.LayoutWide}},
-		{"topdown/compact", wsConfig{forceDirLayout: true, direction: core.DirectionTopDown, layout: core.LayoutCompact}},
-		{"auto/wide", wsConfig{forceDirLayout: true, direction: core.DirectionAuto, layout: core.LayoutWide}},
-		{"auto/compact", wsConfig{forceDirLayout: true, direction: core.DirectionAuto, layout: core.LayoutCompact}},
+		{"wide", wsConfig{forceLayout: true, layout: core.LayoutWide}},
+		{"compact", wsConfig{forceLayout: true, layout: core.LayoutCompact}},
 	}
-	rep := &Report{ID: "abl-direction", Title: "direction policy x CSR layout (p = " + fmt.Sprint(p) + ")"}
+	rep := &Report{ID: "abl-layout", Title: "CSR layout (p = " + fmt.Sprint(p) + ")"}
 	rep.Table = stats.NewTable("graph", "variant", "time", "detail")
 	times := map[string]map[string]measurement{}
 	for _, fam := range families {
@@ -467,65 +430,27 @@ func runAblDirection(cfg Config) (*Report, error) {
 		}
 	}
 	if cfg.Mode == Modeled {
-		deep := []string{"torus-random", "geo-hier"}
-		rep.Checks = append(rep.Checks, Check{
-			Name: "bottom-up switching wins where the frontier balloons",
-			Pass: times["geo-hier"]["auto/wide"].time < times["geo-hier"]["topdown/wide"].time,
-			Detail: fmt.Sprintf("geo-hier auto %v vs topdown %v (both wide)",
-				stats.FormatDuration(times["geo-hier"]["auto/wide"].time),
-				stats.FormatDuration(times["geo-hier"]["topdown/wide"].time)),
-		})
-		noHarm := true
-		for _, fam := range families {
-			if times[fam.name]["auto/wide"].time > times[fam.name]["topdown/wide"].time*21/20 {
-				noHarm = false
-			}
-		}
-		rep.Checks = append(rep.Checks, Check{
-			Name: "auto never costs more than 5% where bottom-up cannot pay",
-			Pass: noHarm,
-			Detail: fmt.Sprintf("torus auto %v vs topdown %v; chain %v vs %v (both wide)",
-				stats.FormatDuration(times["torus-random"]["auto/wide"].time),
-				stats.FormatDuration(times["torus-random"]["topdown/wide"].time),
-				stats.FormatDuration(times["chain"]["auto/wide"].time),
-				stats.FormatDuration(times["chain"]["topdown/wide"].time)),
-		})
 		layWins := true
-		for _, f := range deep {
-			if times[f]["topdown/compact"].time >= times[f]["topdown/wide"].time {
+		for _, f := range []string{"torus-random", "geo-hier"} {
+			if times[f]["compact"].time >= times[f]["wide"].time {
 				layWins = false
 			}
 		}
 		rep.Checks = append(rep.Checks, Check{
 			Name: "the compact uint32 arena cuts modeled memory traffic",
 			Pass: layWins,
-			Detail: fmt.Sprintf("torus compact %v vs wide %v; geo %v vs %v (both topdown)",
-				stats.FormatDuration(times["torus-random"]["topdown/compact"].time),
-				stats.FormatDuration(times["torus-random"]["topdown/wide"].time),
-				stats.FormatDuration(times["geo-hier"]["topdown/compact"].time),
-				stats.FormatDuration(times["geo-hier"]["topdown/wide"].time)),
-		})
-		combined := true
-		for _, f := range deep {
-			if times[f]["auto/compact"].time >= times[f]["topdown/wide"].time {
-				combined = false
-			}
-		}
-		rep.Checks = append(rep.Checks, Check{
-			Name: "both optimizations together beat the baseline",
-			Pass: combined,
-			Detail: fmt.Sprintf("torus auto/compact %v vs topdown/wide %v; geo %v vs %v",
-				stats.FormatDuration(times["torus-random"]["auto/compact"].time),
-				stats.FormatDuration(times["torus-random"]["topdown/wide"].time),
-				stats.FormatDuration(times["geo-hier"]["auto/compact"].time),
-				stats.FormatDuration(times["geo-hier"]["topdown/wide"].time)),
+			Detail: fmt.Sprintf("torus compact %v vs wide %v; geo %v vs %v",
+				stats.FormatDuration(times["torus-random"]["compact"].time),
+				stats.FormatDuration(times["torus-random"]["wide"].time),
+				stats.FormatDuration(times["geo-hier"]["compact"].time),
+				stats.FormatDuration(times["geo-hier"]["wide"].time)),
 		})
 		rep.Checks = append(rep.Checks, Check{
-			Name: "auto stays out of the way on the high-diameter chain",
-			Pass: times["chain"]["auto/wide"].time <= times["chain"]["topdown/wide"].time*11/10,
-			Detail: fmt.Sprintf("chain auto %v vs topdown %v (wide)",
-				stats.FormatDuration(times["chain"]["auto/wide"].time),
-				stats.FormatDuration(times["chain"]["topdown/wide"].time)),
+			Name: "compact does no harm on the high-diameter chain",
+			Pass: times["chain"]["compact"].time <= times["chain"]["wide"].time*11/10,
+			Detail: fmt.Sprintf("chain compact %v vs wide %v",
+				stats.FormatDuration(times["chain"]["compact"].time),
+				stats.FormatDuration(times["chain"]["wide"].time)),
 		})
 	}
 	return rep, nil
@@ -715,18 +640,17 @@ func runAblShard(cfg Config) (*Report, error) {
 		// boundary list rivals the graph itself.
 		{"random-nlogn", gen.Random(cfg.Scale, cfg.Scale*log2(cfg.Scale), cfg.Seed)},
 	}
-	auto := func(sh int, lay core.Layout) wsConfig {
-		return wsConfig{forceShards: true, shards: sh,
-			forceDirLayout: true, direction: core.DirectionAuto, layout: lay}
+	pin := func(sh int, lay core.Layout) wsConfig {
+		return wsConfig{forceShards: true, shards: sh, forceLayout: true, layout: lay}
 	}
 	variants := []struct {
 		name string
 		ws   wsConfig
 	}{
-		{"shards=1/wide", auto(1, core.LayoutWide)},
-		{"shards=1/compact", auto(1, core.LayoutCompact)},
-		{"shards=2", auto(2, core.LayoutWide)},
-		{"shards=4", auto(4, core.LayoutWide)},
+		{"shards=1/wide", pin(1, core.LayoutWide)},
+		{"shards=1/compact", pin(1, core.LayoutCompact)},
+		{"shards=2", pin(2, core.LayoutWide)},
+		{"shards=4", pin(4, core.LayoutWide)},
 	}
 	rep := &Report{ID: "abl-shard", Title: "sharded execution vs the single team (p = " + fmt.Sprint(p) + ")"}
 	rep.Table = stats.NewTable("graph", "variant", "time", "detail")

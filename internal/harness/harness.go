@@ -25,6 +25,7 @@ import (
 
 	"spantree/internal/core"
 	"spantree/internal/obs"
+	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/stats"
 )
@@ -73,14 +74,12 @@ type Config struct {
 	// for every experiment that does not force its own (the chunk-size
 	// ablations do). The zero values are the core defaults: adaptive
 	// policy, default growth cap.
-	ChunkPolicy core.ChunkPolicy
+	ChunkPolicy sched.ChunkPolicy
 	ChunkSize   int
-	// Direction and Layout configure the work-stealing traversal for
-	// every experiment that does not force its own (the direction/layout
-	// ablation does). The zero values are the core defaults:
-	// direction-optimizing auto, wide CSR layout.
-	Direction core.Direction
-	Layout    core.Layout
+	// Layout configures the work-stealing traversal for every experiment
+	// that does not force its own (the layout ablation does). The zero
+	// value is the core default, the wide CSR layout.
+	Layout core.Layout
 	// Shards configures sharded execution for the work-stealing runs of
 	// every experiment that does not force its own shard counts (the
 	// shard ablation does). 0 and 1 are the single-team path; the

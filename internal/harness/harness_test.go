@@ -27,9 +27,9 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4-2d60", "fig4-3d40", "fig4-ad3",
 		"fig4-geo-flat", "fig4-geo-hier",
 		"fig4-chain-seq", "fig4-chain-random",
-		"abl-nosteal", "abl-nostub", "abl-stealone", "abl-svlock",
+		"abl-nosteal", "abl-nostub", "abl-svlock",
 		"abl-deg2", "abl-fallback", "abl-hcs", "abl-machine", "abl-family", "abl-barriers", "abl-stublen",
-		"abl-chunk", "abl-direction", "abl-alg", "abl-shard",
+		"abl-chunk", "abl-layout", "abl-alg", "abl-shard",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

@@ -7,6 +7,7 @@ import (
 	"spantree/internal/core"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
+	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanas"
 	"spantree/internal/spanhcs"
@@ -71,7 +72,6 @@ func (k algoKind) label() string {
 type wsConfig struct {
 	noSteal     bool
 	noStub      bool
-	stealOne    bool
 	deg2        bool
 	fallbackAtP bool // threshold = max(1, p-1): force-detect pathologies
 	stubSteps   int  // 0 = the default 2p
@@ -79,14 +79,12 @@ type wsConfig struct {
 	// chunkSize — the chunk ablations pin their variants regardless of
 	// what the CLI asked for globally.
 	forceChunk  bool
-	chunkPolicy core.ChunkPolicy
+	chunkPolicy sched.ChunkPolicy
 	chunkSize   int
-	// forceDirLayout overrides cfg.Direction/Layout with direction and
-	// layout — the direction/layout ablation pins its variants the same
-	// way the chunk ablations pin theirs.
-	forceDirLayout bool
-	direction      core.Direction
-	layout         core.Layout
+	// forceLayout overrides cfg.Layout with layout — the layout ablation
+	// pins its variants the same way the chunk ablations pin theirs.
+	forceLayout bool
+	layout      core.Layout
 	// forceShards overrides cfg.Shards with shards — the shard ablation
 	// pins its variants.
 	forceShards bool
@@ -134,7 +132,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			return parent, fmt.Sprintf("levels=%d", st.Levels), err
 		case kindSpanUF:
 			layout := cfg.Layout
-			if ws.forceDirLayout {
+			if ws.forceLayout {
 				layout = ws.layout
 			}
 			parent, st, err := spanuf.SpanningForest(g, spanuf.Options{
@@ -155,12 +153,10 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				Obs:           rec,
 				NoSteal:       ws.noSteal,
 				NoStub:        ws.noStub,
-				StealOne:      ws.stealOne,
 				Deg2Eliminate: ws.deg2,
 				StubSteps:     ws.stubSteps,
 				ChunkPolicy:   cfg.ChunkPolicy,
 				ChunkSize:     cfg.ChunkSize,
-				Direction:     cfg.Direction,
 				Layout:        cfg.Layout,
 				Shards:        cfg.Shards,
 			}
@@ -168,8 +164,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				opt.ChunkPolicy = ws.chunkPolicy
 				opt.ChunkSize = ws.chunkSize
 			}
-			if ws.forceDirLayout {
-				opt.Direction = ws.direction
+			if ws.forceLayout {
 				opt.Layout = ws.layout
 			}
 			if ws.forceShards {
@@ -225,15 +220,14 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 		if kind == kindWS || kind == kindSpanUF {
 			// Stamp the variant knobs so benchcmp can warn when a baseline
 			// and a current artifact measured different policies — the
-			// algorithm family alongside direction and layout.
-			dir, lay := cfg.Direction, cfg.Layout
-			if ws.forceDirLayout {
-				dir, lay = ws.direction, ws.layout
+			// algorithm family alongside layout and shards.
+			lay := cfg.Layout
+			if ws.forceLayout {
+				lay = ws.layout
 			}
 			meta["layout"] = lay.String()
 			if kind == kindWS {
 				meta["alg"] = "workstealing"
-				meta["direction"] = dir.String()
 				sh := cfg.Shards
 				if ws.forceShards {
 					sh = ws.shards
@@ -243,7 +237,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				}
 				meta["shards"] = fmt.Sprint(maxInt(1, sh))
 			} else {
-				meta["alg"] = "spanuf" // direction-free: no queues to steer
+				meta["alg"] = "spanuf"
 			}
 		}
 		cfg.Collector.Collect(label, meta, elapsed.Nanoseconds(), rec)

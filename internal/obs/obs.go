@@ -112,17 +112,6 @@ const (
 	// worker (stalls, steal vetoes, panics); always 0 in default builds.
 	ChaosInjections
 
-	// DirectionSwitches counts traversal phase changes this worker
-	// initiated (top-down -> bottom-up and back); 0 under -direction
-	// topdown.
-	DirectionSwitches
-	// BottomUpScanned is the number of vertices this worker inspected
-	// during bottom-up sweeps (visited or not).
-	BottomUpScanned
-	// BottomUpClaims counts vertices this worker claimed bottom-up (an
-	// unvisited vertex that found a claimed neighbor to adopt as parent).
-	BottomUpClaims
-
 	// HooksWon counts CAS-hook elections this worker won in the
 	// edge-centric union-find sweep — each win selects one tree edge.
 	HooksWon
@@ -207,9 +196,6 @@ const (
 	EvPanic
 	// EvChaos: the chaos layer injected a fault (A = injection point).
 	EvChaos
-	// EvDirection: the traversal switched direction (A = new phase,
-	// 0 = top-down, 1 = bottom-up; B = frontier size at the switch).
-	EvDirection
 	// EvStitch: the stitch pass joined the shard forests (A = boundary
 	// edges inspected, B = hooks won).
 	EvStitch
@@ -236,8 +222,6 @@ func (k EventKind) String() string {
 		return "panic"
 	case EvChaos:
 		return "chaos"
-	case EvDirection:
-		return "direction"
 	case EvStitch:
 		return "stitch"
 	}
@@ -282,8 +266,6 @@ func eventPayloadNames(kind string) (a, b string) {
 		return "cause", "b"
 	case "chaos":
 		return "point", "b"
-	case "direction":
-		return "phase", "frontier"
 	case "stitch":
 		return "boundary", "hooks"
 	}

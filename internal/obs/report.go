@@ -54,12 +54,6 @@ type Counters struct {
 	Cancels         int64 `json:"cancels,omitempty"`
 	PanicsRecovered int64 `json:"panics_recovered,omitempty"`
 	ChaosInjections int64 `json:"chaos_injections,omitempty"`
-	// The direction-optimization counters were added with the bottom-up
-	// traversal phase (schema grows additively); all three stay omitted
-	// for push-only runs, so earlier artifacts compare unchanged.
-	DirectionSwitches int64 `json:"direction_switches,omitempty"`
-	BottomUpScanned   int64 `json:"bottomup_scanned,omitempty"`
-	BottomUpClaims    int64 `json:"bottomup_claims,omitempty"`
 	// The union-find counters were added with the edge-centric CAS-hook
 	// family (schema grows additively); all four stay omitted for
 	// traversal runs, so earlier artifacts compare unchanged.
@@ -105,9 +99,6 @@ func countersFrom(c *[numCounters]int64) Counters {
 		Cancels:           c[Cancels],
 		PanicsRecovered:   c[PanicsRecovered],
 		ChaosInjections:   c[ChaosInjections],
-		DirectionSwitches: c[DirectionSwitches],
-		BottomUpScanned:   c[BottomUpScanned],
-		BottomUpClaims:    c[BottomUpClaims],
 		HooksWon:          c[HooksWon],
 		HooksLost:         c[HooksLost],
 		UFFinds:           c[UFFinds],

@@ -115,9 +115,6 @@ type Config struct {
 	// and LayoutCompact force one for every graph. The compact mirror is
 	// built once per session, keeping runs allocation-free either way.
 	Layout string
-	// Direction selects the traversal direction policy (the zero value,
-	// spantree.DirectionAuto, enables the bottom-up phase switch).
-	Direction spantree.Direction
 	// Shards selects the work-stealing shard count the pooled sessions
 	// run with: 0 (the default) applies the auto policy per registered
 	// graph — one shard per 256Ki vertices, capped at 8, so small
@@ -339,7 +336,6 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		Algorithm:   s.cfg.Algorithm,
 		NumProcs:    s.cfg.NumProcs,
 		ChunkPolicy: spantree.ChunkAdaptive,
-		Direction:   s.cfg.Direction,
 		Layout:      lay,
 		Shards:      shards,
 		Warmups:     s.cfg.Warmups,

@@ -43,11 +43,9 @@ type Counters struct {
 	// utilization, so a Machine may price them below the wide rates.
 	NonContigCompact int64
 	ContigCompact    int64
-	// BottomUpScans counts vertices inspected by bottom-up sweeps: the
-	// direction-optimized traversal streams over the parent array in
-	// vertex order, so each inspection is a contiguous access — the
-	// whole point of switching direction is trading non-contiguous
-	// queue traffic for this class.
+	// BottomUpScans is always zero: no algorithm charges it since the
+	// bottom-up traversal phase was removed. The field stays because
+	// the benchmark's T_C fold still reads it.
 	BottomUpScans int64
 	// CASOps counts atomic compare-and-swap attempts (the union-find
 	// hook elections). A CAS is a non-contiguous access plus the
@@ -69,7 +67,6 @@ func (c *Counters) Add(other Counters) {
 	c.Ops += other.Ops
 	c.NonContigCompact += other.NonContigCompact
 	c.ContigCompact += other.ContigCompact
-	c.BottomUpScans += other.BottomUpScans
 	c.CASOps += other.CASOps
 	c.PointerChases += other.PointerChases
 }
@@ -174,9 +171,6 @@ func (m *Model) MaxPerProc() Counters {
 		if c.ContigCompact > out.ContigCompact {
 			out.ContigCompact = c.ContigCompact
 		}
-		if c.BottomUpScans > out.BottomUpScans {
-			out.BottomUpScans = c.BottomUpScans
-		}
 		if c.CASOps > out.CASOps {
 			out.CASOps = c.CASOps
 		}
@@ -198,14 +192,13 @@ func (m *Model) Total() Counters {
 
 // Triplet formats the model state as the paper's cost triplet. Compact
 // accesses fold into the class they belong to (non-contiguous or
-// contiguous); bottom-up scans are streaming, so they fold into T_C;
-// CAS attempts and pointer chases are main-memory round trips, so they
-// fold into T_M.
+// contiguous); CAS attempts and pointer chases are main-memory round
+// trips, so they fold into T_M.
 func (m *Model) Triplet() string {
 	mx := m.MaxPerProc()
 	return fmt.Sprintf("⟨T_M=%d; T_C=%d; B=%d⟩",
 		mx.NonContig+mx.NonContigCompact+mx.CASOps+mx.PointerChases,
-		mx.Ops+mx.Contig+mx.ContigCompact+mx.BottomUpScans, m.barriers)
+		mx.Ops+mx.Contig+mx.ContigCompact, m.barriers)
 }
 
 // Probe is the per-processor instrumentation handle. All methods are
@@ -249,14 +242,6 @@ func (p *Probe) NonContigC(k int64) {
 func (p *Probe) ContigC(k int64) {
 	if p != nil {
 		p.c.ContigCompact += k
-	}
-}
-
-// BottomUpScan charges k bottom-up sweep inspections (streaming reads
-// of the parent array in vertex order).
-func (p *Probe) BottomUpScan(k int64) {
-	if p != nil {
-		p.c.BottomUpScans += k
 	}
 }
 
@@ -378,7 +363,6 @@ func (m *Model) Time(mach Machine) time.Duration {
 			float64(c.Ops)*mach.OpNS +
 			float64(c.NonContigCompact)*ncc +
 			float64(c.ContigCompact)*cc +
-			float64(c.BottomUpScans)*mach.ContigNS +
 			float64(c.CASOps)*cas +
 			float64(c.PointerChases)*chase
 		if t > worst {

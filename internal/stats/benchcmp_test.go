@@ -229,27 +229,27 @@ func TestCompareHotpathRejectsWrongSchema(t *testing.T) {
 }
 
 func TestVariantWarning(t *testing.T) {
-	withMeta := func(label, dir, lay string) obs.Report {
+	withMeta := func(label, lay, shards string) obs.Report {
 		r := run(label, 10_000_000, 0, 0)
-		r.Meta = map[string]string{"direction": dir, "layout": lay}
+		r.Meta = map[string]string{"layout": lay, "shards": shards}
 		return r
 	}
-	base := artifactWith(withMeta("NewAlg/g/p=4", "auto", "wide"))
-	same := artifactWith(withMeta("NewAlg/g/p=4", "auto", "wide"))
+	base := artifactWith(withMeta("NewAlg/g/p=4", "wide", "1"))
+	same := artifactWith(withMeta("NewAlg/g/p=4", "wide", "1"))
 	if w := VariantWarning(Variants(base), Variants(same)); w != "" {
 		t.Fatalf("matching variants warned: %q", w)
 	}
 
-	// Layout drift alone, direction drift alone, and both.
-	layDrift := artifactWith(withMeta("NewAlg/g/p=4", "auto", "compact"))
+	// Layout drift alone, shard drift alone, and both.
+	layDrift := artifactWith(withMeta("NewAlg/g/p=4", "compact", "1"))
 	if w := VariantWarning(Variants(base), Variants(layDrift)); w == "" {
 		t.Fatal("layout mismatch not warned")
 	}
-	dirDrift := artifactWith(withMeta("NewAlg/g/p=4", "topdown", "wide"))
-	if w := VariantWarning(Variants(base), Variants(dirDrift)); w == "" {
-		t.Fatal("direction mismatch not warned")
+	shardDrift := artifactWith(withMeta("NewAlg/g/p=4", "wide", "4"))
+	if w := VariantWarning(Variants(base), Variants(shardDrift)); w == "" {
+		t.Fatal("shards mismatch not warned")
 	}
-	both := artifactWith(withMeta("NewAlg/g/p=4", "topdown", "compact"))
+	both := artifactWith(withMeta("NewAlg/g/p=4", "compact", "4"))
 	w := VariantWarning(Variants(base), Variants(both))
 	if w == "" {
 		t.Fatal("double mismatch not warned")
@@ -265,7 +265,7 @@ func TestVariantWarning(t *testing.T) {
 		t.Fatalf("unknown current warned: %q", w)
 	}
 
-	// Algorithm-family drift warns alongside direction and layout: a
+	// Algorithm-family drift warns alongside layout and shards: a
 	// spanuf baseline compared against traversal numbers (or vice versa)
 	// is not a regression signal.
 	withAlg := func(label, alg string) obs.Report {

@@ -12,11 +12,6 @@
 // whole batch of children per lock acquisition — so the per-vertex
 // mutex traffic of a naive port amortizes to ~2 lock operations per
 // chunk.
-//
-// ChaseLev is the classic lock-free steal-one deque, provided as an
-// ablation point: the benchmark suite compares steal-half against
-// steal-one to quantify the benefit of bulk stealing on queue-shaped
-// frontiers.
 package wsq
 
 import (
@@ -222,122 +217,4 @@ func (q *StealHalf) Drain(into []int32) []int32 {
 	q.head, q.tail = 0, 0
 	q.mu.Unlock()
 	return into
-}
-
-// ChaseLev is the Chase–Lev work-stealing deque: the owner pushes and
-// pops at the bottom (LIFO) without locks; thieves steal single elements
-// from the top with a CAS.
-type ChaseLev struct {
-	top    atomic.Int64
-	bottom atomic.Int64
-	ring   atomic.Pointer[clRing]
-	// high mirrors StealHalf.high: the deque's maximum observed length.
-	// Owner-only writes, so a load-compare-store suffices. Maintained
-	// only when track is set (set before first use, read-only after).
-	high  atomic.Int64
-	track bool
-}
-
-// TrackHighWater enables high-water accounting. Call before first use;
-// with it off (the default) HighWater reports 0.
-func (d *ChaseLev) TrackHighWater(on bool) { d.track = on }
-
-type clRing struct {
-	mask int64
-	buf  []int32
-}
-
-func newCLRing(capacity int64) *clRing {
-	return &clRing{mask: capacity - 1, buf: make([]int32, capacity)}
-}
-
-func (r *clRing) get(i int64) int32    { return r.buf[i&r.mask] }
-func (r *clRing) put(i int64, v int32) { r.buf[i&r.mask] = v }
-func (r *clRing) grow(b, t int64) *clRing {
-	nr := newCLRing((r.mask + 1) * 2)
-	for i := t; i < b; i++ {
-		nr.put(i, r.get(i))
-	}
-	return nr
-}
-
-// NewChaseLev returns an empty deque (initial capacity rounded up to a
-// power of two, minimum 64).
-func NewChaseLev(capacity int) *ChaseLev {
-	c := int64(64)
-	for c < int64(capacity) {
-		c *= 2
-	}
-	d := &ChaseLev{}
-	d.ring.Store(newCLRing(c))
-	return d
-}
-
-// Len returns a racy snapshot of the deque size.
-func (d *ChaseLev) Len() int {
-	n := d.bottom.Load() - d.top.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Push appends v at the bottom. Owner-only.
-func (d *ChaseLev) Push(v int32) {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	r := d.ring.Load()
-	if b-t > r.mask {
-		r = r.grow(b, t)
-		d.ring.Store(r)
-	}
-	r.put(b, v)
-	d.bottom.Store(b + 1)
-	if d.track {
-		if n := b + 1 - t; n > d.high.Load() {
-			d.high.Store(n)
-		}
-	}
-}
-
-// HighWater returns the maximum length the deque ever reached.
-func (d *ChaseLev) HighWater() int { return int(d.high.Load()) }
-
-// Pop removes and returns the bottom element. Owner-only.
-func (d *ChaseLev) Pop() (int32, bool) {
-	b := d.bottom.Load() - 1
-	r := d.ring.Load()
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if t > b {
-		// Empty: restore.
-		d.bottom.Store(t)
-		return 0, false
-	}
-	v := r.get(b)
-	if b > t {
-		return v, true
-	}
-	// Single element left: race with thieves via CAS on top.
-	won := d.top.CompareAndSwap(t, t+1)
-	d.bottom.Store(t + 1)
-	if won {
-		return v, true
-	}
-	return 0, false
-}
-
-// Steal removes and returns the top element. Any thread.
-func (d *ChaseLev) Steal() (int32, bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return 0, false
-	}
-	r := d.ring.Load()
-	v := r.get(t)
-	if d.top.CompareAndSwap(t, t+1) {
-		return v, true
-	}
-	return 0, false
 }

@@ -161,124 +161,6 @@ func TestStealHalfConservation(t *testing.T) {
 	}
 }
 
-func TestChaseLevLIFOOwner(t *testing.T) {
-	d := NewChaseLev(8)
-	for i := int32(0); i < 100; i++ {
-		d.Push(i)
-	}
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	for i := int32(99); i >= 0; i-- {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop got %d ok=%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := d.Pop(); ok {
-		t.Fatal("pop from empty succeeded")
-	}
-	if _, ok := d.Steal(); ok {
-		t.Fatal("steal from empty succeeded")
-	}
-}
-
-func TestChaseLevStealFIFO(t *testing.T) {
-	d := NewChaseLev(8)
-	for i := int32(0); i < 10; i++ {
-		d.Push(i)
-	}
-	for i := int32(0); i < 5; i++ {
-		v, ok := d.Steal()
-		if !ok || v != i {
-			t.Fatalf("steal got %d ok=%v want %d", v, ok, i)
-		}
-	}
-	// Owner pops the rest LIFO.
-	for i := int32(9); i >= 5; i-- {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop got %d ok=%v want %d", v, ok, i)
-		}
-	}
-}
-
-func TestChaseLevGrowth(t *testing.T) {
-	d := NewChaseLev(1) // rounds up to 64
-	for i := int32(0); i < 10000; i++ {
-		d.Push(i)
-	}
-	if d.Len() != 10000 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	sum := int64(0)
-	for {
-		v, ok := d.Pop()
-		if !ok {
-			break
-		}
-		sum += int64(v)
-	}
-	if sum != 10000*9999/2 {
-		t.Fatalf("sum %d", sum)
-	}
-}
-
-// TestChaseLevConservation: one owner (push/pop) and several thieves;
-// every element is consumed exactly once.
-func TestChaseLevConservation(t *testing.T) {
-	const n = 100000
-	const thieves = 4
-	d := NewChaseLev(64)
-	seen := make([]int32, n)
-	var total atomic.Int64
-
-	consume := func(v int32) {
-		if atomic.AddInt32(&seen[v], 1) != 1 {
-			t.Errorf("element %d consumed twice", v)
-		}
-		total.Add(1)
-	}
-
-	var ownerDone atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1 + thieves)
-	go func() {
-		defer wg.Done()
-		for i := int32(0); i < n; i++ {
-			d.Push(i)
-			if i%2 == 0 {
-				if v, ok := d.Pop(); ok {
-					consume(v)
-				}
-			}
-		}
-		// Owner drains what's left; thieves race for the same elements.
-		for {
-			v, ok := d.Pop()
-			if !ok {
-				break
-			}
-			consume(v)
-		}
-		ownerDone.Store(true)
-	}()
-	for th := 0; th < thieves; th++ {
-		go func() {
-			defer wg.Done()
-			for !ownerDone.Load() || d.Len() > 0 {
-				if v, ok := d.Steal(); ok {
-					consume(v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if total.Load() != n {
-		t.Fatalf("consumed %d, want %d", total.Load(), n)
-	}
-}
-
 func TestStealHalfLenRace(t *testing.T) {
 	// Len is advertised as a racy snapshot; exercise it while the queue
 	// churns to let the race detector confirm it is nevertheless safe.
@@ -385,24 +267,4 @@ func TestHighWaterOptIn(t *testing.T) {
 		t.Errorf("StealHalf high-water = %d, want 40", hw)
 	}
 
-	d := NewChaseLev(16)
-	for i := 0; i < 40; i++ {
-		d.Push(int32(i))
-	}
-	if hw := d.HighWater(); hw != 0 {
-		t.Errorf("untracked ChaseLev high-water = %d, want 0", hw)
-	}
-
-	d = NewChaseLev(16)
-	d.TrackHighWater(true)
-	for i := 0; i < 40; i++ {
-		d.Push(int32(i))
-	}
-	for i := 0; i < 30; i++ {
-		d.Pop()
-	}
-	d.Push(99)
-	if hw := d.HighWater(); hw != 40 {
-		t.Errorf("ChaseLev high-water = %d, want 40", hw)
-	}
 }

@@ -28,13 +28,11 @@ type SessionOptions struct {
 	// exactly as in Options.
 	ChunkPolicy ChunkPolicy
 	ChunkSize   int
-	// Direction and Layout configure the traversal's direction policy
-	// and CSR layout exactly as in Options. Under LayoutCompact the
-	// uint32 mirror is built once at session construction, so pooled
-	// runs stay allocation-free whatever the layout. AlgSpanUF honors
-	// Layout and ignores Direction.
-	Direction Direction
-	Layout    Layout
+	// Layout configures the CSR layout exactly as in Options. Under
+	// LayoutCompact the uint32 mirror is built once at session
+	// construction, so pooled runs stay allocation-free whatever the
+	// layout.
+	Layout Layout
 	// Shards configures sharded execution exactly as in Options.Shards:
 	// the partition, the per-shard CSR views and the stitch scratch are
 	// built once at session construction, so sharded pooled runs stay
@@ -130,7 +128,6 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 			NumProcs:          o.NumProcs,
 			ChunkPolicy:       o.ChunkPolicy,
 			ChunkSize:         o.ChunkSize,
-			Direction:         o.Direction,
 			Layout:            o.Layout,
 			Shards:            o.Shards,
 			FallbackThreshold: o.FallbackThreshold,

@@ -80,15 +80,22 @@ func TestSessionMatchesFind(t *testing.T) {
 // session executes FindContext with zero steady-state heap allocations.
 // context.Background is the alloc-free path — a cancellable context
 // additionally pays for its fault watcher. The many-component random
-// graph keeps the quiescence sweep on the pinned path.
+// graph keeps the quiescence sweep on the pinned path, and the dense
+// low-diameter one runs on the compact layout, whose uint32 mirror is
+// built once at construction.
 func TestSessionZeroAlloc(t *testing.T) {
-	graphs := map[string]*Graph{
-		"torus":      gen.Torus2D(32, 32),
-		"components": gen.Random(4096, 3072, 1),
+	inputs := []struct {
+		name   string
+		g      *Graph
+		layout Layout
+	}{
+		{"torus", gen.Torus2D(32, 32), LayoutWide},
+		{"components", gen.Random(4096, 3072, 1), LayoutWide},
+		{"dense-compact", gen.Random(1<<14, 12<<14, 7), LayoutCompact},
 	}
-	for name, g := range graphs {
+	for _, in := range inputs {
 		for _, p := range []int{1, 4} {
-			s, err := NewSession(g, SessionOptions{NumProcs: p})
+			s, err := NewSession(in.g, SessionOptions{NumProcs: p, Layout: in.layout})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,35 +105,10 @@ func TestSessionZeroAlloc(t *testing.T) {
 				}
 			})
 			if avg != 0 {
-				t.Errorf("%s p=%d: AllocsPerRun = %v, want 0", name, p, avg)
+				t.Errorf("%s p=%d: AllocsPerRun = %v, want 0", in.name, p, avg)
 			}
 			s.Close()
 		}
-	}
-}
-
-// TestSessionZeroAllocCompactBottomUp extends the zero-allocation
-// guarantee to the new traversal variants: a session on the compact
-// uint32 layout, over a graph large and low-diameter enough for the
-// bottom-up phase to engage, must still run allocation-free — the
-// compact mirror is built once at construction and the bottom-up claims
-// buffer reuses the per-worker steal buffer.
-func TestSessionZeroAllocCompactBottomUp(t *testing.T) {
-	g := gen.Random(1<<14, 12<<14, 7)
-	for _, p := range []int{1, 4} {
-		s, err := NewSession(g, SessionOptions{NumProcs: p, Layout: LayoutCompact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			if _, err := s.FindContext(context.Background(), 42); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("p=%d compact: AllocsPerRun = %v, want 0", p, avg)
-		}
-		s.Close()
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
+	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanas"
 	"spantree/internal/spanhcs"
@@ -189,38 +190,20 @@ func Algorithms() []Algorithm {
 // One controller implementation (internal/sched) serves the whole tree:
 // the work-stealing traversal's queue drains and the dynamic
 // parallel-for sweeps of every other parallel algorithm.
-type ChunkPolicy = core.ChunkPolicy
+type ChunkPolicy = sched.ChunkPolicy
 
 const (
 	// ChunkAdaptive (the default) grows and shrinks each processor's
 	// drain chunk at run time from queue depth and steal pressure.
-	ChunkAdaptive = core.ChunkAdaptive
+	ChunkAdaptive = sched.ChunkAdaptive
 	// ChunkFixed drains exactly Options.ChunkSize vertices per lock
 	// acquisition.
-	ChunkFixed = core.ChunkFixed
+	ChunkFixed = sched.ChunkFixed
 )
 
 // ParseChunkPolicy converts a CLI name ("adaptive" or "fixed") into a
 // ChunkPolicy.
-func ParseChunkPolicy(s string) (ChunkPolicy, error) { return core.ParseChunkPolicy(s) }
-
-// Direction selects the work-stealing traversal's direction policy.
-type Direction = core.Direction
-
-const (
-	// DirectionAuto (the default) lets the traversal switch between
-	// top-down push and bottom-up sweep phases on frontier density —
-	// dense frontiers claim the remaining vertices with one parent-array
-	// scan per sweep instead of per-edge queue traffic.
-	DirectionAuto = core.DirectionAuto
-	// DirectionTopDown pins the traversal to the pure top-down push (the
-	// ablation baseline and the pre-direction-optimization behavior).
-	DirectionTopDown = core.DirectionTopDown
-)
-
-// ParseDirection converts a CLI name ("auto" or "topdown") into a
-// Direction.
-func ParseDirection(s string) (Direction, error) { return core.ParseDirection(s) }
+func ParseChunkPolicy(s string) (ChunkPolicy, error) { return sched.ParseChunkPolicy(s) }
 
 // Layout selects the CSR layout the work-stealing hot loops read.
 type Layout = core.Layout
@@ -270,11 +253,6 @@ type Options struct {
 	// unbatched per-vertex hot path; under ChunkAdaptive it caps the
 	// controller's growth (0 means the default cap, 256).
 	ChunkSize int
-	// Direction selects the work-stealing traversal's direction policy
-	// (the zero value, DirectionAuto, enables the bottom-up phase switch
-	// on large graphs; DirectionTopDown pins the pure push traversal).
-	// Other algorithms ignore it.
-	Direction Direction
 	// Layout selects the CSR layout the hot loops read (the zero value,
 	// LayoutWide, reads the Graph directly; LayoutCompact builds a
 	// uint32 mirror per run). Honored by the work-stealing traversal and
@@ -417,7 +395,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			FallbackThreshold: opt.FallbackThreshold,
 			ChunkPolicy:       opt.ChunkPolicy,
 			ChunkSize:         opt.ChunkSize,
-			Direction:         opt.Direction,
 			Layout:            opt.Layout,
 			Shards:            opt.Shards,
 			Cancel:            cancel,
