@@ -61,9 +61,24 @@ func TestFusedClaimForests(t *testing.T) {
 // any size, or adaptive at any cap — is purely a cost-model parameter
 // for the deterministic driver: the round-robin schedule pops one
 // vertex per turn regardless, so the forest and the work distribution
-// must be bit-identical across every chunk configuration — on a small
-// sparse graph and on a dense low-diameter one whose frontier balloons.
+// must be bit-identical across every chunk configuration.
 func TestLockstepChunkInvariantForest(t *testing.T) {
+	checkLockstepChunkInvariant(t, gen.Random(400, 700, 13))
+}
+
+// TestLockstepChunkInvariantWithBottomUp extends the chunk-invariance
+// pin to a dense low-diameter graph whose frontier balloons, so large
+// steals interleave with the drain. (The name dates from when a
+// bottom-up phase engaged on this input.)
+func TestLockstepChunkInvariantWithBottomUp(t *testing.T) {
+	checkLockstepChunkInvariant(t, gen.Random(1<<14, 12<<14, 7))
+}
+
+// checkLockstepChunkInvariant runs LockstepForest on g under a range of
+// chunk configurations and asserts each matches fixed-1 exactly, in the
+// forest and in the per-worker vertex counts.
+func checkLockstepChunkInvariant(t *testing.T, g *graph.Graph) {
+	t.Helper()
 	variants := []struct {
 		policy sched.ChunkPolicy
 		chunk  int
@@ -71,31 +86,29 @@ func TestLockstepChunkInvariantForest(t *testing.T) {
 		{sched.ChunkFixed, 2}, {sched.ChunkFixed, 16}, {sched.ChunkFixed, 64}, {sched.ChunkFixed, 1024},
 		{sched.ChunkAdaptive, 0}, {sched.ChunkAdaptive, 8}, {sched.ChunkAdaptive, 512},
 	}
-	for _, g := range []*graph.Graph{gen.Random(400, 700, 13), gen.Random(1<<14, 12<<14, 7)} {
-		base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: sched.ChunkFixed, ChunkSize: 1})
+	base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: sched.ChunkFixed, ChunkSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Forest(g, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range variants {
+		tag := v.policy.String()
+		parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: v.policy, ChunkSize: v.chunk})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s chunk=%d: %v", tag, v.chunk, err)
 		}
-		if err := verify.Forest(g, base); err != nil {
-			t.Fatalf("%v: %v", g, err)
+		for w := range parent {
+			if parent[w] != base[w] {
+				t.Fatalf("%s chunk=%d: parent[%d] = %d, differs from fixed-1's %d",
+					tag, v.chunk, w, parent[w], base[w])
+			}
 		}
-		for _, v := range variants {
-			tag := v.policy.String()
-			parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: v.policy, ChunkSize: v.chunk})
-			if err != nil {
-				t.Fatalf("%v %s chunk=%d: %v", g, tag, v.chunk, err)
-			}
-			for w := range parent {
-				if parent[w] != base[w] {
-					t.Fatalf("%v %s chunk=%d: parent[%d] = %d, differs from fixed-1's %d",
-						g, tag, v.chunk, w, parent[w], base[w])
-				}
-			}
-			for i := range stats.VerticesPerProc {
-				if stats.VerticesPerProc[i] != baseStats.VerticesPerProc[i] {
-					t.Fatalf("%v %s chunk=%d: worker %d claimed %d vertices, fixed-1 claimed %d",
-						g, tag, v.chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
-				}
+		for i := range stats.VerticesPerProc {
+			if stats.VerticesPerProc[i] != baseStats.VerticesPerProc[i] {
+				t.Fatalf("%s chunk=%d: worker %d claimed %d vertices, fixed-1 claimed %d",
+					tag, v.chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
 			}
 		}
 	}
