@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"spantree/internal/core"
 	"spantree/internal/harness"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -31,7 +30,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		chunk    = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk; 0 keeps the adaptive controller")
 		chunkPol = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
-		layName  = fs.String("layout", "wide", "CSR layout for the work-stealing runs: wide or compact (the layout ablation pins its own)")
 		shards   = fs.Int("shards", 0, "shard count for the work-stealing runs: 0 or 1 = single team (the shard ablation pins its own)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
@@ -53,10 +51,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lay, err := core.ParseLayout(*layName)
-	if err != nil {
-		return err
-	}
 	cfg := harness.Config{
 		Scale:       *scale,
 		Seed:        *seed,
@@ -64,7 +58,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		Verify:      true,
 		ChunkPolicy: policy,
 		ChunkSize:   *chunk,
-		Layout:      lay,
 		Shards:      *shards,
 	}
 	switch *algName {

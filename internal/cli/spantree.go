@@ -41,7 +41,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		deg2      = fs.Bool("deg2", false, "enable degree-2 elimination preprocessing")
 		chunk     = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk (1 = unbatched); 0 keeps the adaptive controller (where it caps growth)")
 		chunkPol  = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
-		layout    = fs.String("layout", "wide", "CSR layout for the work-stealing hot path: wide (int64 offsets) or compact (uint32 arena)")
 		shards    = fs.Int("shards", 0, "shard count for the work-stealing algorithm: partition the CSR into contiguous vertex ranges, run one team per shard, stitch the forests (0 or 1 = single team; requires -fallback 0 when > 1)")
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
 		model     = fs.Bool("model", false, "report Helman-JáJá modeled cost (E4500 profile)")
@@ -83,10 +82,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lay, err := spantree.ParseLayout(*layout)
-	if err != nil {
-		return err
-	}
 	if *chaosSeed != 0 && !spantree.ChaosEnabled {
 		return fmt.Errorf("spantree: -chaos-seed requires a binary built with -tags chaos")
 	}
@@ -110,7 +105,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			FallbackThreshold: *fallback,
 			ChunkPolicy:       policy,
 			ChunkSize:         *chunk,
-			Layout:            lay,
 			Shards:            *shards,
 			Verify:            !*noverify,
 			ValidateInput:     *validate,
@@ -167,9 +161,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 	if uf := best.SpanUF; uf != nil {
 		fmt.Fprintf(stdout, "spanuf: hooksWon=%d hooksLost=%d finds=%d compress=%d\n",
 			uf.TreeEdges, uf.HooksLost, uf.Finds, uf.CompressionWrites)
-		if uf.DegradedToSeq {
-			fmt.Fprintf(stdout, "degraded: worker panic recovered (%v); forest recomputed sequentially\n", uf.Panic)
-		}
 	}
 	if costModel != nil {
 		mach := smpmodel.E4500()
@@ -183,7 +174,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			"p":           fmt.Sprint(*procs),
 			"seed":        fmt.Sprint(*seed),
 			"chunkpolicy": policy.String(),
-			"layout":      lay.String(),
 			"shards":      fmt.Sprint(max(1, *shards)),
 		}
 		rep := rec.NewReport(label, meta)

@@ -82,9 +82,7 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")
 		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default)")
-		layName  = fs.String("layout", "auto", "CSR layout policy for pooled sessions: auto (compact when the graph fits uint32), wide, or compact")
 		shards   = fs.Int("shards", 0, "shard policy for pooled work-stealing sessions: 0 picks per graph (one shard per 256Ki vertices, capped at 8), a positive count forces it (1 = single team)")
-		algName  = fs.String("alg", "workstealing", "pooled algorithm: workstealing or spanuf")
 		stall    = fs.Duration("stall-budget", 0, "stuck-run watchdog: abort a run in which no worker advances for this long with a typed 503 (0 disables)")
 		journal  = fs.String("journal", "", "crash-safe registry journal file: replayed on boot, fsynced on every graph mutation (empty disables)")
 		coolDown = fs.Duration("cool-down", 0, "degradation ladder cool-down before a degraded graph climbs back a rung (0 = 30s)")
@@ -95,18 +93,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return err
 	}
 
-	switch *layName {
-	case serve.LayoutAuto, serve.LayoutWide, serve.LayoutCompact:
-	default:
-		return fmt.Errorf("spantreed: bad -layout %q (want auto, wide or compact)", *layName)
-	}
-	alg, err := spantree.ParseAlgorithm(*algName)
-	if err != nil {
-		return fmt.Errorf("spantreed: %w", err)
-	}
-	if alg != spantree.AlgWorkStealing && alg != spantree.AlgSpanUF {
-		return fmt.Errorf("spantreed: -alg %q has no pooled session support (want workstealing or spanuf)", *algName)
-	}
 	if *chaosS != 0 && !spantree.ChaosEnabled {
 		return fmt.Errorf("spantreed: -chaos-seed requires a binary built with -tags chaos")
 	}
@@ -117,9 +103,7 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		MaxVertices: *maxVerts,
 		MaxTimeout:  *timeout,
 		Warmups:     *warmups,
-		Layout:      *layName,
 		Shards:      *shards,
-		Algorithm:   alg,
 		StallBudget: *stall,
 		CoolDown:    *coolDown,
 		ChaosSeed:   *chaosS,

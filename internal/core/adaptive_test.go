@@ -24,7 +24,7 @@ func TestMinStealLenScaling(t *testing.T) {
 	}
 	// The traversal must wire it from NumProcs.
 	topt := Options{NumProcs: 8}
-	tr, _ := newTraversal(gen.Chain(10), topt.withDefaults())
+	tr, _ := newTeam(gen.Chain(10), topt.withDefaults())
 	if tr.minSteal != 4 {
 		t.Errorf("traversal minSteal = %d at p=8, want 4", tr.minSteal)
 	}
@@ -49,7 +49,7 @@ func TestChunkPolicyNames(t *testing.T) {
 // per-victim failed-steal signal with one slot per processor.
 func TestControllerWiring(t *testing.T) {
 	topt := Options{NumProcs: 8, ChunkPolicy: sched.ChunkAdaptive, ChunkSize: 4}
-	tr, _ := newTraversal(gen.Chain(10), topt.withDefaults())
+	tr, _ := newTeam(gen.Chain(10), topt.withDefaults())
 	var ws workerState
 	tr.resetWorkerState(0, &ws)
 	if ws.ctrl.Chunk() != 4 || ws.ctrl.Max() != 4 || len(ws.chunk) != 4 {

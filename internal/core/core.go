@@ -41,6 +41,12 @@
 // multiply-colored-vertex events surface here as failed claim CASes,
 // which Stats counts.
 //
+// Every team reads its graph through a compact graph.CSR32 view: 4-byte
+// offsets where the graph.Graph it mirrors has 8-byte ones (the
+// adjacency stream is 4 bytes wide in both), in one allocation. The
+// single team reads the whole graph's mirror, a shard team (engine.go)
+// its shard's intra-shard view.
+//
 // The traversal hot path is batched: the owner drains its queue in
 // chunks per lock acquisition, accumulates newly claimed children in a
 // private buffer that it flushes with one PushBatch per chunk, and
@@ -82,7 +88,10 @@ import (
 // order, so inputs with n/p well below it run in the startup regime.
 const DefaultChunkSize = sched.DefaultChunkSize
 
-// Options configures a run of the algorithm.
+// Options configures a run of the algorithm. The traversal reads the
+// graph through its compact graph.CSR32 mirror (built once per run, or
+// once per Workspace), so the graph must have fewer than 2^32
+// adjacency slots; larger graphs get graph.CompactOf's error.
 type Options struct {
 	// NumProcs is the number of virtual processors p (>= 1).
 	NumProcs int
@@ -117,12 +126,6 @@ type Options struct {
 	// sched.AdaptiveMaxChunk).
 	ChunkSize int
 
-	// Layout selects the CSR layout the traversal hot loops read. The
-	// zero value LayoutWide reads graph.Graph directly; LayoutCompact
-	// builds (or, through a Workspace, reuses) a uint32 graph.CSR32
-	// mirror, halving the hot path's memory footprint per offset.
-	Layout Layout
-
 	// Shards partitions the execution: the vertex range is split into
 	// this many contiguous shards (graph.PartitionCSR, with the
 	// generator-aware cut policy picked from the graph's name), each
@@ -134,8 +137,7 @@ type Options struct {
 	// the teams split it, with Shards > NumProcs single-worker teams run
 	// in sequential waves of NumProcs. Shards > 1 requires
 	// FallbackThreshold == 0 (the stitch pass needs completed shard
-	// forests; the SV fallback escape hatch is a single-team remedy) and
-	// ignores Layout (shard views are always compact).
+	// forests; the SV fallback escape hatch is a single-team remedy).
 	Shards int
 
 	// Deg2Eliminate enables the degree-2 vertex elimination preprocessing
@@ -331,18 +333,18 @@ func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 // traversal holds the shared state of the work-stealing phase of one
 // team. A single-team run has one traversal covering the whole graph; a
 // sharded run (engine.go) has one per shard, all writing into the same
-// shared parent array over disjoint vertex ranges.
+// shared parent array over disjoint vertex ranges. Both are built by
+// engine.newShardTraversal.
 type traversal struct {
-	g *graph.Graph
-	// cg is the compact uint32 mirror of g, non-nil exactly when
-	// Options.Layout is LayoutCompact: the hot loops read it, while the
-	// cold paths (stub walk, fallback, quiescence, span reporting,
-	// verification) always keep the wide g. Shard traversals have g ==
-	// nil and cg set to the shard's intra-shard view: offsets indexed by
-	// the local id v-lo, adjacency ids global.
+	// cg is the team's compact view: the whole graph's CSR32 mirror for a
+	// single team, the shard's intra-shard view otherwise. Offsets are
+	// indexed by the local id v-lo, adjacency ids are global.
 	cg *graph.CSR32
-	o  Options
-	n  int
+	// g is the whole graph, set only for the single team: the SV
+	// fallback grafts over it.
+	g *graph.Graph
+	o Options
+	n int
 	// lo is the first vertex of this traversal's range [lo, lo+n): 0 for
 	// a whole-graph traversal, the shard's lower bound for a shard team.
 	// parent and span are indexed by GLOBAL vertex id throughout.
@@ -389,8 +391,8 @@ type traversal struct {
 	sleepers atomic.Int32
 	abort    atomic.Bool // set when the fallback threshold trips
 
-	// cancel is the run's stop flag (never nil: newTraversal substitutes
-	// a private flag when the caller passed none, so panic isolation
+	// cancel is the run's stop flag (never nil: newEngine substitutes a
+	// private flag when the caller passed none, so panic isolation
 	// always has somewhere to record its cause). inj is the chaos fault
 	// injector (nil injects nothing). wd is the engine's stuck-run
 	// watchdog (nil unless Options.StallBudget > 0); workers beat their
@@ -407,51 +409,6 @@ type traversal struct {
 	// components — live in its padded per-worker slots, and Stats is
 	// derived from its snapshot after the run.
 	rec *obs.Recorder
-}
-
-func newTraversal(g *graph.Graph, o Options) (*traversal, error) {
-	return newTraversalQ(g, o, nil)
-}
-
-// newTraversalQ is newTraversal with an optional queue supplier (the
-// Workspace path injects its pooled queues; nil allocates one-shot
-// queues).
-func newTraversalQ(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*traversal, error) {
-	n := g.NumVertices()
-	rec := o.Obs
-	if rec == nil {
-		rec = obs.New(o.NumProcs)
-	}
-	t := &traversal{
-		g:        g,
-		o:        o,
-		n:        n,
-		parent:   make([]graph.VID, n),
-		queues:   make([]*wsq.StealHalf, o.NumProcs),
-		minSteal: sched.MinStealLen(o.NumProcs),
-		fail:     sched.NewFailSignal(o.NumProcs),
-		rec:      rec,
-		cancel:   o.Cancel,
-		inj:      o.Chaos,
-	}
-	if o.Layout == LayoutCompact {
-		cg, err := graph.CompactOf(g)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		t.cg = cg
-	}
-	if t.cancel == nil {
-		t.cancel = &fault.Flag{}
-	}
-	for i := range t.parent {
-		t.parent[i] = graph.None
-	}
-	if o.Model != nil {
-		t.span = make([]int64, n)
-	}
-	t.initQueues(mk)
-	return t, nil
 }
 
 // initQueues builds the team's work queues. mk, when non-nil, supplies
@@ -732,12 +689,12 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 	out *[]int32, lc *obs.Local, pend *int64) {
 	t.inj.Visit(t.tidBase+tid, chaos.PointClaim)
 	lc.Incr(obs.VerticesClaimed)
-	if t.cg != nil {
-		t.processCompact(v, probe, out, lc, pend)
-		return
-	}
-	nb := t.g.Neighbors(v)
-	probe.NonContig(1) // load adjacency offset
+	// The offsets are indexed by local id (v - lo, a no-op for the
+	// single team); the adjacency ids are global. The 4-byte offset load
+	// is charged at the compact rate; the adjacency stream is charged as
+	// plain Contig, because graph.Graph's ids are 4 bytes wide too.
+	nb := t.cg.Neighbors32(v - t.lo)
+	probe.NonContigC(1) // load adjacency offset
 	probe.Contig(int64(len(nb)))
 	lc.Add(obs.EdgesScanned, int64(len(nb)))
 	var childSpan int64
@@ -754,7 +711,7 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 		if atomic.LoadInt32(&t.parent[w]) != graph.None {
 			continue
 		}
-		if t.claim(w, v) {
+		if t.claim(graph.VID(w), v) {
 			probe.NonContig(1) // winning claim CAS
 			if t.span != nil {
 				t.span[w] = childSpan
@@ -790,13 +747,7 @@ func (t *traversal) spanMax() int64 {
 		if t.parent[gv] == graph.None {
 			continue
 		}
-		var deg int
-		if t.g != nil {
-			deg = t.g.Degree(gv)
-		} else {
-			deg = t.cg.Degree(graph.VID(v))
-		}
-		if s := t.span[gv] + procCostNC(deg); s > max {
+		if s := t.span[gv] + procCostNC(t.cg.Degree(graph.VID(v))); s > max {
 			max = s
 		}
 	}
@@ -973,12 +924,11 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 // every queue empty. It claims the next uncolored vertex as a root and
 // covers that component on its own FIFO frontier (ws.out, live part
 // fr[head:]) with the same process step the drain loop uses — so the
-// layouts, the claim order (BFS from the root, as a queue drain would
-// produce) and the obs counters are those of the drain loop — publishes
-// the visit count once per component, and only then claims the next
-// root. Nobody else holds work meanwhile, so each root starts a
-// component no other processor can reach: one root per component by
-// construction.
+// claim order (BFS from the root, as a queue drain would produce) and
+// the obs counters are those of the drain loop — publishes the visit
+// count once per component, and only then claims the next root.
+// Nobody else holds work meanwhile, so each root starts a component no
+// other processor can reach: one root per component by construction.
 //
 // A component whose frontier reaches DefaultChunkSize is big: the
 // frontier goes onto the leader's queue in one PushBatch, the sweep

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,6 +19,17 @@ func drivers() map[string]func(*graph.Graph, Options) ([]graph.VID, Stats, error
 		"concurrent": SpanningForest,
 		"lockstep":   LockstepForest,
 	}
+}
+
+// newTeam builds the single-team traversal of g the way a one-shot run
+// does — the one-shard case of the engine — for tests that drive its
+// steps directly.
+func newTeam(g *graph.Graph, o Options) (*traversal, error) {
+	e, err := newEngine(g, o.withDefaults(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.ts[0], nil
 }
 
 func shapes() []*graph.Graph {
@@ -315,6 +328,29 @@ func TestRejectsBadOptions(t *testing.T) {
 	if _, _, err := LockstepForest(gen.Chain(3), Options{NumProcs: -1}); err == nil {
 		t.Fatal("negative p accepted")
 	}
+}
+
+// TestUnrepresentableGraphReturnsError: a graph whose offsets do not
+// fit the uint32 mirror the traversal reads gets CompactOf's error,
+// wrapped, from both drivers and the Workspace — never a panic.
+func TestUnrepresentableGraphReturnsError(t *testing.T) {
+	g := &graph.Graph{Offs: []int64{0, 1 << 33}}
+	_, want := graph.CompactOf(g)
+	if want == nil {
+		t.Fatal("CompactOf accepted an offset past 2^32")
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || errors.Unwrap(err) == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Fatalf("%s: err = %v, want a wrapped %q", what, err, want)
+		}
+	}
+	for name, run := range drivers() {
+		_, _, err := run(g, Options{NumProcs: 2})
+		check(name, err)
+	}
+	_, err := NewWorkspace(g, Options{NumProcs: 2}, WorkspaceOptions{})
+	check("NewWorkspace", err)
 }
 
 func TestFailedClaimsObservedUnderContention(t *testing.T) {

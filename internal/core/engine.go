@@ -4,8 +4,8 @@ package core
 // LockstepForest and the pooled Workspace. An engine owns the shared
 // parent array and schedules one traversal (team) per shard; the
 // classic single-team run is literally the shards=1 special case of the
-// same code path — one shard covering the whole graph, one wave, one
-// team of NumProcs workers.
+// same code path — one shard covering the whole graph through its
+// compact graph.CSR32 mirror, one wave, one team of NumProcs workers.
 //
 // With Shards > 1 the graph is partitioned into contiguous vertex
 // ranges (graph.PartitionCSR), each backed by a compact intra-shard
@@ -86,31 +86,25 @@ func newEngine(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*engin
 	// steal vetoes as a failed steal's fruitless poll.
 	o.Chaos.AttachModel(o.Model)
 	n := g.NumVertices()
-	S := o.Shards
-	if S > n && n > 0 {
-		S = n
-	}
-	if S <= 1 || n == 0 {
-		// The single-team case: one traversal covering the whole graph,
-		// run through the very same engine loop as a one-shard partition
-		// of one wave.
-		t, err := newTraversalQ(g, o, mk)
+	var (
+		part   *graph.Partition
+		shards []graph.Shard
+	)
+	if o.Shards <= 1 || n <= 1 {
+		// The single-team case: one shard covering the whole graph through
+		// its compact mirror, run through the very same engine loop as a
+		// one-shard partition of one wave.
+		cg, err := graph.CompactOf(g)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		t.o.Cancel = t.cancel
-		e := &engine{
-			g: g, o: t.o, parent: t.parent, span: t.span,
-			ts: []*traversal{t}, waves: [][]int{{0}},
-			rec: t.rec, cancel: t.cancel,
+		shards = []graph.Shard{{Lo: 0, Hi: graph.VID(n), CSR: cg}}
+	} else {
+		var err error
+		if part, err = graph.PartitionCSR(g, o.Shards, graph.CutPolicyFor(g.Name)); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		e.attachWatchdog()
-		return e, nil
-	}
-
-	part, err := graph.PartitionCSR(g, S, graph.CutPolicyFor(g.Name))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		shards = part.Shards
 	}
 	rec := o.Obs
 	if rec == nil {
@@ -131,16 +125,20 @@ func newEngine(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*engin
 	e := &engine{
 		g: g, o: o, parent: parent, span: span, part: part,
 		rec: rec, cancel: cancel,
-		stitch: spanuf.NewStitchScratch(n),
 	}
-	S = len(part.Shards)
-	team, base, waves := shardTeams(S, o.NumProcs)
+	if part != nil {
+		e.stitch = spanuf.NewStitchScratch(n)
+	}
+	team, base, waves := shardTeams(len(shards), o.NumProcs)
 	e.waves = waves
-	e.ts = make([]*traversal, S)
+	e.ts = make([]*traversal, len(shards))
 	for s := range e.ts {
-		t := e.newShardTraversal(&part.Shards[s], team[s], base[s])
+		t := e.newShardTraversal(&shards[s], team[s], base[s])
 		t.initQueues(mk)
 		e.ts[s] = t
+	}
+	if part == nil {
+		e.ts[0].g = g // the SV fallback grafts over the whole graph
 	}
 	e.attachWatchdog()
 	return e, nil
@@ -196,11 +194,11 @@ func shardTeams(S, p int) (team, base []int, waves [][]int) {
 	return team, base, waves
 }
 
-// newShardTraversal builds the team traversal for one shard: the
-// compact intra-shard view as its graph (g stays nil — every hot and
-// cold path reads cg, local offsets, global adjacency ids), the shared
-// parent/span arrays, and the team's slice [tidBase, tidBase+team) of
-// the global processor slots.
+// newShardTraversal builds the team traversal for one shard — the
+// whole graph, for a single team: the shard's compact view as its
+// graph (local offsets, global adjacency ids), the shared parent/span
+// arrays, and the team's slice [tidBase, tidBase+team) of the global
+// processor slots.
 func (e *engine) newShardTraversal(sh *graph.Shard, team, base int) *traversal {
 	ns := sh.NumVertices()
 	so := e.o

@@ -251,10 +251,10 @@ func lockstepDrive(t *traversal, stats *Stats) {
 					// Charge the batched hot path's amortized costs: at each
 					// virtual chunk boundary, the lock pairs of one chunked
 					// dequeue plus one batch flush (the per-vertex offset load
-					// is charged inside process, layout-aware). The controller
-					// resizes the next virtual drain at the boundary, so the
-					// modeled charges follow the adaptive schedule
-					// (single-goroutine, hence still deterministic).
+					// is charged inside process). The controller resizes the
+					// next virtual drain at the boundary, so the modeled
+					// charges follow the adaptive schedule (single-goroutine,
+					// hence still deterministic).
 					if remaining[tid] == 0 {
 						probe.NonContig(4)
 						ctrl := &ctrls[tid]

@@ -231,7 +231,7 @@ func TestPanicRecordedInObs(t *testing.T) {
 // valid forest when handed to the SV completion.
 func TestFallbackHandlesPartiallyWrittenParent(t *testing.T) {
 	g := gen.RandomConnected(300, 600, 17)
-	tr, _ := newTraversal(g, Options{NumProcs: 2, Seed: 1})
+	tr, _ := newTeam(g, Options{NumProcs: 2, Seed: 1})
 	// Simulate the interrupted state: a handful of claimed subtrees whose
 	// roots still carry the parent[v] == v sentinel, everything else
 	// unclaimed. Claimed edges must be real graph edges so the final

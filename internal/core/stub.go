@@ -30,26 +30,14 @@ func stubSpanningTree(t *traversal, r *xrand.Rand, probe *smpmodel.Probe, stub [
 	stub = append(stub, start)
 	cur := start
 	for step := 0; step < t.o.StubSteps; step++ {
-		// Shard traversals (g == nil) walk the intra-shard compact view —
-		// its adjacency ids are global, its offsets local — so the stub
-		// never leaves the shard; the identical RNG draw sequence keeps
-		// the shards=1 walk byte-identical to the wide path.
-		var next graph.VID
-		if t.g != nil {
-			nb := t.g.Neighbors(cur)
-			probe.NonContig(1)
-			if len(nb) == 0 {
-				break
-			}
-			next = nb[r.Intn(len(nb))]
-		} else {
-			nb := t.cg.Neighbors32(cur - t.lo)
-			probe.NonContig(1)
-			if len(nb) == 0 {
-				break
-			}
-			next = graph.VID(nb[r.Intn(len(nb))])
+		// The walk reads the team's compact view — adjacency ids global,
+		// offsets local — so a shard's stub never leaves the shard.
+		nb := t.cg.Neighbors32(cur - t.lo)
+		probe.NonContig(1)
+		if len(nb) == 0 {
+			break
 		}
+		next := graph.VID(nb[r.Intn(len(nb))])
 		probe.NonContig(2)
 		if atomic.LoadInt32(&t.parent[next]) == graph.None {
 			t.claimSeq(next, cur)

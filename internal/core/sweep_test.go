@@ -94,7 +94,7 @@ func TestSweepSpillsBigComponent(t *testing.T) {
 	g := sweepGraph()
 	lo := g.NumVertices() - sweepTorusSide*sweepTorusSide
 	for _, p := range []int{1, 4} {
-		tr, err := newTraversal(g, (&Options{NumProcs: p}).withDefaults())
+		tr, err := newTeam(g, (&Options{NumProcs: p}).withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,9 @@ package graph
 // keeps the two regions adjacent so a traversal's working set spans one
 // allocation instead of two.
 //
-// CSR32 is a read-only view for hot loops; cold paths (stub walk,
-// fallback, verification) keep using the wide Graph it was built from.
+// CSR32 is the read-only view the work-stealing traversal reads;
+// everything else (the SV fallback, verification, the other algorithms)
+// keeps using the wide Graph it was built from.
 
 import "fmt"
 
@@ -28,8 +29,8 @@ type CSR32 struct {
 }
 
 // CompactOf builds the compact layout from a wide graph. It errors when
-// the vertex count or adjacency length does not fit uint32 — callers on
-// 64-bit inputs must stay on the wide layout.
+// the vertex count or adjacency length does not fit uint32 — such graphs
+// can only be read through the wide Graph.
 func CompactOf(g *Graph) (*CSR32, error) {
 	n := g.NumVertices()
 	if n < 0 {

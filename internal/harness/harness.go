@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"spantree/internal/core"
 	"spantree/internal/obs"
 	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
@@ -76,10 +75,6 @@ type Config struct {
 	// policy, default growth cap.
 	ChunkPolicy sched.ChunkPolicy
 	ChunkSize   int
-	// Layout configures the work-stealing traversal for every experiment
-	// that does not force its own (the layout ablation does). The zero
-	// value is the core default, the wide CSR layout.
-	Layout core.Layout
 	// Shards configures sharded execution for the work-stealing runs of
 	// every experiment that does not force its own shard counts (the
 	// shard ablation does). 0 and 1 are the single-team path; the

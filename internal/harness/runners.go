@@ -81,10 +81,6 @@ type wsConfig struct {
 	forceChunk  bool
 	chunkPolicy sched.ChunkPolicy
 	chunkSize   int
-	// forceLayout overrides cfg.Layout with layout — the layout ablation
-	// pins its variants the same way the chunk ablations pin theirs.
-	forceLayout bool
-	layout      core.Layout
 	// forceShards overrides cfg.Shards with shards — the shard ablation
 	// pins its variants.
 	forceShards bool
@@ -131,13 +127,8 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model, ChunkPolicy: cfg.ChunkPolicy, ChunkSize: cfg.ChunkSize})
 			return parent, fmt.Sprintf("levels=%d", st.Levels), err
 		case kindSpanUF:
-			layout := cfg.Layout
-			if ws.forceLayout {
-				layout = ws.layout
-			}
 			parent, st, err := spanuf.SpanningForest(g, spanuf.Options{
 				NumProcs:    p,
-				Compact:     layout == core.LayoutCompact,
 				Model:       model,
 				Obs:         rec,
 				ChunkPolicy: cfg.ChunkPolicy,
@@ -157,15 +148,11 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				StubSteps:     ws.stubSteps,
 				ChunkPolicy:   cfg.ChunkPolicy,
 				ChunkSize:     cfg.ChunkSize,
-				Layout:        cfg.Layout,
 				Shards:        cfg.Shards,
 			}
 			if ws.forceChunk {
 				opt.ChunkPolicy = ws.chunkPolicy
 				opt.ChunkSize = ws.chunkSize
-			}
-			if ws.forceLayout {
-				opt.Layout = ws.layout
 			}
 			if ws.forceShards {
 				opt.Shards = ws.shards
@@ -220,12 +207,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 		if kind == kindWS || kind == kindSpanUF {
 			// Stamp the variant knobs so benchcmp can warn when a baseline
 			// and a current artifact measured different policies — the
-			// algorithm family alongside layout and shards.
-			lay := cfg.Layout
-			if ws.forceLayout {
-				lay = ws.layout
-			}
-			meta["layout"] = lay.String()
+			// algorithm family alongside shards.
 			if kind == kindWS {
 				meta["alg"] = "workstealing"
 				sh := cfg.Shards

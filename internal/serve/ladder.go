@@ -39,7 +39,6 @@ type entry struct {
 	name     string
 	spec     gen.Spec
 	g        *spantree.Graph
-	layout   spantree.Layout         // the resolved per-graph layout
 	shards   int                     // the resolved per-graph shard count
 	base     spantree.SessionOptions // rung-0 session options
 	poolSize int

@@ -74,18 +74,6 @@ const (
 // it, but access logs and tests do.
 const StatusClientClosedRequest = 499
 
-// Layout policies for Config.Layout. Unlike the library's two-valued
-// spantree.Layout, the server's policy is three-valued: the default
-// auto policy decides per registered graph, picking the compact uint32
-// arena whenever the graph fits it (half the offset bytes, so warmer
-// caches under concurrent load) and falling back to the wide layout
-// for graphs it cannot represent.
-const (
-	LayoutAuto    = "auto"
-	LayoutWide    = "wide"
-	LayoutCompact = "compact"
-)
-
 // Config sizes a Server.
 type Config struct {
 	// NumProcs is the per-session virtual processor count; 0 means
@@ -109,24 +97,13 @@ type Config struct {
 	// Warmups is the per-session warmup run count (0 means the session
 	// default).
 	Warmups int
-	// Layout selects the CSR layout the pooled sessions read: LayoutAuto
-	// (the default for the empty string) picks per graph at registration
-	// — compact when the graph fits uint32, wide otherwise; LayoutWide
-	// and LayoutCompact force one for every graph. The compact mirror is
-	// built once per session, keeping runs allocation-free either way.
-	Layout string
 	// Shards selects the work-stealing shard count the pooled sessions
 	// run with: 0 (the default) applies the auto policy per registered
 	// graph — one shard per 256Ki vertices, capped at 8, so small
 	// graphs keep the single-team path and cache-bound ones get compact
 	// per-shard views — and any positive count forces that many shards
-	// for every graph (1 forces the single-team path). Only the
-	// work-stealing algorithm shards; AlgSpanUF always serves unsharded.
+	// for every graph (1 forces the single-team path).
 	Shards int
-	// Algorithm selects the pooled algorithm: spantree.AlgWorkStealing
-	// (the zero value) or spantree.AlgSpanUF; the session layer rejects
-	// algorithms without workspace provisioning at registration.
-	Algorithm spantree.Algorithm
 	// StallBudget arms the per-session stuck-run watchdog: a run in
 	// which no worker advances for this long is aborted with the typed
 	// 503 (stalled) instead of burning its whole deadline. 0 disables.
@@ -159,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 10 * time.Second
-	}
-	if c.Layout == "" {
-		c.Layout = LayoutAuto
 	}
 	if c.CoolDown == 0 {
 		c.CoolDown = 30 * time.Second
@@ -324,19 +298,13 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	if g.NumVertices() > s.cfg.MaxVertices {
 		return nil, errTooLarge{n: g.NumVertices(), max: s.cfg.MaxVertices}
 	}
-	lay, err := s.resolveLayout(g)
-	if err != nil {
-		return nil, err
-	}
 	shards, err := s.resolveShards(g)
 	if err != nil {
 		return nil, err
 	}
 	base := spantree.SessionOptions{
-		Algorithm:   s.cfg.Algorithm,
 		NumProcs:    s.cfg.NumProcs,
 		ChunkPolicy: spantree.ChunkAdaptive,
-		Layout:      lay,
 		Shards:      shards,
 		Warmups:     s.cfg.Warmups,
 		StallBudget: s.cfg.StallBudget,
@@ -346,7 +314,7 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		return nil, err
 	}
 	e := &entry{
-		name: name, spec: spec, g: g, layout: lay, shards: shards,
+		name: name, spec: spec, g: g, shards: shards,
 		base: base, poolSize: s.cfg.PoolSize,
 	}
 	e.pools[0] = pool
@@ -373,35 +341,11 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	return e, nil
 }
 
-// resolveLayout applies the server's layout policy to one graph. The
-// auto policy mirrors graph.CompactOf's representability bound: n+1
-// offsets and every adjacency index must fit uint32.
-func (s *Server) resolveLayout(g *spantree.Graph) (spantree.Layout, error) {
-	switch s.cfg.Layout {
-	case LayoutWide:
-		return spantree.LayoutWide, nil
-	case LayoutCompact:
-		return spantree.LayoutCompact, nil
-	case LayoutAuto:
-		const limit = int64(1) << 32
-		if int64(g.NumVertices())+1 < limit && int64(len(g.Adj)) < limit {
-			return spantree.LayoutCompact, nil
-		}
-		return spantree.LayoutWide, nil
-	}
-	return spantree.LayoutWide, fmt.Errorf("bad layout policy %q (want auto, wide or compact)", s.cfg.Layout)
-}
-
 // resolveShards applies the server's shard policy to one graph: a
 // positive Config.Shards forces that count, 0 scales with graph size —
 // one shard per 256Ki vertices, capped at 8, so the partition's working
-// sets stay cache-sized without oversplitting the worker budget. Only
-// the work-stealing algorithm shards (AlgSpanUF's sweep has no shard
-// concept), so other pooled algorithms always resolve to 1.
+// sets stay cache-sized without oversplitting the worker budget.
 func (s *Server) resolveShards(g *spantree.Graph) (int, error) {
-	if s.cfg.Algorithm != spantree.AlgWorkStealing {
-		return 1, nil
-	}
 	if sh := s.cfg.Shards; sh != 0 {
 		if sh < 0 {
 			return 1, fmt.Errorf("bad shard count %d (want >= 0)", sh)
@@ -470,14 +414,12 @@ type GraphInfo struct {
 	M        int    `json:"m"`
 	PoolSize int    `json:"pool_size"`
 	NumProcs int    `json:"num_procs"`
-	// Layout is the CSR layout the pool's sessions read ("wide" or
-	// "compact") — under the auto policy, what the server picked.
+	// Layout is the CSR layout the pool's sessions read, always
+	// "compact". It stays because the benchmark under bench/ parses it.
 	Layout string `json:"layout"`
 	// Shards is the work-stealing shard count the pool's sessions run
 	// with — under the auto policy, what the server picked.
 	Shards int `json:"shards"`
-	// Algorithm is the pooled algorithm serving this graph.
-	Algorithm string `json:"algorithm"`
 	// Rung is the graph's current position on the degradation ladder
 	// (0 = full configured execution; see ladder.go).
 	Rung int `json:"rung"`
@@ -501,17 +443,13 @@ type SpanTreeRequest struct {
 
 // SpanTreeResponse is the POST /v1/spantree success body.
 type SpanTreeResponse struct {
-	Graph     string `json:"graph"`
-	N         int    `json:"n"`
-	Roots     int    `json:"roots"`
-	TreeEdges int    `json:"tree_edges"`
-	ElapsedUS int64  `json:"elapsed_us"`
-	// StubSize and Steals describe work-stealing runs; both are zero
-	// when the pool serves the CAS-hook sweep.
-	StubSize int   `json:"stub_size"`
-	Steals   int64 `json:"steals"`
-	// HooksLost counts lost CAS elections on spanuf runs.
-	HooksLost int64   `json:"hooks_lost,omitempty"`
+	Graph     string  `json:"graph"`
+	N         int     `json:"n"`
+	Roots     int     `json:"roots"`
+	TreeEdges int     `json:"tree_edges"`
+	ElapsedUS int64   `json:"elapsed_us"`
+	StubSize  int     `json:"stub_size"`
+	Steals    int64   `json:"steals"`
 	Degraded  bool    `json:"degraded,omitempty"`
 	Parent    []int32 `json:"parent,omitempty"`
 }
@@ -634,16 +572,15 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) graphInfo(e *entry) GraphInfo {
 	return GraphInfo{
-		Name:      e.name,
-		Kind:      e.spec.Kind,
-		N:         e.g.NumVertices(),
-		M:         e.g.NumEdges(),
-		PoolSize:  e.poolSize,
-		NumProcs:  s.cfg.NumProcs,
-		Layout:    e.layout.String(),
-		Shards:    e.shards,
-		Algorithm: s.cfg.Algorithm.String(),
-		Rung:      int(e.rung.Load()),
+		Name:     e.name,
+		Kind:     e.spec.Kind,
+		N:        e.g.NumVertices(),
+		M:        e.g.NumEdges(),
+		PoolSize: e.poolSize,
+		NumProcs: s.cfg.NumProcs,
+		Layout:   "compact",
+		Shards:   e.shards,
+		Rung:     int(e.rung.Load()),
 	}
 }
 
@@ -773,14 +710,10 @@ func (s *Server) handleSpanTree(w http.ResponseWriter, r *http.Request) {
 		TreeEdges: res.TreeEdges,
 		ElapsedUS: res.Elapsed.Microseconds(),
 	}
-	if ws := res.WorkStealing; ws != nil {
-		resp.StubSize = ws.StubSize
-		resp.Steals = ws.Steals
-		resp.Degraded = ws.DegradedToSeq
-	} else if uf := res.SpanUF; uf != nil {
-		resp.HooksLost = uf.HooksLost
-		resp.Degraded = uf.DegradedToSeq
-	}
+	ws := res.WorkStealing
+	resp.StubSize = ws.StubSize
+	resp.Steals = ws.Steals
+	resp.Degraded = ws.DegradedToSeq
 	if req.IncludeParent {
 		resp.Parent = res.Parent
 	}

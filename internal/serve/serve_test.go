@@ -304,22 +304,24 @@ func TestServeConcurrent(t *testing.T) {
 	}
 }
 
-// TestServeAutoLayout: the default layout policy picks the compact
-// uint32 arena for graphs that fit it, reports the selection in
-// GraphInfo, and still serves valid forests; explicit policies override
-// the choice.
-func TestServeAutoLayout(t *testing.T) {
+// TestServeReportsCompactLayout: a registered graph reports the one
+// layout the traversal reads, "compact", in a form spantree.ParseLayout
+// accepts, and its pool serves valid forests.
+func TestServeReportsCompactLayout(t *testing.T) {
 	s, ts := newTestServer(t, Config{NumProcs: 2, PoolSize: 1})
 	if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 256, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	infos := s.listGraphs()
 	if len(infos) != 1 || infos[0].Layout != "compact" {
-		t.Fatalf("auto policy picked %+v, want layout compact", infos)
+		t.Fatalf("graph info %+v, want layout compact", infos)
+	}
+	if lay, err := spantree.ParseLayout(infos[0].Layout); err != nil || lay != spantree.LayoutCompact {
+		t.Fatalf("ParseLayout(%q) = %v, %v", infos[0].Layout, lay, err)
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/spantree", SpanTreeRequest{Graph: "g", IncludeParent: true})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spantree on auto-compact pool: status %d body %s", resp.StatusCode, raw)
+		t.Fatalf("spantree: status %d body %s", resp.StatusCode, raw)
 	}
 	var run SpanTreeResponse
 	if err := json.Unmarshal(raw, &run); err != nil {
@@ -327,81 +329,32 @@ func TestServeAutoLayout(t *testing.T) {
 	}
 	g, _ := gen.Generate(gen.Spec{Kind: "torus2d", N: 256, Seed: 7})
 	if err := spantree.Verify(g, run.Parent); err != nil {
-		t.Fatalf("forest from auto-compact pool invalid: %v", err)
-	}
-
-	wide := New(Config{NumProcs: 1, PoolSize: 1, Layout: LayoutWide})
-	defer wide.Close()
-	if err := wide.Register("g", gen.Spec{Kind: "chain", N: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if infos := wide.listGraphs(); infos[0].Layout != "wide" {
-		t.Fatalf("explicit wide policy picked %q", infos[0].Layout)
-	}
-
-	bad := New(Config{NumProcs: 1, PoolSize: 1, Layout: "sideways"})
-	defer bad.Close()
-	if err := bad.Register("g", gen.Spec{Kind: "chain", N: 64}); err == nil {
-		t.Fatal("bad layout policy accepted")
-	}
-}
-
-// TestServeSpanUF: a server configured for the CAS-hook sweep serves
-// the same wire contract — valid forests, spanuf stamped in GraphInfo,
-// and the traversal-only response fields zeroed.
-func TestServeSpanUF(t *testing.T) {
-	s, ts := newTestServer(t, Config{NumProcs: 2, PoolSize: 1, Algorithm: spantree.AlgSpanUF})
-	if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 256, Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if infos := s.listGraphs(); infos[0].Algorithm != "spanuf" {
-		t.Fatalf("GraphInfo algorithm %q, want spanuf", infos[0].Algorithm)
-	}
-	resp, raw := postJSON(t, ts.URL+"/v1/spantree", SpanTreeRequest{Graph: "g", IncludeParent: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spantree on spanuf pool: status %d body %s", resp.StatusCode, raw)
-	}
-	var run SpanTreeResponse
-	if err := json.Unmarshal(raw, &run); err != nil {
-		t.Fatal(err)
-	}
-	if run.Roots != 1 || run.TreeEdges != 255 || run.StubSize != 0 || run.Steals != 0 {
-		t.Fatalf("spanuf response: %+v", run)
-	}
-	g, _ := gen.Generate(gen.Spec{Kind: "torus2d", N: 256, Seed: 7})
-	if err := spantree.Verify(g, run.Parent); err != nil {
-		t.Fatalf("forest from spanuf pool invalid: %v", err)
+		t.Fatalf("served forest invalid: %v", err)
 	}
 }
 
 // TestServe200PathZeroAlloc: the algorithm work behind a 200 stays
-// allocation-free on the auto-selected compact layout, for both pooled
-// algorithms. (The HTTP/JSON envelope allocates; the guarantee is that
-// the session run inside it does not.)
+// allocation-free. (The HTTP/JSON envelope allocates; the guarantee is
+// that the session run inside it does not.)
 func TestServe200PathZeroAlloc(t *testing.T) {
-	for _, alg := range []spantree.Algorithm{spantree.AlgWorkStealing, spantree.AlgSpanUF} {
-		s := New(Config{NumProcs: 2, PoolSize: 1, Algorithm: alg})
-		if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 1024, Seed: 7}); err != nil {
+	s := New(Config{NumProcs: 2, PoolSize: 1})
+	defer s.Close()
+	if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 1024, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	e := s.lookup("g")
+	sess, ok := e.pools[0].TryAcquire()
+	if !ok {
+		t.Fatal("pool empty")
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := sess.FindContext(context.Background(), 42); err != nil {
 			t.Fatal(err)
 		}
-		e := s.lookup("g")
-		if e.layout != spantree.LayoutCompact {
-			t.Fatalf("%v: auto policy picked %v, want compact", alg, e.layout)
-		}
-		sess, ok := e.pools[0].TryAcquire()
-		if !ok {
-			t.Fatal("pool empty")
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			if _, err := sess.FindContext(context.Background(), 42); err != nil {
-				t.Fatal(err)
-			}
-		})
-		e.pools[0].Release(sess)
-		s.Close()
-		if avg != 0 {
-			t.Errorf("%v on auto-compact: AllocsPerRun = %v, want 0", alg, avg)
-		}
+	})
+	e.pools[0].Release(sess)
+	if avg != 0 {
+		t.Errorf("AllocsPerRun = %v, want 0", avg)
 	}
 }
 

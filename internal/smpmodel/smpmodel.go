@@ -37,12 +37,15 @@ type Counters struct {
 	// Ops counts local computation (comparisons, arithmetic) not already
 	// implied by an access.
 	Ops int64
-	// NonContigCompact and ContigCompact count the same two access
-	// classes when made through the compact uint32 CSR layout
-	// (graph.CSR32): half-width elements double cache-line and TLB
-	// utilization, so a Machine may price them below the wide rates.
+	// NonContigCompact counts non-contiguous loads of 4-byte CSR
+	// offsets (graph.CSR32) where graph.Graph's are 8 bytes: twice the
+	// offsets per cache line and TLB page, so a Machine may price them
+	// below the wide rate.
 	NonContigCompact int64
-	ContigCompact    int64
+	// ContigCompact is always zero: the adjacency stream is 4 bytes wide
+	// in both CSR forms, so it is charged as Contig. The field stays
+	// because the benchmark's T_C fold still reads it.
+	ContigCompact int64
 	// BottomUpScans is always zero: no algorithm charges it since the
 	// bottom-up traversal phase was removed. The field stays because
 	// the benchmark's T_C fold still reads it.
@@ -66,7 +69,6 @@ func (c *Counters) Add(other Counters) {
 	c.Contig += other.Contig
 	c.Ops += other.Ops
 	c.NonContigCompact += other.NonContigCompact
-	c.ContigCompact += other.ContigCompact
 	c.CASOps += other.CASOps
 	c.PointerChases += other.PointerChases
 }
@@ -168,9 +170,6 @@ func (m *Model) MaxPerProc() Counters {
 		if c.NonContigCompact > out.NonContigCompact {
 			out.NonContigCompact = c.NonContigCompact
 		}
-		if c.ContigCompact > out.ContigCompact {
-			out.ContigCompact = c.ContigCompact
-		}
 		if c.CASOps > out.CASOps {
 			out.CASOps = c.CASOps
 		}
@@ -191,14 +190,14 @@ func (m *Model) Total() Counters {
 }
 
 // Triplet formats the model state as the paper's cost triplet. Compact
-// accesses fold into the class they belong to (non-contiguous or
-// contiguous); CAS attempts and pointer chases are main-memory round
-// trips, so they fold into T_M.
+// offset loads fold into T_M with the other non-contiguous accesses;
+// CAS attempts and pointer chases are main-memory round trips, so they
+// fold into T_M too.
 func (m *Model) Triplet() string {
 	mx := m.MaxPerProc()
 	return fmt.Sprintf("⟨T_M=%d; T_C=%d; B=%d⟩",
 		mx.NonContig+mx.NonContigCompact+mx.CASOps+mx.PointerChases,
-		mx.Ops+mx.Contig+mx.ContigCompact, m.barriers)
+		mx.Ops+mx.Contig, m.barriers)
 }
 
 // Probe is the per-processor instrumentation handle. All methods are
@@ -229,19 +228,10 @@ func (p *Probe) Ops(k int64) {
 	}
 }
 
-// NonContigC charges k non-contiguous accesses through the compact
-// uint32 CSR layout.
+// NonContigC charges k non-contiguous loads of 4-byte CSR offsets.
 func (p *Probe) NonContigC(k int64) {
 	if p != nil {
 		p.c.NonContigCompact += k
-	}
-}
-
-// ContigC charges k contiguous accesses through the compact uint32 CSR
-// layout.
-func (p *Probe) ContigC(k int64) {
-	if p != nil {
-		p.c.ContigCompact += k
 	}
 }
 
@@ -276,12 +266,10 @@ type Machine struct {
 	OpNS float64
 	// BarrierNS is the cost of one barrier synchronization in ns.
 	BarrierNS float64
-	// NonContigCompactNS and ContigCompactNS price accesses through the
-	// compact uint32 CSR layout. Zero means "same as the wide rate"
-	// (NonContigNS / ContigNS), so hand-built profiles that predate the
-	// compact layout keep their meaning.
+	// NonContigCompactNS prices one non-contiguous load of a 4-byte CSR
+	// offset. Zero means "same as NonContigNS", so hand-built profiles
+	// that predate the compact offsets keep their meaning.
 	NonContigCompactNS float64
-	ContigCompactNS    float64
 	// CASNS prices one compare-and-swap attempt and ChaseNS one serially
 	// dependent random access (see Counters.CASOps/PointerChases). Zero
 	// means "same as NonContigNS", so profiles that predate the
@@ -298,12 +286,10 @@ func E4500() Machine {
 		ContigNS:    15,  // streaming, amortized over 64B lines
 		OpNS:        2.5, // 400 MHz, ~1 op/cycle
 		BarrierNS:   20000,
-		// Compact rates: halving the element width doubles how many
-		// offsets fit a 64B line and a TLB page, cutting the miss rate of
-		// random offset loads by roughly a third and the streaming cost in
-		// half.
+		// Halving the offset width doubles how many offsets fit a 64B
+		// line and a TLB page, cutting the miss rate of random offset
+		// loads by roughly a third.
 		NonContigCompactNS: 200,
-		ContigCompactNS:    7.5,
 		// A CAS is a main-memory round trip plus the locked
 		// read-modify-write holding the line exclusive; a chase misses
 		// like any random access but cannot overlap its neighbors, which
@@ -324,7 +310,6 @@ func Modern() Machine {
 		OpNS:               0.35,
 		BarrierNS:          3000,
 		NonContigCompactNS: 55,
-		ContigCompactNS:    1,
 		CASNS:              110,
 		ChaseNS:            90,
 	}
@@ -341,12 +326,9 @@ func (m *Model) Time(mach Machine) time.Duration {
 	}
 	// The gating processor is the one with the largest weighted sum, not
 	// the max of each component independently: evaluate per processor.
-	ncc, cc := mach.NonContigCompactNS, mach.ContigCompactNS
+	ncc := mach.NonContigCompactNS
 	if ncc == 0 {
 		ncc = mach.NonContigNS
-	}
-	if cc == 0 {
-		cc = mach.ContigNS
 	}
 	cas, chase := mach.CASNS, mach.ChaseNS
 	if cas == 0 {
@@ -362,7 +344,6 @@ func (m *Model) Time(mach Machine) time.Duration {
 			float64(c.Contig)*mach.ContigNS +
 			float64(c.Ops)*mach.OpNS +
 			float64(c.NonContigCompact)*ncc +
-			float64(c.ContigCompact)*cc +
 			float64(c.CASOps)*cas +
 			float64(c.PointerChases)*chase
 		if t > worst {

@@ -19,7 +19,10 @@ import (
 // discovered child (the parent write). The paper counts two accesses per
 // arc for a two-array BFS; the reproduction fuses the visited bit into
 // the parent array in both this baseline and the parallel traversal, so
-// the modeled speedup compares equal per-vertex layouts.
+// the modeled speedup compares equal per-vertex layouts. The offsets
+// differ: this baseline reads the Graph's 8-byte offsets (NonContig),
+// the parallel traversal the 4-byte ones of its compact mirror
+// (smpmodel NonContigCompact).
 func BFS(g *graph.Graph, probe *smpmodel.Probe) []graph.VID {
 	n := g.NumVertices()
 	parent := make([]graph.VID, n)

@@ -55,11 +55,6 @@ import (
 type Options struct {
 	// NumProcs is the number of virtual processors p (>= 1).
 	NumProcs int
-	// Compact mirrors the graph into the uint32 CSR32 layout for the
-	// sweep's adjacency scans (built per run here; once per Workspace on
-	// the pooled path). The union-find arrays are separate from the CSR,
-	// so the layout only changes the scan traffic.
-	Compact bool
 	// Model, when non-nil, accumulates Helman-JáJá cost counters. The
 	// sweep charges the CAS and pointer-chase classes; see the package
 	// comment.
@@ -95,12 +90,6 @@ type Stats struct {
 	// CompressionWrites is the number of parent rewrites performed by
 	// path compression during those finds.
 	CompressionWrites int64
-	// Panic is the isolated worker panic a pooled run recovered from,
-	// nil for clean runs (one-shot runs return the error instead).
-	Panic *fault.PanicError
-	// DegradedToSeq reports that a pooled run finished on the sequential
-	// repair path after an isolated panic.
-	DegradedToSeq bool
 }
 
 const nobody = int64(-1)
@@ -204,14 +193,6 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("spanuf: NumProcs = %d, need >= 1", opt.NumProcs)
 	}
 	n := g.NumVertices()
-	var cg *graph.CSR32
-	if opt.Compact {
-		var err error
-		cg, err = graph.CompactOf(g)
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("spanuf: %w", err)
-		}
-	}
 	uf := make([]int32, n)
 	hooks := make([]int64, n)
 	cells := make([]counts, opt.NumProcs)
@@ -222,7 +203,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		// evolves under whatever interleaving the scheduler produces, so a
 		// concurrent modeled run would report schedule-dependent chase and
 		// compression counts. Serialize instead.
-		if err := lockstepSweep(g, cg, uf, hooks, cells, opt); err != nil {
+		if err := lockstepSweep(g, uf, hooks, cells, opt); err != nil {
 			return nil, Stats{}, err
 		}
 	} else {
@@ -230,7 +211,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 			Chunk(opt.ChunkPolicy, opt.ChunkSize).
 			Cancel(opt.Cancel).Chaos(opt.Chaos)
 		if err := team.RunErr(func(c *par.Ctx) {
-			hookSweep(c, g, cg, uf, hooks, cells)
+			hookSweep(c, g, uf, hooks, cells)
 		}); err != nil {
 			return nil, Stats{}, err
 		}
@@ -240,7 +221,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	// array. O(n + treeEdges) work on top of the sweep, charged to
 	// processor 0 like the SV family's rooting pass.
 	parent := make([]graph.VID, n)
-	te := rootForest(hooks, parent, newRootScratch(n), opt.Model.Probe(0))
+	te := rootForest(hooks, parent, opt.Model.Probe(0))
 	stats := statsFromCells(cells)
 	stats.TreeEdges = te
 	return parent, stats, nil
@@ -252,7 +233,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 // work, so ForDynamic's stealing rebalances skewed inputs, and its
 // per-chunk flag poll bounds cancellation latency to one chunk per
 // worker.
-func hookSweep(c *par.Ctx, g *graph.Graph, cg *graph.CSR32, uf []int32, hooks []int64, cells []counts) {
+func hookSweep(c *par.Ctx, g *graph.Graph, uf []int32, hooks []int64, cells []counts) {
 	n := g.NumVertices()
 	probe := c.Probe()
 	ow := c.Obs()
@@ -269,29 +250,15 @@ func hookSweep(c *par.Ctx, g *graph.Graph, cg *graph.CSR32, uf []int32, hooks []
 		v := graph.VID(vi)
 		// Each undirected edge is processed once, by its smaller endpoint
 		// (w <= v skips the mirror arc and self loops).
-		if cg != nil {
-			probe.NonContigC(1) // load the compact offset pair
-			nb := cg.Neighbors32(v)
-			probe.ContigC(int64(len(nb)))
-			lc.Add(obs.EdgesScanned, int64(len(nb)))
-			for _, w32 := range nb {
-				w := graph.VID(w32)
-				if w <= v {
-					continue
-				}
-				h.hook(v, w)
+		probe.NonContig(1) // load the offset pair
+		nb := g.Neighbors(v)
+		probe.Contig(int64(len(nb)))
+		lc.Add(obs.EdgesScanned, int64(len(nb)))
+		for _, w := range nb {
+			if w <= v {
+				continue
 			}
-		} else {
-			probe.NonContig(1) // load the offset pair
-			nb := g.Neighbors(v)
-			probe.Contig(int64(len(nb)))
-			lc.Add(obs.EdgesScanned, int64(len(nb)))
-			for _, w := range nb {
-				if w <= v {
-					continue
-				}
-				h.hook(v, w)
-			}
+			h.hook(v, w)
 		}
 	})
 	lc.Add(obs.HooksWon, h.ct.won)
@@ -314,7 +281,7 @@ func hookSweep(c *par.Ctx, g *graph.Graph, cg *graph.CSR32, uf []int32, hooks []
 // report HooksLost = 0 (wall-clock runs measure real contention), and
 // chaos injection is ignored, as on every modeled path. The cancel flag
 // is still polled per chunk turn.
-func lockstepSweep(g *graph.Graph, cg *graph.CSR32, uf []int32, hooks []int64, cells []counts, opt Options) error {
+func lockstepSweep(g *graph.Graph, uf []int32, hooks []int64, cells []counts, opt Options) error {
 	n := g.NumVertices()
 	p := opt.NumProcs
 	chunk := opt.ChunkSize
@@ -375,29 +342,15 @@ func lockstepSweep(g *graph.Graph, cg *graph.CSR32, uf []int32, hooks []int64, c
 			h := &hookers[tid]
 			for vi := pos[tid]; vi < pos[tid]+k; vi++ {
 				v := graph.VID(vi)
-				if cg != nil {
-					probes[tid].NonContigC(1)
-					nb := cg.Neighbors32(v)
-					probes[tid].ContigC(int64(len(nb)))
-					lc.Add(obs.EdgesScanned, int64(len(nb)))
-					for _, w32 := range nb {
-						w := graph.VID(w32)
-						if w <= v {
-							continue
-						}
-						h.hook(v, w)
+				probes[tid].NonContig(1)
+				nb := g.Neighbors(v)
+				probes[tid].Contig(int64(len(nb)))
+				lc.Add(obs.EdgesScanned, int64(len(nb)))
+				for _, w := range nb {
+					if w <= v {
+						continue
 					}
-				} else {
-					probes[tid].NonContig(1)
-					nb := g.Neighbors(v)
-					probes[tid].Contig(int64(len(nb)))
-					lc.Add(obs.EdgesScanned, int64(len(nb)))
-					for _, w := range nb {
-						if w <= v {
-							continue
-						}
-						h.hook(v, w)
-					}
+					h.hook(v, w)
 				}
 			}
 			pos[tid] += k
@@ -431,28 +384,6 @@ func statsFromCells(cells []counts) Stats {
 	return s
 }
 
-// rootScratch holds the rooting pass's buffers, so pooled runs reuse
-// them instead of allocating per request.
-type rootScratch struct {
-	offs  []int32 // n+1 prefix offsets into adj
-	cur   []int32 // per-vertex fill cursor
-	adj   []int32 // tree-edge adjacency, 2*(n-1) slots worst case
-	queue []int32 // BFS queue, at most n entries
-}
-
-func newRootScratch(n int) *rootScratch {
-	adjCap := 0
-	if n > 1 {
-		adjCap = 2 * (n - 1)
-	}
-	return &rootScratch{
-		offs:  make([]int32, n+1),
-		cur:   make([]int32, n),
-		adj:   make([]int32, adjCap),
-		queue: make([]int32, n),
-	}
-}
-
 // rootForest rewrites the hook slots into a rooted parent array:
 // counting-sort the hooked arcs into a CSR over tree edges, then BFS
 // from every union-find root. A vertex stops being a root only by
@@ -460,10 +391,9 @@ func newRootScratch(n int) *rootScratch {
 // final roots — one per component — and the hooked arcs form a spanning
 // tree of each component (every hook merged two disjoint sets along a
 // graph edge). Returns the tree-edge count. Deterministic given hooks.
-func rootForest(hooks []int64, parent []graph.VID, s *rootScratch, probe *smpmodel.Probe) int {
+func rootForest(hooks []int64, parent []graph.VID, probe *smpmodel.Probe) int {
 	n := len(hooks)
-	offs := s.offs[:n+1]
-	clear(offs)
+	offs := make([]int32, n+1)
 	treeEdges := 0
 	for _, hk := range hooks {
 		if hk == nobody {
@@ -477,9 +407,8 @@ func rootForest(hooks []int64, parent []graph.VID, s *rootScratch, probe *smpmod
 	for i := 0; i < n; i++ {
 		offs[i+1] += offs[i]
 	}
-	cur := s.cur[:n]
-	clear(cur)
-	adj := s.adj[:2*treeEdges]
+	cur := make([]int32, n)
+	adj := make([]int32, 2*treeEdges)
 	for _, hk := range hooks {
 		if hk == nobody {
 			continue
@@ -498,7 +427,7 @@ func rootForest(hooks []int64, parent []graph.VID, s *rootScratch, probe *smpmod
 	for i := range parent {
 		parent[i] = graph.None
 	}
-	q := s.queue[:n]
+	q := make([]int32, n)
 	head, tail := 0, 0
 	for r := 0; r < n; r++ {
 		if hooks[r] != nobody {

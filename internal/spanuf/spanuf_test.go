@@ -125,33 +125,6 @@ func TestP1Deterministic(t *testing.T) {
 	}
 }
 
-// TestWideCompactAgree: the CSR32 mirror only changes scan traffic, not
-// the visit order, so at p=1 the two layouts produce identical forests;
-// at p>1 the compact sweep must still be a valid forest.
-func TestWideCompactAgree(t *testing.T) {
-	g := gen.Random(600, 2400, 31)
-	wide, _, err := SpanningForest(g, Options{NumProcs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, _, err := SpanningForest(g, Options{NumProcs: 1, Compact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range wide {
-		if compact[v] != wide[v] {
-			t.Fatalf("parent[%d]: compact %d, wide %d", v, compact[v], wide[v])
-		}
-	}
-	parent, _, err := SpanningForest(g, Options{NumProcs: 4, Compact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.Forest(g, parent); err != nil {
-		t.Fatalf("compact p=4: %v", err)
-	}
-}
-
 // TestHookingRuleModel is a quick.Check model of the smaller-to-larger
 // hooking rule: drive the hooker over a random arc schedule and check
 // the lock-free safety invariant directly — every non-root's parent is

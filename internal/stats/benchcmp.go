@@ -340,22 +340,19 @@ func CompareHotpath(baselineJSON []byte, current *obs.Artifact, opt BenchCompare
 
 // TraversalVariants is the set of measurement policies an obs
 // artifact's parallel runs were measured under, collected from the
-// "alg", "layout" and "shards" run meta the harness
-// stamps. Empty slices mean the artifact predates variant stamping (or
-// has no stamped runs) — unknown, so nothing to warn about.
+// "alg" and "shards" run meta the harness stamps. Empty slices mean the
+// artifact predates variant stamping (or has no stamped runs) —
+// unknown, so nothing to warn about.
 type TraversalVariants struct {
-	Algs    []string
-	Layouts []string
-	Shards  []string
+	Algs   []string
+	Shards []string
 }
 
-// Variants collects an artifact's distinct alg, layout and shards
-// stamps.
+// Variants collects an artifact's distinct alg and shards stamps.
 func Variants(a *obs.Artifact) TraversalVariants {
 	return TraversalVariants{
-		Algs:    metaSet(a, "alg"),
-		Layouts: metaSet(a, "layout"),
-		Shards:  metaSet(a, "shards"),
+		Algs:   metaSet(a, "alg"),
+		Shards: metaSet(a, "shards"),
 	}
 }
 
@@ -373,17 +370,14 @@ func metaSet(a *obs.Artifact, key string) []string {
 }
 
 // VariantWarning renders a warning line when the baseline and current
-// artifacts were measured under different algorithm families, CSR
-// layouts or shard counts, or "" when they agree (or either side is unknown). Like a
+// artifacts were measured under different algorithm families or shard
+// counts, or "" when they agree (or either side is unknown). Like a
 // host-shape mismatch, a variant mismatch makes the timings
 // incomparable without being a code regression, so the gate warns
 // instead of failing.
 func VariantWarning(base, cur TraversalVariants) string {
 	var parts []string
 	if d := variantDiff("alg", base.Algs, cur.Algs); d != "" {
-		parts = append(parts, d)
-	}
-	if d := variantDiff("layout", base.Layouts, cur.Layouts); d != "" {
 		parts = append(parts, d)
 	}
 	if d := variantDiff("shards", base.Shards, cur.Shards); d != "" {

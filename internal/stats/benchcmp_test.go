@@ -229,48 +229,48 @@ func TestCompareHotpathRejectsWrongSchema(t *testing.T) {
 }
 
 func TestVariantWarning(t *testing.T) {
-	withMeta := func(label, lay, shards string) obs.Report {
+	withMeta := func(label, shards string) obs.Report {
 		r := run(label, 10_000_000, 0, 0)
-		r.Meta = map[string]string{"layout": lay, "shards": shards}
+		r.Meta = map[string]string{"shards": shards}
 		return r
 	}
-	base := artifactWith(withMeta("NewAlg/g/p=4", "wide", "1"))
-	same := artifactWith(withMeta("NewAlg/g/p=4", "wide", "1"))
+	base := artifactWith(withMeta("NewAlg/g/p=4", "1"))
+	same := artifactWith(withMeta("NewAlg/g/p=4", "1"))
 	if w := VariantWarning(Variants(base), Variants(same)); w != "" {
 		t.Fatalf("matching variants warned: %q", w)
 	}
-
-	// Layout drift alone, shard drift alone, and both.
-	layDrift := artifactWith(withMeta("NewAlg/g/p=4", "compact", "1"))
-	if w := VariantWarning(Variants(base), Variants(layDrift)); w == "" {
-		t.Fatal("layout mismatch not warned")
-	}
-	shardDrift := artifactWith(withMeta("NewAlg/g/p=4", "wide", "4"))
-	if w := VariantWarning(Variants(base), Variants(shardDrift)); w == "" {
+	shardDrift := artifactWith(withMeta("NewAlg/g/p=4", "4"))
+	w := VariantWarning(Variants(base), Variants(shardDrift))
+	if w == "" {
 		t.Fatal("shards mismatch not warned")
 	}
-	both := artifactWith(withMeta("NewAlg/g/p=4", "compact", "4"))
-	w := VariantWarning(Variants(base), Variants(both))
-	if w == "" {
-		t.Fatal("double mismatch not warned")
+
+	// A "layout" stamp, left in the checked-in baselines from when the
+	// traversal had two layouts, is ignored.
+	wide := artifactWith(withMeta("NewAlg/g/p=4", "1"))
+	wide.Runs[0].Meta["layout"] = "wide"
+	compact := artifactWith(withMeta("NewAlg/g/p=4", "1"))
+	compact.Runs[0].Meta["layout"] = "compact"
+	if w := VariantWarning(Variants(wide), Variants(compact)); w != "" {
+		t.Fatalf("layout stamp warned: %q", w)
 	}
 
 	// Artifacts that predate variant stamping stay silent: unknown is
 	// not a mismatch.
 	unstamped := artifactWith(run("NewAlg/g/p=4", 10_000_000, 0, 0))
-	if w := VariantWarning(Variants(unstamped), Variants(both)); w != "" {
+	if w := VariantWarning(Variants(unstamped), Variants(shardDrift)); w != "" {
 		t.Fatalf("unknown baseline warned: %q", w)
 	}
 	if w := VariantWarning(Variants(base), Variants(unstamped)); w != "" {
 		t.Fatalf("unknown current warned: %q", w)
 	}
 
-	// Algorithm-family drift warns alongside layout and shards: a
-	// spanuf baseline compared against traversal numbers (or vice versa)
-	// is not a regression signal.
+	// Algorithm-family drift warns alongside shards: a spanuf baseline
+	// compared against traversal numbers (or vice versa) is not a
+	// regression signal.
 	withAlg := func(label, alg string) obs.Report {
 		r := run(label, 10_000_000, 0, 0)
-		r.Meta = map[string]string{"alg": alg, "layout": "wide"}
+		r.Meta = map[string]string{"alg": alg}
 		return r
 	}
 	wsBase := artifactWith(withAlg("NewAlg/g/p=4", "workstealing"))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestFindContextExpiredDeadline(t *testing.T) {
 // and checks the typed error plus full goroutine drainage.
 func TestFindContextCancelMidRun(t *testing.T) {
 	g := gen.Random(200000, 400000, 3)
-	for _, algo := range []Algorithm{AlgWorkStealing, AlgSV, AlgHCS, AlgAwerbuchShiloach, AlgLevelBFS} {
+	for _, algo := range []Algorithm{AlgWorkStealing, AlgSV, AlgHCS, AlgAwerbuchShiloach, AlgLevelBFS, AlgSpanUF} {
 		ctx, cancel := context.WithCancel(context.Background())
 		before := runtime.NumGoroutine()
 		go func() {
@@ -138,7 +139,9 @@ func TestChaosSeedGating(t *testing.T) {
 }
 
 // TestEdgeCaseTable is the public-API boundary sweep (empty input,
-// single vertex, p far beyond n) across every algorithm.
+// single vertex, p far beyond n, and a spread of small shapes: hubs,
+// cliques, high diameter, many components, relabeled ids) across every
+// algorithm.
 func TestEdgeCaseTable(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -148,6 +151,19 @@ func TestEdgeCaseTable(t *testing.T) {
 		{"single", gen.Chain(1)},
 		{"two", gen.Chain(2)},
 		{"small-disconnected", graph.Union(gen.Chain(3), gen.Chain(2), gen.Chain(1))},
+		{"chain", gen.Chain(100)},
+		{"star", gen.Star(64)},
+		{"cycle", gen.Cycle(40)},
+		{"complete", gen.Complete(16)},
+		{"torus", gen.Torus2D(8, 8)},
+		{"torus-relabeled", graph.RandomRelabel(gen.Torus2D(8, 8), 6)},
+		{"random", gen.Random(200, 300, 1)},
+		{"random-connected", gen.RandomConnected(150, 250, 2)},
+		{"ad3", gen.AD3(120, 3)},
+		{"geo-hier", gen.GeoHier(200, gen.DefaultGeoHierParams(), 4)},
+		{"mixed-components", graph.Union(gen.Chain(10), gen.Star(8), gen.Cycle(7), gen.Random(30, 45, 5))},
+		{"binary-tree", gen.BinaryTree(63)},
+		{"caterpillar", gen.Caterpillar(41)},
 	}
 	for _, algo := range Algorithms() {
 		for _, tc := range shapes {
@@ -165,6 +181,28 @@ func TestEdgeCaseTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnrepresentableGraphErrors: the work-stealing traversal reads a
+// uint32 mirror of the CSR, so a graph whose offsets pass 2^32 gets
+// graph.CompactOf's error, wrapped, from Find and NewSession — never a
+// panic.
+func TestUnrepresentableGraphErrors(t *testing.T) {
+	g := &Graph{Offs: []int64{0, 1 << 33}}
+	_, want := graph.CompactOf(g)
+	if want == nil {
+		t.Fatal("CompactOf accepted an offset past 2^32")
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || errors.Unwrap(err) == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Fatalf("%s: err = %v, want a wrapped %q", what, err, want)
+		}
+	}
+	_, err := Find(g, Options{NumProcs: 2})
+	check("Find", err)
+	_, err = NewSession(g, SessionOptions{NumProcs: 2})
+	check("NewSession", err)
 }
 
 // TestPublicPanicDegradation drives the panic-isolation contract

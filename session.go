@@ -9,7 +9,6 @@ import (
 
 	"spantree/internal/core"
 	"spantree/internal/fault"
-	"spantree/internal/spanuf"
 )
 
 // ErrSessionClosed is returned by Session.FindContext after Close and by
@@ -18,31 +17,20 @@ var ErrSessionClosed = errors.New("spantree: session closed")
 
 // SessionOptions configures NewSession and NewSessionPool.
 type SessionOptions struct {
-	// Algorithm selects the pooled algorithm: AlgWorkStealing (the zero
-	// value) or AlgSpanUF. The other algorithms have no workspace
-	// provisioning and are rejected.
-	Algorithm Algorithm
 	// NumProcs is the number of virtual processors; 0 means 1.
 	NumProcs int
 	// ChunkPolicy and ChunkSize configure the drain-chunk controller
 	// exactly as in Options.
 	ChunkPolicy ChunkPolicy
 	ChunkSize   int
-	// Layout configures the CSR layout exactly as in Options. Under
-	// LayoutCompact the uint32 mirror is built once at session
-	// construction, so pooled runs stay allocation-free whatever the
-	// layout.
-	Layout Layout
 	// Shards configures sharded execution exactly as in Options.Shards:
 	// the partition, the per-shard CSR views and the stitch scratch are
 	// built once at session construction, so sharded pooled runs stay
 	// allocation-free too. Requires FallbackThreshold == 0 when > 1.
-	// AlgSpanUF ignores it.
 	Shards int
 	// FallbackThreshold enables the pathological-case detection (see
 	// Options.FallbackThreshold). A triggered fallback allocates — only
-	// the work-stealing completion path is pooled. AlgSpanUF ignores it
-	// (the sweep has no pathological case to detect).
+	// the traversal itself is pooled.
 	FallbackThreshold int
 	// QueueCapacity is the per-queue frontier provision, in vertices;
 	// 0 means the graph's vertex count, which guarantees no run ever
@@ -58,8 +46,7 @@ type SessionOptions struct {
 	// StallBudget, if > 0, arms the stuck-run watchdog exactly as in
 	// core.Options.StallBudget: a run in which no worker advances for a
 	// full budget returns ErrStalled with the session left reusable.
-	// AlgSpanUF ignores it (the sweep is a bounded loop with no
-	// work-distribution protocol to wedge). 0 disables the watchdog.
+	// 0 disables the watchdog.
 	StallBudget time.Duration
 
 	// testHook, when non-nil, runs at every worker chunk boundary (see
@@ -78,24 +65,13 @@ func (o SessionOptions) withDefaults() SessionOptions {
 	return o
 }
 
-// sessionRuntime is what a Session needs from a pooled workspace; both
-// core.Workspace (the work-stealing traversal) and spanuf.Workspace
-// (the CAS-hook sweep) provide the surface, minus the stats type their
-// Run returns — the two concrete fields below keep those typed.
-type sessionRuntime interface {
-	Flag() *fault.Flag
-	NumProcs() int
-	Graph() *Graph
-	Close()
-}
-
-// Session is a reusable, pre-provisioned runtime for one pooled
-// algorithm (the work-stealing traversal or the CAS-hook union-find
-// sweep, per SessionOptions.Algorithm) on one fixed graph: every buffer
-// is allocated at construction and the worker team is spawned once and
-// parked between requests, so a warmed session executes FindContext
-// with zero steady-state heap allocations (a cancellable context adds
-// only its own watcher; context.Background stays allocation-free).
+// Session is a reusable, pre-provisioned runtime for the work-stealing
+// algorithm on one fixed graph: every buffer, the graph's compact CSR
+// mirror included, is allocated at construction and the worker team is
+// spawned once and parked between requests, so a warmed session
+// executes FindContext with zero steady-state heap allocations (a
+// cancellable context adds only its own watcher; context.Background
+// stays allocation-free).
 //
 // A Session is NOT safe for concurrent use — serialize requests or use
 // a SessionPool, which hands each workspace to one request at a time.
@@ -104,15 +80,14 @@ type sessionRuntime interface {
 // FindContext call: consume or copy it before reusing or releasing the
 // session.
 type Session struct {
-	rt     sessionRuntime
-	w      *core.Workspace   // non-nil iff Algorithm == AlgWorkStealing
-	uw     *spanuf.Workspace // non-nil iff Algorithm == AlgSpanUF
-	alg    Algorithm
+	w      *core.Workspace
 	res    Result
 	closed bool
 }
 
-// NewSession builds and warms a session for g.
+// NewSession builds and warms a session for g. Like Find, it needs
+// fewer than 2^32 adjacency slots and returns an error on a larger
+// graph.
 func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("spantree: nil graph")
@@ -121,68 +96,40 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	if o.NumProcs < 1 {
 		return nil, fmt.Errorf("spantree: NumProcs = %d, need >= 0", opt.NumProcs)
 	}
-	s := &Session{alg: o.Algorithm}
-	switch o.Algorithm {
-	case AlgWorkStealing:
-		co := core.Options{
-			NumProcs:          o.NumProcs,
-			ChunkPolicy:       o.ChunkPolicy,
-			ChunkSize:         o.ChunkSize,
-			Layout:            o.Layout,
-			Shards:            o.Shards,
-			FallbackThreshold: o.FallbackThreshold,
-			StallBudget:       o.StallBudget,
-		}
-		if o.testHook != nil {
-			co = core.WithTestHook(co, o.testHook)
-		}
-		w, err := core.NewWorkspace(g, co, core.WorkspaceOptions{QueueCapacity: o.QueueCapacity})
-		if err != nil {
-			return nil, err
-		}
-		s.w, s.rt = w, w
-	case AlgSpanUF:
-		uw, err := spanuf.NewWorkspace(g, spanuf.Options{
-			NumProcs:  o.NumProcs,
-			Compact:   o.Layout == LayoutCompact,
-			ChunkSize: o.ChunkSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.uw, s.rt = uw, uw
-	default:
-		return nil, fmt.Errorf("spantree: sessions support workstealing and spanuf, not %v", o.Algorithm)
+	co := core.Options{
+		NumProcs:          o.NumProcs,
+		ChunkPolicy:       o.ChunkPolicy,
+		ChunkSize:         o.ChunkSize,
+		Shards:            o.Shards,
+		FallbackThreshold: o.FallbackThreshold,
+		StallBudget:       o.StallBudget,
 	}
+	if o.testHook != nil {
+		co = core.WithTestHook(co, o.testHook)
+	}
+	w, err := core.NewWorkspace(g, co, core.WorkspaceOptions{QueueCapacity: o.QueueCapacity})
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{w: w}
 	for i := 0; i < o.Warmups; i++ {
 		if _, err := s.run(uint64(i) + 1); err != nil {
-			s.rt.Close()
+			w.Close()
 			return nil, fmt.Errorf("spantree: session warmup: %w", err)
 		}
 	}
 	return s, nil
 }
 
-// run dispatches one pooled execution and fills the session-owned
-// Result.
+// run executes one pooled run and fills the session-owned Result.
 func (s *Session) run(seed uint64) (*Result, error) {
 	start := time.Now()
-	s.res = Result{Algorithm: s.alg}
-	var parent []VID
-	if s.w != nil {
-		p, stats, err := s.w.Run(seed)
-		if err != nil {
-			return nil, err
-		}
-		parent, s.res.WorkStealing = p, stats
-	} else {
-		p, stats, err := s.uw.Run(seed)
-		if err != nil {
-			return nil, err
-		}
-		parent, s.res.SpanUF = p, stats
+	s.res = Result{Algorithm: AlgWorkStealing}
+	parent, stats, err := s.w.Run(seed)
+	if err != nil {
+		return nil, err
 	}
-	s.res.Parent = parent
+	s.res.Parent, s.res.WorkStealing = parent, stats
 	s.res.Elapsed = time.Since(start)
 	for _, p := range parent {
 		if p == None {
@@ -194,13 +141,10 @@ func (s *Session) run(seed uint64) (*Result, error) {
 }
 
 // NumProcs returns the session's worker count.
-func (s *Session) NumProcs() int { return s.rt.NumProcs() }
+func (s *Session) NumProcs() int { return s.w.NumProcs() }
 
 // Graph returns the graph the session was built for.
-func (s *Session) Graph() *Graph { return s.rt.Graph() }
-
-// Algorithm returns the pooled algorithm the session runs.
-func (s *Session) Algorithm() Algorithm { return s.alg }
+func (s *Session) Graph() *Graph { return s.w.Graph() }
 
 // Find is FindContext with a background context (the allocation-free
 // fast path: no watcher goroutine is spawned).
@@ -208,7 +152,7 @@ func (s *Session) Find(seed uint64) (*Result, error) {
 	return s.FindContext(context.Background(), seed)
 }
 
-// FindContext runs the session's algorithm on its pooled buffers with
+// FindContext runs the work-stealing algorithm on the pooled buffers with
 // the same cancellation contract as the package-level FindContext: a
 // canceled context returns ErrCanceled, an expired deadline ErrDeadline
 // (an already-expired context is rejected before any worker wakes), and
@@ -221,7 +165,7 @@ func (s *Session) FindContext(ctx context.Context, seed uint64) (*Result, error)
 	}
 	// The workspace flag is rearmed here, before the watch is armed, so a
 	// trip that lands between Watch and Run is never lost.
-	flag := s.rt.Flag()
+	flag := s.w.Flag()
 	flag.Reset()
 	stop := fault.Watch(ctx, flag)
 	defer stop()
@@ -239,7 +183,7 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	s.rt.Close()
+	s.w.Close()
 }
 
 // SessionPool is a fixed-size freelist of warmed sessions for one graph.

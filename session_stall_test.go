@@ -37,7 +37,7 @@ func TestSessionStalledThenReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	flag.Store(s.rt.Flag())
+	flag.Store(s.w.Flag())
 
 	if _, err := s.Find(1); err != nil {
 		t.Fatalf("healthy run: %v", err)

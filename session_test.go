@@ -82,25 +82,26 @@ func TestSessionMatchesFind(t *testing.T) {
 // additionally pays for its fault watcher. The many-component random
 // graph keeps the quiescence sweep on the pinned path.
 func TestSessionZeroAlloc(t *testing.T) {
-	checkSessionZeroAlloc(t, "torus", gen.Torus2D(32, 32), LayoutWide)
-	checkSessionZeroAlloc(t, "components", gen.Random(4096, 3072, 1), LayoutWide)
+	checkSessionZeroAlloc(t, "torus", gen.Torus2D(32, 32))
+	checkSessionZeroAlloc(t, "components", gen.Random(4096, 3072, 1))
 }
 
 // TestSessionZeroAllocCompactBottomUp extends the zero-allocation
-// guarantee to the compact uint32 layout, on a dense low-diameter graph
-// whose frontier balloons: the compact mirror is built once at
-// construction, so a warmed session must still run allocation-free.
-// (The name dates from when a bottom-up phase engaged on this input.)
+// guarantee to a dense low-diameter graph whose frontier balloons: the
+// queues and the compact mirror are provisioned at construction, so a
+// warmed session must still run allocation-free. (The name dates from
+// when a bottom-up phase engaged on this input and the compact layout
+// was optional.)
 func TestSessionZeroAllocCompactBottomUp(t *testing.T) {
-	checkSessionZeroAlloc(t, "dense-compact", gen.Random(1<<14, 12<<14, 7), LayoutCompact)
+	checkSessionZeroAlloc(t, "dense", gen.Random(1<<14, 12<<14, 7))
 }
 
 // checkSessionZeroAlloc asserts that warmed sessions on g, at one and at
 // four workers, execute FindContext with zero heap allocations.
-func checkSessionZeroAlloc(t *testing.T, name string, g *Graph, layout Layout) {
+func checkSessionZeroAlloc(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	for _, p := range []int{1, 4} {
-		s, err := NewSession(g, SessionOptions{NumProcs: p, Layout: layout})
+		s, err := NewSession(g, SessionOptions{NumProcs: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,23 +205,34 @@ const (
 // ChunkPolicy.
 func ParseChunkPolicy(s string) (ChunkPolicy, error) { return sched.ParseChunkPolicy(s) }
 
-// Layout selects the CSR layout the work-stealing hot loops read.
-type Layout = core.Layout
+// Layout names the CSR layout the work-stealing traversal reads. There
+// is one, LayoutCompact: the traversal always reads a uint32 mirror of
+// the Graph.
+//
+// Deprecated: kept only for the benchmark under bench/, which parses
+// the "layout" field of the server's graph info; delete with it.
+type Layout int
 
-const (
-	// LayoutWide (the default) reads the int64-offset Graph directly.
-	LayoutWide = core.LayoutWide
-	// LayoutCompact mirrors the graph into a uint32 offsets-plus-
-	// adjacency arena (one allocation, built once per run or once per
-	// Session) and reads that, halving the hot path's bytes per offset.
-	// Requires the vertex count and adjacency length to fit uint32.
-	LayoutCompact = core.LayoutCompact
-)
+// LayoutCompact is the only layout.
+//
+// Deprecated: see Layout.
+const LayoutCompact Layout = 1
 
-// ParseLayout converts a CLI name ("wide" or "compact") into a Layout.
-func ParseLayout(s string) (Layout, error) { return core.ParseLayout(s) }
+// ParseLayout accepts "compact", the only layout name.
+//
+// Deprecated: see Layout.
+func ParseLayout(s string) (Layout, error) {
+	if s != "compact" {
+		return 0, fmt.Errorf("spantree: unknown layout %q (the traversal reads only the compact layout)", s)
+	}
+	return LayoutCompact, nil
+}
 
-// Options configures Find.
+// Options configures Find. The work-stealing algorithm reads the graph
+// through a uint32 mirror of its CSR arrays, so it needs fewer than
+// 2^32 adjacency slots (2^31 undirected edges); on a larger graph Find
+// returns an error saying the graph does not fit the mirror. The other
+// algorithms read the Graph directly and accept it.
 type Options struct {
 	// Algorithm selects the algorithm; the zero value is the paper's
 	// work-stealing algorithm.
@@ -253,11 +264,6 @@ type Options struct {
 	// unbatched per-vertex hot path; under ChunkAdaptive it caps the
 	// controller's growth (0 means the default cap, 256).
 	ChunkSize int
-	// Layout selects the CSR layout the hot loops read (the zero value,
-	// LayoutWide, reads the Graph directly; LayoutCompact builds a
-	// uint32 mirror per run). Honored by the work-stealing traversal and
-	// AlgSpanUF; the other algorithms ignore it.
-	Layout Layout
 	// Shards splits the work-stealing traversal into that many
 	// contiguous vertex-range shards, each traversed by its own team
 	// over a compact intra-shard CSR view, with the cross-shard edges
@@ -266,9 +272,8 @@ type Options struct {
 	// single-team path — the shards=1 special case of the same engine.
 	// NumProcs stays the total worker budget: with Shards <= NumProcs
 	// the teams split it, with Shards > NumProcs single-worker teams run
-	// in sequential waves. Requires FallbackThreshold == 0 and ignores
-	// Layout (shard views are always compact). Only the work-stealing
-	// algorithm honors it.
+	// in sequential waves. Requires FallbackThreshold == 0. Only the
+	// work-stealing algorithm honors it.
 	Shards int
 	// Model, when non-nil, accumulates Helman-JáJá cost-model counters
 	// for the run (see the smpmodel package via Result.ModeledTime).
@@ -395,7 +400,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			FallbackThreshold: opt.FallbackThreshold,
 			ChunkPolicy:       opt.ChunkPolicy,
 			ChunkSize:         opt.ChunkSize,
-			Layout:            opt.Layout,
 			Shards:            opt.Shards,
 			Cancel:            cancel,
 			Chaos:             inj,
@@ -478,7 +482,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	case AlgSpanUF:
 		parent, stats, err := spanuf.SpanningForest(g, spanuf.Options{
 			NumProcs:    p,
-			Compact:     opt.Layout == LayoutCompact,
 			Model:       opt.Model,
 			Obs:         opt.Obs,
 			ChunkPolicy: opt.ChunkPolicy,
