@@ -353,6 +353,26 @@ func TestUnrepresentableGraphReturnsError(t *testing.T) {
 	check("NewWorkspace", err)
 }
 
+// TestCompactLayoutOnTinyGraphs: every tiny shape, the empty and
+// one-vertex graphs included, fits the uint32 mirror the traversal
+// reads, and both drivers run on it to a valid forest.
+func TestCompactLayoutOnTinyGraphs(t *testing.T) {
+	for name, run := range drivers() {
+		for _, g := range shapes() {
+			if _, err := graph.CompactOf(g); err != nil {
+				t.Fatalf("%v: CompactOf: %v", g, err)
+			}
+			parent, _, err := run(g, Options{NumProcs: 2, Seed: 3})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, g, err)
+			}
+			if err := verify.Forest(g, parent); err != nil {
+				t.Fatalf("%s %v: %v", name, g, err)
+			}
+		}
+	}
+}
+
 func TestFailedClaimsObservedUnderContention(t *testing.T) {
 	// On a dense graph with many processors the paper observed a handful
 	// of multiply-colored vertices; here those surface as failed claim
