@@ -34,12 +34,13 @@
 // rather than racy plain writes: Go's memory model requires synchronized
 // access, and CAS preserves the algorithm's properties while making
 // "only one processor succeeds at setting the vertex's parent" literal.
-// The CAS lands directly on the fused parent array (graph.None means
-// unclaimed; roots carry a self-parent sentinel until the end of the
-// run), so claiming a vertex is one non-contiguous access instead of the
-// color-load-plus-parent-write pair of a two-array port. The paper's
-// multiply-colored-vertex events surface here as failed claim CASes,
-// which Stats counts.
+// The CAS lands directly on the fused parent array (a core-private
+// sentinel means unclaimed; roots are claimed as graph.None outright),
+// so claiming a vertex is one non-contiguous access instead of the
+// color-load-plus-parent-write pair of a two-array port, and a finished
+// traversal leaves the public forest in place with no final pass. The
+// paper's multiply-colored-vertex events surface here as failed claim
+// CASes, which Stats counts.
 //
 // Every team reads its graph through a compact graph.CSR32 view: 4-byte
 // offsets where the graph.Graph it mirrors has 8-byte ones (the
@@ -201,14 +202,37 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// idleSleep is how long an idle processor sleeps between scans once its
-// Gosched retries run out (the paper's "go to sleep for a duration").
-// The 20µs is only what is asked for: with Go 1.24's timer granularity,
-// time.Sleep(20µs) measures p10 30µs and p50 ~1ms on a 2-vCPU Linux
-// host, so a sleeper typically rejoins a millisecond later. That wake
-// latency is why quiescence hands the leader a whole sweep of
-// components rather than one root per episode.
+// idleSleep is the timeout of an idle processor's park once its Gosched
+// retries run out. A parked processor wakes on an event — a stealable
+// queue, a sweep's spill, completion, the fallback's abort, a teammate's
+// panic — so the timeout only bounds how long cancel, stall and
+// fallback detection wait between polls (the paper's "go to sleep for a
+// duration"). The 20µs is only what is asked for: with Go 1.24's timer
+// granularity a 20µs timer measures p50 1.09 ms on a 2-vCPU Linux host
+// (2,000 samples). That latency is why quiescence hands the leader a
+// whole sweep of components rather than one root per episode.
 const idleSleep = 20 * time.Microsecond
+
+// yieldEvery is how many processed vertices a worker runs between
+// runtime.Gosched calls. The yield exists so the protocol behaves the
+// same on hosts with fewer cores than virtual processors: a busy
+// goroutine holding its OS thread for a whole scheduler quantum means
+// idle workers never observe stealable queues or starvation. 1024
+// vertices of torus traversal take tens of microseconds, well inside a
+// quantum, while a yield every 64 was measurable overhead on a pooled
+// p = 2 Find (EXPERIMENTS.md, "Idle wake, yield cadence and root
+// epilogue"). The yield is deliberately not gated on idle teammates: a
+// gated yield is as fast for one session, but concurrent sessions on a
+// shared host then starve each other.
+const yieldEvery = 1024
+
+// unclaimed marks a vertex no processor has claimed yet. It is distinct
+// from graph.None, which a root is claimed as, so a completed traversal
+// needs no pass to turn root sentinels into the public representation.
+// It never leaves the core: a finished team has claimed every vertex of
+// its range, and the SV fallback resolves the leftovers of an aborted
+// one.
+const unclaimed = graph.None - 1
 
 // Stats reports what a run did.
 type Stats struct {
@@ -224,6 +248,12 @@ type Stats struct {
 	// steps across all workers (both 0 under ChunkPolicy fixed).
 	ChunkGrow   int64
 	ChunkShrink int64
+	// Roots is the number of roots of the returned forest, one per
+	// connected component. The core counts it as the run goes rather
+	// than by scanning the forest: one root per team, one per component
+	// a quiescence sweep seeded, minus one per stitch hook; the SV
+	// fallback and the sequential degradation count their own.
+	Roots int
 	// FailedClaims counts CAS losses: a processor saw a vertex unvisited
 	// but another processor claimed it first — the paper's
 	// multiple-coloring race events ("less than ten vertices for a graph
@@ -353,14 +383,11 @@ type traversal struct {
 	// processor slots: local tid uses recorder slot and model processor
 	// tidBase+tid. 0 for a whole-graph traversal.
 	tidBase int
-	// parent is the fused claim array: graph.None means unclaimed, any
-	// other value is the claimed parent. Roots hold a self-parent
-	// sentinel (parent[v] == v) while the traversal runs so they stay
-	// distinguishable from unclaimed vertices; normalizeRoots rewrites
-	// the sentinel to graph.None before the forest is returned. Fusing
-	// claim state into the parent array halves the non-contiguous
-	// accesses per scanned edge versus a separate color array and
-	// shrinks per-vertex state by 4 bytes.
+	// parent is the fused claim array: unclaimed means no processor has
+	// claimed the vertex, graph.None a claimed root, any other value the
+	// claimed parent. Fusing claim state into the parent array halves
+	// the non-contiguous accesses per scanned edge versus a separate
+	// color array and shrinks per-vertex state by 4 bytes.
 	parent []graph.VID
 	queues []*wsq.StealHalf
 	// span[v], in non-contiguous-access units, is the earliest virtual
@@ -390,6 +417,17 @@ type traversal struct {
 
 	sleepers atomic.Int32
 	abort    atomic.Bool // set when the fallback threshold trips
+
+	// wake is the team's idle-wake channel, the stand-in for the paper's
+	// condition variable: parked processors receive from it, and a
+	// worker sends one token when its queue becomes worth stealing from
+	// while someone sleeps, or one per teammate on a team-wide event.
+	// Its capacity is the team size, so sends never block and a token
+	// sent just before its receiver parks is not lost. parkTimeout bounds
+	// each park (idleSleep; white-box tests raise it so that a missing
+	// wake fails instead of passing slowly).
+	wake        chan struct{}
+	parkTimeout time.Duration
 
 	// cancel is the run's stop flag (never nil: newEngine substitutes a
 	// private flag when the caller passed none, so panic isolation
@@ -433,16 +471,11 @@ func (t *traversal) initQueues(mk func(n int) *wsq.StealHalf) {
 	}
 }
 
-// claim attempts to acquire w with parent p by a CAS directly on the
-// fused parent array. Roots (p == graph.None) are claimed with the
-// self-parent sentinel so they remain distinguishable from unclaimed
-// vertices until normalizeRoots runs. The caller owns progress
+// claim attempts to acquire w with parent p (graph.None for a root) by a
+// CAS directly on the fused parent array. The caller owns progress
 // counting: hot paths batch it, cold paths use claimSeq.
 func (t *traversal) claim(w, p graph.VID) bool {
-	if p == graph.None {
-		p = w
-	}
-	return atomic.CompareAndSwapInt32(&t.parent[w], graph.None, p)
+	return atomic.CompareAndSwapInt32(&t.parent[w], unclaimed, p)
 }
 
 // claimSeq is claim plus an immediate shared-progress update, for the
@@ -454,19 +487,6 @@ func (t *traversal) claimSeq(w, p graph.VID) bool {
 	}
 	t.visited.Add(1)
 	return true
-}
-
-// normalizeRoots rewrites the self-parent root sentinel of the fused
-// claim array back to graph.None over this traversal's range,
-// restoring the public forest representation. One streaming pass,
-// charged to the team's first processor.
-func (t *traversal) normalizeRoots() {
-	for v := t.lo; v < t.lo+graph.VID(t.n); v++ {
-		if t.parent[v] == v {
-			t.parent[v] = graph.None
-		}
-	}
-	t.o.Model.Probe(t.tidBase).Contig(int64(t.n))
 }
 
 // run executes both steps of the algorithm on g through the engine
@@ -492,6 +512,49 @@ func (t *traversal) recoverWorker(tid int, r any) {
 	t.cancel.TripPanic(&fault.PanicError{
 		Worker: t.tidBase + tid, Value: r, Stack: debug.Stack(),
 	})
+	t.wakeAll()
+}
+
+// wakeOne hands one parked teammate a wake token, if the channel has
+// room; a full channel already wakes every processor that parks.
+func (t *traversal) wakeOne() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+// wakeAll wakes the whole team: one token per worker.
+func (t *traversal) wakeAll() {
+	for i := 0; i < t.o.NumProcs; i++ {
+		t.wakeOne()
+	}
+}
+
+// park blocks an idle worker until a wake token arrives or the park
+// timeout runs out. The timer is the worker's own and reused across
+// parks and pooled runs. go.mod's go 1.22 keeps the buffered timer
+// channel, so a Stop that loses the race to the timer leaves a stale
+// tick behind; the non-blocking drain removes it (and is a no-op under
+// the synchronous timers of later language versions). A tick that
+// still slips past the drain only ends the next park early, which the
+// caller treats like any other wake: it rescans and parks again.
+func (t *traversal) park(ws *workerState) {
+	if ws.timer == nil {
+		ws.timer = time.NewTimer(t.parkTimeout)
+	} else {
+		ws.timer.Reset(t.parkTimeout)
+	}
+	select {
+	case <-t.wake:
+		if !ws.timer.Stop() {
+			select {
+			case <-ws.timer.C:
+			default:
+			}
+		}
+	case <-ws.timer.C:
+	}
 }
 
 // workerState is one worker's reusable hot-loop state: the per-stream
@@ -526,6 +589,9 @@ type workerState struct {
 	// published and "all p asleep ⇒ visited is exact" holds by
 	// construction.
 	pend int64
+	// timer times out this worker's idle parks. Created on the first
+	// park of a one-shot run, up front for a Workspace, and reused.
+	timer *time.Timer
 }
 
 // resetWorkerState (re)arms ws for one run of t's traversal: the
@@ -559,10 +625,14 @@ func (t *traversal) resetWorkerState(tid int, ws *workerState) {
 	ws.pend = 0
 }
 
-// flushVisited publishes ws's progress batch to the shared counter.
+// flushVisited publishes ws's progress batch to the shared counter and
+// wakes the team when the batch completes the forest, so parked
+// teammates exit at once instead of at their park timeout.
 func (t *traversal) flushVisited(ws *workerState) {
 	if ws.pend != 0 {
-		t.visited.Add(ws.pend)
+		if t.visited.Add(ws.pend) == int64(t.n) {
+			t.wakeAll()
+		}
 		ws.pend = 0
 	}
 }
@@ -627,19 +697,18 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			// The children just flushed are queue depth too: the next
 			// drain size follows from the post-flush depth and the failed
 			// steals charged against this worker specifically.
-			ws.ctrl.Adapt(qrem+len(ws.out), t.fail.Load(tid), &ws.lc)
+			depth := qrem + len(ws.out)
+			t.wakeIfStealable(depth)
+			ws.ctrl.Adapt(depth, t.fail.Load(tid), &ws.lc)
 			fruitless = 0
 			processed += nPop
 			// The yield/flush cadence is deliberately NOT the controller's
-			// chunk: it exists so the protocol behaves the same on hosts
-			// with fewer cores than virtual processors (a busy goroutine
-			// holding its OS thread for a whole scheduler quantum means
-			// idle workers never observe stealable queues or starvation),
-			// and that visibility argument doesn't change when the
-			// controller shrinks. Tying it to an adaptively-shrunk chunk
-			// made serial-dependency inputs yield after every vertex —
-			// a 3x wall-clock penalty on the chain under oversubscription.
-			if processed >= DefaultChunkSize {
+			// chunk: the visibility argument behind the yield (yieldEvery)
+			// doesn't change when the controller shrinks. Tying it to an
+			// adaptively-shrunk chunk made serial-dependency inputs yield
+			// after every vertex — a 3x wall-clock penalty on the chain
+			// under oversubscription.
+			if processed >= yieldEvery {
 				processed = 0
 				ws.lc.FlushTo(ws.ow)
 				runtime.Gosched()
@@ -668,6 +737,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 					ws.probe.NonContig(2 + int64(len(ws.out)))
 				}
 				t.flushVisited(ws)
+				t.wakeIfStealable(myQ.Len())
 				fruitless = 0
 				continue
 			}
@@ -676,6 +746,18 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			return // done or aborted
 		}
 		fruitless++
+	}
+}
+
+// wakeIfStealable sends one wake when a queue of the given depth is
+// worth stealing from and someone is idle. It pairs with the sleeper's
+// last look in idleOnce: the push that produced depth precedes the
+// sleepers load here, and a sleeper's increment precedes its scan of
+// the queues, so either this load sees the sleeper or the sleeper's
+// scan sees the queue.
+func (t *traversal) wakeIfStealable(depth int) {
+	if depth >= t.minSteal && !t.o.NoSteal && t.sleepers.Load() > 0 {
+		t.wakeOne()
 	}
 }
 
@@ -708,7 +790,7 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 	}
 	for _, w := range nb {
 		probe.NonContig(1) // fused claim-state load of parent[w]
-		if atomic.LoadInt32(&t.parent[w]) != graph.None {
+		if atomic.LoadInt32(&t.parent[w]) != unclaimed {
 			continue
 		}
 		if t.claim(graph.VID(w), v) {
@@ -734,9 +816,8 @@ func procCostNC(deg int) int64 { return 4 + int64(deg) }
 // spanMax returns the traversal's dependency span over its range: the
 // maximum claim-completion time in non-contiguous units, which the
 // engine folds across concurrent teams and reports to the cost model.
-// It runs after the final join and before normalizeRoots, so claimed
-// vertices (roots included, via the self-parent sentinel) are exactly
-// those with parent != graph.None.
+// It runs after the final join and before the fallback, so the claimed
+// vertices are exactly those whose parent is not unclaimed.
 func (t *traversal) spanMax() int64 {
 	if t.span == nil {
 		return 0
@@ -744,7 +825,7 @@ func (t *traversal) spanMax() int64 {
 	var max int64
 	for v := 0; v < t.n; v++ {
 		gv := t.lo + graph.VID(v)
-		if t.parent[gv] == graph.None {
+		if t.parent[gv] == unclaimed {
 			continue
 		}
 		if s := t.span[gv] + procCostNC(t.cg.Degree(graph.VID(v))); s > max {
@@ -871,6 +952,7 @@ func (t *traversal) idleOnce(tid int, myQ *wsq.StealHalf, fruitless int, ws *wor
 		if t.abort.CompareAndSwap(false, true) {
 			ws.ow.Incr(obs.FallbackTriggers)
 			ws.ow.Trace(obs.EvFallback, int64(s), 0)
+			t.wakeAll()
 		}
 		return false
 	}
@@ -884,9 +966,19 @@ func (t *traversal) idleOnce(tid int, myQ *wsq.StealHalf, fruitless int, ws *wor
 	}
 	if fruitless < 4 {
 		runtime.Gosched()
-	} else {
-		time.Sleep(idleSleep)
+		return true
 	}
+	// Last look before parking, after the sleepers increment: a queue
+	// that became stealable before a pusher could see this sleeper is
+	// seen here instead (see wakeIfStealable).
+	if !t.o.NoSteal {
+		for _, q := range t.queues {
+			if q.Len() >= t.minSteal {
+				return true
+			}
+		}
+	}
+	t.park(ws)
 	return true
 }
 
@@ -963,6 +1055,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 			if live := len(fr) - head; live >= DefaultChunkSize {
 				myQ.PushBatch(fr[head:])
 				ws.probe.NonContig(2 + int64(live)) // one locked batch enqueue
+				t.wakeAll()
 				break
 			}
 			if head >= DefaultChunkSize {
@@ -981,7 +1074,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 		v := t.lo + graph.VID(i)
 		i++
 		ws.probe.NonContig(1) // cursor inspection of parent[v]
-		if atomic.LoadInt32(&t.parent[v]) != graph.None || !t.claim(v, graph.None) {
+		if atomic.LoadInt32(&t.parent[v]) != unclaimed || !t.claim(v, graph.None) {
 			continue
 		}
 		ws.pend++
@@ -1006,7 +1099,7 @@ func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 			return 0, false
 		}
 		probe.NonContig(1)
-		if atomic.LoadInt32(&t.parent[t.lo+graph.VID(i)]) == graph.None {
+		if atomic.LoadInt32(&t.parent[t.lo+graph.VID(i)]) == unclaimed {
 			return t.lo + graph.VID(i), true
 		}
 	}
@@ -1015,15 +1108,24 @@ func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 // fallback completes a partially grown forest with Shiloach-Vishkin, the
 // paper's remedy for pathological low-connectivity inputs: the grown
 // subtrees are contracted to super-vertices (their roots) and SV grafts
-// the rest.
-func (t *traversal) fallback() (spansv.Stats, error) {
+// the rest. Vertices the aborted traversal never claimed become roots of
+// their own. It returns the completed forest's root count: the
+// contracted forest's roots minus one per graft.
+func (t *traversal) fallback() (spansv.Stats, int, error) {
 	n := t.n
-	// Resolve every colored vertex to the root of its subtree, path-
-	// compressing as we go; uncolored vertices are their own stars.
+	// Resolve every claimed vertex to the root of its subtree, path-
+	// compressing as we go; unclaimed vertices are their own stars.
 	d := make([]int32, n)
 	rootOf := make([]graph.VID, n)
-	for i := range rootOf {
-		rootOf[i] = graph.None
+	roots := 0
+	for v := 0; v < n; v++ {
+		rootOf[v] = graph.None
+		if t.parent[v] == unclaimed {
+			t.parent[v] = graph.None
+		}
+		if t.parent[v] == graph.None {
+			roots++
+		}
 	}
 	var path []graph.VID
 	for v := 0; v < n; v++ {
@@ -1032,12 +1134,7 @@ func (t *traversal) fallback() (spansv.Stats, error) {
 		}
 		path = path[:0]
 		cur := graph.VID(v)
-		// The walk must also stop on the self-parent root sentinel: the
-		// fallback normally runs after normalizeRoots, but a partially
-		// written parent array (an interrupted run, or a caller reusing
-		// one) may still carry sentinels, and following parent[cur] == cur
-		// would spin here forever.
-		for rootOf[cur] == graph.None && t.parent[cur] != graph.None && t.parent[cur] != cur {
+		for rootOf[cur] == graph.None && t.parent[cur] != graph.None {
 			path = append(path, cur)
 			cur = t.parent[cur]
 		}
@@ -1063,7 +1160,7 @@ func (t *traversal) fallback() (spansv.Stats, error) {
 		Chaos:    t.inj,
 	})
 	if err != nil {
-		return svStats, fmt.Errorf("core: SV fallback: %w", err)
+		return svStats, 0, fmt.Errorf("core: SV fallback: %w", err)
 	}
 	// Attach each graft edge: the graft (v,w) merged root(v)'s tree under
 	// w's component. Re-root v's subtree so that v becomes its root, then
@@ -1073,23 +1170,16 @@ func (t *traversal) fallback() (spansv.Stats, error) {
 		rerootAt(t.parent, e.U)
 		t.parent[e.U] = e.V
 	}
-	return svStats, nil
+	return svStats, roots - len(edges), nil
 }
 
 // rerootAt reverses the parent pointers on the path from v to its root,
-// making v the root of its tree. The self-parent root sentinel of the
-// fused claim array terminates the walk like graph.None does: on a
-// partially-written parent array (the panic/cancel degradation paths
-// hand one to the fallback) a sentinel mid-path would otherwise bounce
-// the reversal back on itself and detach the subtree above it.
+// making v the root of its tree.
 func rerootAt(parent []graph.VID, v graph.VID) {
 	prev := graph.None
 	cur := v
 	for cur != graph.None {
 		next := parent[cur]
-		if next == cur {
-			next = graph.None
-		}
 		parent[cur] = prev
 		prev = cur
 		cur = next

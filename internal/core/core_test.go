@@ -11,6 +11,7 @@ import (
 	"spantree/internal/graph"
 	"spantree/internal/smpmodel"
 	"spantree/internal/verify"
+	"spantree/internal/xrand"
 )
 
 // drivers runs both execution modes under the same options.
@@ -385,5 +386,23 @@ func TestFailedClaimsObservedUnderContention(t *testing.T) {
 	}
 	if st.FailedClaims < 0 || st.FailedClaims > int64(g.NumVertices())*8 {
 		t.Fatalf("implausible FailedClaims %d", st.FailedClaims)
+	}
+}
+
+// TestStubWalkClaimsUnclaimedVertices pins the stub walk's claim check
+// against the fused array's unclaimed sentinel: the walk's first step
+// always lands on a vertex nobody has claimed, so every stub of a graph
+// without isolated vertices holds at least two vertices, each claimed
+// exactly once.
+func TestStubWalkClaimsUnclaimedVertices(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.Complete(16), gen.Torus2D(8, 8)} {
+		tr, err := newTeam(g, Options{NumProcs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stub := stubSpanningTree(tr, xrand.New(9), nil, nil)
+		if len(stub) < 2 || tr.visited.Load() != int64(len(stub)) {
+			t.Fatalf("%v: stub %v with %d claims, want >= 2 vertices each claimed once", g, stub, tr.visited.Load())
+		}
 	}
 }

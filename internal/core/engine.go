@@ -22,7 +22,7 @@ package core
 // Shard teams never contend: their compact views hold only intra-shard
 // edges, so claims land in disjoint parent ranges. The edges that cross
 // shards are the partition's boundary list, and after every team has
-// joined and normalized its roots, the stitch pass — the spanuf
+// joined, the stitch pass — the spanuf
 // CAS-hook sweep over the contracted shard-component graph — elects one
 // boundary edge per component pair and splices the shard forests
 // together with the fallback's reroot-and-point idiom.
@@ -116,7 +116,7 @@ func newEngine(g *graph.Graph, o Options, mk func(n int) *wsq.StealHalf) (*engin
 	}
 	parent := make([]graph.VID, n)
 	for i := range parent {
-		parent[i] = graph.None
+		parent[i] = unclaimed
 	}
 	var span []int64
 	if o.Model != nil {
@@ -205,19 +205,21 @@ func (e *engine) newShardTraversal(sh *graph.Shard, team, base int) *traversal {
 	so.NumProcs = team
 	so.Cancel = e.cancel
 	return &traversal{
-		cg:       sh.CSR,
-		o:        so,
-		n:        ns,
-		lo:       sh.Lo,
-		tidBase:  base,
-		parent:   e.parent,
-		span:     e.span,
-		queues:   make([]*wsq.StealHalf, team),
-		minSteal: sched.MinStealLen(team),
-		fail:     sched.NewFailSignal(team),
-		rec:      e.rec,
-		cancel:   e.cancel,
-		inj:      e.o.Chaos,
+		cg:          sh.CSR,
+		o:           so,
+		n:           ns,
+		lo:          sh.Lo,
+		tidBase:     base,
+		parent:      e.parent,
+		span:        e.span,
+		queues:      make([]*wsq.StealHalf, team),
+		minSteal:    sched.MinStealLen(team),
+		fail:        sched.NewFailSignal(team),
+		wake:        make(chan struct{}, team),
+		parkTimeout: idleSleep,
+		rec:         e.rec,
+		cancel:      e.cancel,
+		inj:         e.o.Chaos,
 	}
 }
 
@@ -327,36 +329,59 @@ func (e *engine) run() ([]graph.VID, Stats, error) {
 		return e.stopOutcome(&stats)
 	}
 	e.recordSpan()
-	for _, t := range e.ts {
-		t.normalizeRoots()
-	}
-	if e.part != nil {
-		e.stitchShards(probe0, e.rec.Worker(0))
-	}
+	hooks := e.stitchShards(probe0, e.rec.Worker(0))
 	e.finishStats(&stats)
-
-	if e.ts[0].abort.Load() {
-		// Pathological case detected (single-team only: Shards > 1
-		// rejects FallbackThreshold): finish with Shiloach-Vishkin over
-		// the contracted graph.
-		stats.FallbackTriggered = true
-		svStats, err := e.ts[0].fallback()
-		stats.SVStats = svStats
-		if err != nil {
-			return nil, stats, err
-		}
+	if err := e.settle(&stats, hooks); err != nil {
+		return nil, stats, err
 	}
 	return e.parent, stats, nil
 }
 
+// settle records the forest's root count and, when the traversal
+// aborted, completes it. Every team claimed exactly one root before its
+// traversal (the stub walk's start, or the NoStub seed), every
+// quiescence seed (Stats.CursorRoots, already derived) claimed one more,
+// and every stitch hook joined two trees, so the count needs no scan of
+// the forest. An aborted traversal (single-team only: Shards > 1
+// rejects FallbackThreshold) is finished by Shiloach-Vishkin over the
+// contracted graph, which counts its own roots. The fallback allocates;
+// leaving a pooled run's zero-alloc steady state is the right trade on
+// an input that defeated the traversal.
+func (e *engine) settle(stats *Stats, hooks int) error {
+	stats.Roots = len(e.ts) + int(stats.CursorRoots) - hooks
+	if !e.ts[0].abort.Load() {
+		return nil
+	}
+	stats.FallbackTriggered = true
+	svStats, roots, err := e.ts[0].fallback()
+	stats.SVStats, stats.Roots = svStats, roots
+	return err
+}
+
+// countRoots scans a forest for its roots. Only the sequential
+// degradation path needs it: its forest did not come from the teams.
+func countRoots(parent []graph.VID) int {
+	roots := 0
+	for _, p := range parent {
+		if p == graph.None {
+			roots++
+		}
+	}
+	return roots
+}
+
 // stitchShards joins the per-shard forests through the boundary edges:
 // the spanuf CAS-hook sweep over the contracted shard-component graph,
-// run by the coordinator after the teams joined and roots were
-// normalized. Each winning hook is applied on the spot with the
-// fallback's reroot-and-point idiom, keeping parent[] and the
-// union-find merging in lockstep. The obs counters land on slot 0 (the
-// coordinator's), sequenced after the workers by the wave joins.
-func (e *engine) stitchShards(probe *smpmodel.Probe, ow *obs.Worker) {
+// run by the coordinator after the teams joined. Each winning hook is
+// applied on the spot with the fallback's reroot-and-point idiom,
+// keeping parent[] and the union-find merging in lockstep. The obs
+// counters land on slot 0 (the coordinator's), sequenced after the
+// workers by the wave joins. It returns the number of hooks, 0 for a
+// single team.
+func (e *engine) stitchShards(probe *smpmodel.Probe, ow *obs.Worker) int {
+	if e.part == nil {
+		return 0
+	}
 	attach := func(u, v graph.VID) {
 		rerootAt(e.parent, u)
 		e.parent[u] = v
@@ -380,6 +405,7 @@ func (e *engine) stitchShards(probe *smpmodel.Probe, ow *obs.Worker) {
 	ow.Add(obs.BoundaryEdges, int64(len(e.part.Boundary)))
 	ow.Add(obs.StitchHooks, int64(hooks))
 	ow.Trace(obs.EvStitch, int64(len(e.part.Boundary)), int64(hooks))
+	return hooks
 }
 
 // shardIndex maps a vertex to the index of the shard whose contiguous
@@ -430,7 +456,9 @@ func (e *engine) stopOutcome(stats *Stats) ([]graph.VID, Stats, error) {
 	if e.cancel.Cause() == fault.CausePanicked {
 		stats.Panic = e.cancel.Panic()
 		stats.DegradedToSeq = true
-		return spanseq.BFS(e.g, e.o.Model.Probe(0)), *stats, nil
+		parent := spanseq.BFS(e.g, e.o.Model.Probe(0))
+		stats.Roots = countRoots(parent)
+		return parent, *stats, nil
 	}
 	return nil, *stats, e.cancel.Err()
 }
@@ -483,11 +511,12 @@ func (e *engine) finishStatsPooled(stats *Stats, slotOW []*obs.Worker) {
 
 // rearm resets every run-scoped field of the engine's traversals for
 // the next pooled Run: parent sentinels, cursors, the failed-steal
-// signals, the work queues, and the per-run seed. The recorder reset is the
-// caller's (it is engine-global, one per workspace).
+// signals, the work queues, leftover wake tokens, and the per-run seed.
+// The recorder reset is the caller's (it is engine-global, one per
+// workspace).
 func (e *engine) rearm(seed uint64) {
 	for i := range e.parent {
-		e.parent[i] = graph.None
+		e.parent[i] = unclaimed
 	}
 	e.o.Seed = seed
 	for _, t := range e.ts {
@@ -499,6 +528,9 @@ func (e *engine) rearm(seed uint64) {
 		t.abort.Store(false)
 		for _, q := range t.queues {
 			q.Reset()
+		}
+		for len(t.wake) > 0 {
+			<-t.wake
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // TestFusedClaimForests pins the fused parent-CAS claim representation:
 // on disconnected and chain inputs (the shapes that exercise quiescence
 // seeding and the deepest dependency chains), both drivers must still
-// produce valid forests, the self-parent root sentinel must never leak
-// into the returned array, and each component gets exactly one root.
+// produce valid forests, neither the unclaimed sentinel nor a
+// self-parent may appear in the returned array, and each component
+// gets exactly one root.
 func TestFusedClaimForests(t *testing.T) {
 	inputs := []*graph.Graph{
 		gen.Chain(300),
@@ -42,8 +43,8 @@ func TestFusedClaimForests(t *testing.T) {
 				}
 				roots := 0
 				for w, pv := range parent {
-					if pv == graph.VID(w) {
-						t.Fatalf("%s %v %s chunk=%d: self-parent sentinel leaked at vertex %d", name, g, tag, v.chunk, w)
+					if pv == graph.VID(w) || pv == unclaimed {
+						t.Fatalf("%s %v %s chunk=%d: parent[%d] = %d leaked", name, g, tag, v.chunk, w, pv)
 					}
 					if pv == graph.None {
 						roots++

@@ -151,20 +151,10 @@ func (e *engine) runLockstep() ([]graph.VID, Stats, error) {
 		return e.stopOutcome(&stats)
 	}
 	e.recordSpan()
-	for _, t := range e.ts {
-		t.normalizeRoots()
-	}
-	if e.part != nil {
-		e.stitchShards(probe0, e.rec.Worker(0))
-	}
+	hooks := e.stitchShards(probe0, e.rec.Worker(0))
 	e.finishStats(&stats)
-	if e.ts[0].abort.Load() {
-		stats.FallbackTriggered = true
-		svStats, err := e.ts[0].fallback()
-		stats.SVStats = svStats
-		if err != nil {
-			return nil, stats, err
-		}
+	if err := e.settle(&stats, hooks); err != nil {
+		return nil, stats, err
 	}
 	return e.parent, stats, nil
 }

@@ -17,14 +17,35 @@ func TestObsTorusStealCounts(t *testing.T) {
 	g := gen.Torus2D(64, 64)
 	for name, run := range drivers() {
 		for _, p := range []int{4, 8} {
-			// The torus is well balanced, so whether a steal fires depends
-			// on the stub placement; scan a few seeds and require that the
-			// protocol engages at at least one of them.
 			var snap obs.Snapshot
 			var st Stats
+			// The torus is well balanced, so whether a steal fires depends
+			// on the stub placement. The deterministic lockstep driver
+			// scans a few seeds and requires the protocol to engage at
+			// one of them. The concurrent arm seeds only worker 0
+			// (NoStub) and holds it after its first drain until a thief
+			// has stolen, so its steal does not depend on the host
+			// running the whole team at once.
 			for seed := uint64(10); seed < 15; seed++ {
 				rec := obs.New(p)
-				parent, stats, err := run(g, Options{NumProcs: p, Seed: seed, Obs: rec})
+				o := Options{NumProcs: p, Seed: seed, Obs: rec}
+				if name == "concurrent" {
+					o.NoStub = true
+					calls := 0 // touched only by worker 0
+					o.testHook = func(tid int) {
+						if tid != 0 {
+							return
+						}
+						if calls++; calls == 2 { // the first call precedes the first drain
+							if msg := waitFor("steal from worker 0", func() bool {
+								return rec.Total(obs.StealSuccesses) > 0
+							}); msg != "" {
+								t.Error(msg)
+							}
+						}
+					}
+				}
+				parent, stats, err := run(g, o)
 				if err != nil {
 					t.Fatalf("%s p=%d: %v", name, p, err)
 				}

@@ -224,18 +224,17 @@ func TestPanicRecordedInObs(t *testing.T) {
 	}
 }
 
-// TestFallbackHandlesPartiallyWrittenParent is the regression test for
-// the fallback walk spinning forever on self-parent root sentinels: a
-// partially-written claim array (what an interrupted traversal leaves
-// behind, before normalizeRoots has run) must still resolve into a
-// valid forest when handed to the SV completion.
+// TestFallbackHandlesPartiallyWrittenParent hands the SV completion a
+// partially-written claim array — what an aborted traversal leaves
+// behind: a few claimed subtrees rooted at graph.None, every other
+// vertex still unclaimed. The fallback must terminate, resolve it into
+// a valid forest, and count that forest's roots itself.
 func TestFallbackHandlesPartiallyWrittenParent(t *testing.T) {
 	g := gen.RandomConnected(300, 600, 17)
 	tr, _ := newTeam(g, Options{NumProcs: 2, Seed: 1})
-	// Simulate the interrupted state: a handful of claimed subtrees whose
-	// roots still carry the parent[v] == v sentinel, everything else
-	// unclaimed. Claimed edges must be real graph edges so the final
-	// forest can verify.
+	// Simulate the interrupted state: a handful of claimed subtrees,
+	// everything else unclaimed. Claimed edges must be real graph edges
+	// so the final forest can verify.
 	for _, root := range []graph.VID{0, 50, 100} {
 		if !tr.claimSeq(root, graph.None) {
 			t.Fatalf("seed claim of %d failed", root)
@@ -256,8 +255,10 @@ func TestFallbackHandlesPartiallyWrittenParent(t *testing.T) {
 		}
 	}
 	done := make(chan error, 1)
+	var counted int
 	go func() {
-		_, err := tr.fallback()
+		var err error
+		_, counted, err = tr.fallback()
 		done <- err
 	}()
 	select {
@@ -266,9 +267,8 @@ func TestFallbackHandlesPartiallyWrittenParent(t *testing.T) {
 			t.Fatalf("fallback: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("fallback did not terminate on a sentinel-carrying parent array (walk loop regression)")
+		t.Fatal("fallback did not terminate on a partially-claimed parent array (walk loop regression)")
 	}
-	tr.normalizeRoots()
 	if err := verify.Forest(g, tr.parent); err != nil {
 		t.Fatalf("fallback produced an invalid forest: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestFallbackHandlesPartiallyWrittenParent(t *testing.T) {
 			roots++
 		}
 	}
-	if roots != 1 {
-		t.Fatalf("%d roots on a connected graph, want 1", roots)
+	if roots != 1 || counted != 1 {
+		t.Fatalf("%d roots (fallback counted %d) on a connected graph, want 1", roots, counted)
 	}
 }

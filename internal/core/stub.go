@@ -39,7 +39,7 @@ func stubSpanningTree(t *traversal, r *xrand.Rand, probe *smpmodel.Probe, stub [
 		}
 		next := graph.VID(nb[r.Intn(len(nb))])
 		probe.NonContig(2)
-		if atomic.LoadInt32(&t.parent[next]) == graph.None {
+		if atomic.LoadInt32(&t.parent[next]) == unclaimed {
 			t.claimSeq(next, cur)
 			stub = append(stub, next)
 		}

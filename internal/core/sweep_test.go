@@ -108,19 +108,19 @@ func TestSweepSpillsBigComponent(t *testing.T) {
 		if got := tr.cursor.Load(); got != int64(lo)+1 {
 			t.Fatalf("p=%d: cursor at %d, want %d (just past the torus root)", p, got, lo+1)
 		}
-		if tr.parent[lo] != graph.VID(lo) {
+		if tr.parent[lo] != graph.None {
 			t.Fatalf("p=%d: torus root %d not claimed as a root", p, lo)
 		}
 		roots, claimed := 0, 0
 		for v, pv := range tr.parent {
-			if pv == graph.None {
+			if pv == unclaimed {
 				if v < lo {
 					t.Fatalf("p=%d: vertex %d before the torus left uncovered", p, v)
 				}
 				continue
 			}
 			claimed++
-			if pv == graph.VID(v) {
+			if pv == graph.None {
 				roots++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"spantree/internal/barrier"
 	"spantree/internal/fault"
@@ -145,6 +146,10 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 			ws.out = make([]int32, 0, outCap)
 			ws.stealBuf = make([]int32, 0, stealCap)
 			ws.ow = w.slotOW[t.tidBase+tid]
+			// The park timer, created stopped so that no run ever
+			// allocates one.
+			ws.timer = time.NewTimer(time.Hour)
+			ws.timer.Stop()
 		}
 	}
 	w.seeds = make([]graph.VID, 0, o.StubSteps+1)
@@ -312,25 +317,10 @@ func (w *Workspace) Run(seed uint64) ([]graph.VID, *Stats, error) {
 	if e.cancel.Tripped() {
 		return w.stop()
 	}
-	for _, t := range e.ts {
-		t.normalizeRoots()
-	}
-	if e.part != nil {
-		e.stitchShards(nil, w.slotOW[0])
-	}
+	hooks := e.stitchShards(nil, w.slotOW[0])
 	e.finishStatsPooled(&w.stats, w.slotOW)
-
-	if e.ts[0].abort.Load() {
-		// Pathological case detected (single-team only: Shards > 1 rejects
-		// FallbackThreshold): finish with Shiloach-Vishkin. The fallback
-		// allocates — leaving the zero-alloc steady state is the right
-		// trade on an input that defeated the traversal.
-		w.stats.FallbackTriggered = true
-		svStats, err := e.ts[0].fallback()
-		w.stats.SVStats = svStats
-		if err != nil {
-			return nil, &w.stats, err
-		}
+	if err := e.settle(&w.stats, hooks); err != nil {
+		return nil, &w.stats, err
 	}
 	return e.parent, &w.stats, nil
 }
@@ -347,7 +337,9 @@ func (w *Workspace) stop() ([]graph.VID, *Stats, error) {
 	if e.cancel.Cause() == fault.CausePanicked {
 		w.stats.Panic = e.cancel.Panic()
 		w.stats.DegradedToSeq = true
-		return spanseq.BFS(e.g, nil), &w.stats, nil
+		parent := spanseq.BFS(e.g, nil)
+		w.stats.Roots = countRoots(parent)
+		return parent, &w.stats, nil
 	}
 	return nil, &w.stats, e.cancel.Err()
 }

@@ -77,7 +77,7 @@ const (
 	// quiescence protocol.
 	SeededComponents
 	// ChunkDrains counts owner-side chunked queue drains that obtained at
-	// least one vertex (one locked PopBatch each).
+	// least one vertex (one locked PopBatchLen each).
 	ChunkDrains
 	// DrainedVertices is the total vertices those drains obtained;
 	// DrainedVertices/ChunkDrains is the mean effective drain chunk.

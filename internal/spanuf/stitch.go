@@ -8,8 +8,8 @@ package spanuf
 // tree root turns the boundary list into a (multi)graph over component
 // roots; one hook sweep over it elects, per pair of components, exactly
 // one boundary edge to attach through — the same smaller-root election
-// the parallel sweep performs, run by the coordinator between the team
-// join and the final normalize.
+// the parallel sweep performs, run by the coordinator after the team
+// join.
 //
 // The coordinator runs the sweep sequentially (it is O(boundary) with
 // near-constant-time finds, a vanishing fraction of the traversal), but
@@ -45,9 +45,8 @@ func NewStitchScratch(n int) *StitchScratch {
 }
 
 // Stitch joins the per-shard forests recorded in parent through the
-// boundary edges. parent must hold completed shard forests with roots
-// already normalized to graph.None (the self-parent claim sentinel is
-// also tolerated, mirroring rerootAt). For every boundary edge whose
+// boundary edges. parent must hold completed shard forests with
+// graph.None at their roots. For every boundary edge whose
 // endpoints lie in different components, Stitch elects the edge via a
 // union-find hook and immediately invokes attach(u, v), which must
 // splice u's tree under v (the fallback's reroot-and-point idiom);
@@ -153,7 +152,7 @@ func (s *StitchScratch) label(parent []graph.VID, v graph.VID, probe *smpmodel.P
 	chases := int64(0)
 	for s.uf[r] == ufUnlabeled {
 		p := parent[r]
-		if p == graph.None || p == r {
+		if p == graph.None {
 			break
 		}
 		r = p

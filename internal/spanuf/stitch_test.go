@@ -129,7 +129,7 @@ func TestStitchRootedMatchesGeneral(t *testing.T) {
 			for _, sh := range part.Shards {
 				var queue []graph.VID
 				root := sh.Lo
-				parent[root] = root // the traversal's self-parent claim sentinel
+				parent[root] = root // marks the root visited until the BFS ends
 				queue = append(queue, root)
 				for len(queue) > 0 {
 					v := queue[0]

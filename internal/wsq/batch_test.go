@@ -10,32 +10,32 @@ import (
 
 func TestStealHalfPopBatchBasics(t *testing.T) {
 	q := NewStealHalf(4)
-	if n := q.PopBatch(make([]int32, 8)); n != 0 {
-		t.Fatalf("PopBatch on empty queue = %d, want 0", n)
+	if n, rem := q.PopBatchLen(make([]int32, 8)); n != 0 || rem != 0 {
+		t.Fatalf("PopBatchLen on empty queue = %d, %d, want 0, 0", n, rem)
 	}
 	q.PushBatch([]int32{1, 2, 3, 4, 5})
-	if n := q.PopBatch(nil); n != 0 {
-		t.Fatalf("PopBatch into empty dst = %d, want 0", n)
+	if n, rem := q.PopBatchLen(nil); n != 0 || rem != 5 {
+		t.Fatalf("PopBatchLen into empty dst = %d, %d, want 0, 5", n, rem)
 	}
 	dst := make([]int32, 3)
-	if n := q.PopBatch(dst); n != 3 || dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
-		t.Fatalf("PopBatch = %d %v, want 3 [1 2 3]", n, dst)
+	if n, rem := q.PopBatchLen(dst); n != 3 || rem != 2 || dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
+		t.Fatalf("PopBatchLen = %d, %d %v, want 3, 2 [1 2 3]", n, rem, dst)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Len after partial drain = %d, want 2", q.Len())
 	}
 	// Larger dst than queue: drains everything, reports the true count.
 	dst = make([]int32, 8)
-	if n := q.PopBatch(dst); n != 2 || dst[0] != 4 || dst[1] != 5 {
-		t.Fatalf("PopBatch = %d %v, want 2 [4 5 ...]", n, dst[:2])
+	if n, rem := q.PopBatchLen(dst); n != 2 || rem != 0 || dst[0] != 4 || dst[1] != 5 {
+		t.Fatalf("PopBatchLen = %d, %d %v, want 2, 0 [4 5 ...]", n, rem, dst[:2])
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len after full drain = %d, want 0", q.Len())
 	}
 }
 
-// TestStealHalfPopBatchStealStress: the chunked owner hot path (PopBatch
-// drains + PushBatch flushes + single pushes) interleaved with stealing
+// TestStealHalfPopBatchStealStress: the chunked owner hot path
+// (PopBatchLen drains + PushBatch flushes + single pushes) interleaved with stealing
 // thieves must consume every element exactly once. Run under -race this
 // is the data-race certificate for the batched operations.
 func TestStealHalfPopBatchStealStress(t *testing.T) {
@@ -73,8 +73,15 @@ func TestStealHalfPopBatchStealStress(t *testing.T) {
 				i++
 			}
 			if i%5 == 0 {
-				for _, v := range chunk[:q.PopBatch(chunk)] {
+				n, rem := q.PopBatchLen(chunk)
+				for _, v := range chunk[:n] {
 					consume(v)
+				}
+				// Only thieves race the owner, and they only shrink the
+				// queue, so the length read under the drain's lock bounds
+				// every later snapshot.
+				if l := q.Len(); rem < 0 || l > rem {
+					t.Errorf("PopBatchLen remaining %d, later Len %d", rem, l)
 				}
 			}
 		}
@@ -106,7 +113,8 @@ func TestStealHalfPopBatchStealStress(t *testing.T) {
 
 // TestQuickStealHalfBatchedModel model-checks the batched queue against
 // a reference slice queue over random op sequences: PushBatch appends a
-// run, PopBatch removes a prefix of the requested size, Steal removes
+// run, PopBatchLen removes a prefix of the requested size and reports
+// the length left, Steal removes
 // the front half, and the atomic Len mirror stays exact after every
 // (sequential) operation.
 func TestQuickStealHalfBatchedModel(t *testing.T) {
@@ -143,9 +151,9 @@ func TestQuickStealHalfBatchedModel(t *testing.T) {
 			case 3:
 				size := int(op/5)%9 + 1
 				dst := make([]int32, size)
-				got := q.PopBatch(dst)
+				got, rem := q.PopBatchLen(dst)
 				want := min(size, len(ref))
-				if got != want {
+				if got != want || rem != len(ref)-want {
 					return false
 				}
 				for i := 0; i < got; i++ {
@@ -183,7 +191,7 @@ func TestQuickStealHalfBatchedModel(t *testing.T) {
 
 // BenchmarkStealHalfOwnerPath compares the owner's per-vertex locked
 // path (one Pop + one Push per element) against the chunked path (one
-// PopBatch + one PushBatch per 64 elements) on an uncontended queue —
+// PopBatchLen + one PushBatch per 64 elements) on an uncontended queue —
 // the isolated cost of the lock traffic the chunked drain amortizes.
 func BenchmarkStealHalfOwnerPath(b *testing.B) {
 	const chunk = 64
@@ -207,7 +215,7 @@ func BenchmarkStealHalfOwnerPath(b *testing.B) {
 		buf := make([]int32, chunk)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i += chunk {
-			n := q.PopBatch(buf)
+			n, _ := q.PopBatchLen(buf)
 			q.PushBatch(buf[:n])
 		}
 	})

@@ -7,7 +7,7 @@
 // steals part of the queue." StealHalf implements exactly that: a FIFO
 // ring buffer (the BFS queue of Algorithm 1) whose owner pushes at the
 // back and pops at the front, and whose thieves remove half the queue in
-// one locked operation. The owner's hot path is chunked — PopBatch
+// one locked operation. The owner's hot path is chunked — PopBatchLen
 // drains up to a chunk per lock acquisition and PushBatch appends a
 // whole batch of children per lock acquisition — so the per-vertex
 // mutex traffic of a naive port amortizes to ~2 lock operations per
@@ -140,22 +140,17 @@ func (q *StealHalf) HighWater() int {
 	return q.high
 }
 
-// PopBatch removes up to len(dst) elements from the front of the queue
-// in one locked operation, copying them into dst and returning the
-// count (0 when the queue is empty or dst is empty). This is the
+// PopBatchLen removes up to len(dst) elements from the front of the
+// queue in one locked operation, copying them into dst, and returns the
+// count (0 when the queue is empty or dst is empty) plus the post-drain
+// queue length read under the same lock acquisition. This is the
 // owner's chunked drain: one lock acquisition amortizes over the whole
 // chunk, and the atomic size mirror is updated once, so Len stays exact
 // at chunk boundaries. Elements moved into dst are no longer visible to
-// thieves, exactly as if the owner had popped them one by one.
-func (q *StealHalf) PopBatch(dst []int32) int {
-	n, _ := q.PopBatchLen(dst)
-	return n
-}
-
-// PopBatchLen is PopBatch plus the post-drain queue length, read under
-// the same lock acquisition. The adaptive chunk controller sizes its
-// next drain from the remaining depth, and reading it here gives an
-// exact signal without a second synchronized probe of the size mirror.
+// thieves, exactly as if the owner had popped them one by one. The
+// adaptive chunk controller sizes its next drain from the remaining
+// depth, which this gives exactly, without a second synchronized probe
+// of the size mirror.
 func (q *StealHalf) PopBatchLen(dst []int32) (n, remaining int) {
 	if len(dst) == 0 {
 		return 0, q.Len()

@@ -211,12 +211,21 @@ func TestUnrepresentableGraphErrors(t *testing.T) {
 // by spantree.Verify.
 func TestPublicPanicDegradation(t *testing.T) {
 	g := gen.Random(2000, 4000, 8)
-	var hits atomic.Int64
+	// Worker 1 panics at its first chunk boundary. The other workers wait
+	// at theirs until it has, so the run cannot finish before worker 1
+	// is scheduled (the deadline turns a broken hook into a failure, not
+	// a hang).
+	var panicked atomic.Bool
+	deadline := time.Now().Add(10 * time.Second)
 	parent, stats, err := core.SpanningForest(g, core.WithTestHook(
 		core.Options{NumProcs: 4, Seed: 3},
 		func(tid int) {
-			if tid == 1 && hits.Add(1) == 2 {
+			if tid == 1 {
+				panicked.Store(true)
 				panic("public API probe")
+			}
+			for !panicked.Load() && time.Now().Before(deadline) {
+				runtime.Gosched()
 			}
 		}))
 	if err != nil {

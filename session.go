@@ -131,11 +131,7 @@ func (s *Session) run(seed uint64) (*Result, error) {
 	}
 	s.res.Parent, s.res.WorkStealing = parent, stats
 	s.res.Elapsed = time.Since(start)
-	for _, p := range parent {
-		if p == None {
-			s.res.Roots++
-		}
-	}
+	s.res.Roots = stats.Roots
 	s.res.TreeEdges = len(parent) - s.res.Roots
 	return &s.res, nil
 }
