@@ -589,6 +589,9 @@ type workerState struct {
 	// published and "all p asleep ⇒ visited is exact" holds by
 	// construction.
 	pend int64
+	// sink accumulates the values touch loads, so they are not dead
+	// loads; nothing reads it.
+	sink uint32
 	// timer times out this worker's idle parks. Created on the first
 	// park of a one-shot run, up front for a Workspace, and reused.
 	timer *time.Timer
@@ -686,6 +689,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			ws.lc.Add(obs.DrainedVertices, int64(nPop))
 			ws.lc.Incr(obs.DrainHistBucket(nPop))
 			ws.out = ws.out[:0]
+			ws.sink += t.touch(ws.chunk[:nPop])
 			for _, v := range ws.chunk[:nPop] {
 				t.process(tid, graph.VID(v), ws.probe, &ws.out, &ws.lc, &ws.pend)
 			}
@@ -759,6 +763,29 @@ func (t *traversal) wakeIfStealable(depth int) {
 	if depth >= t.minSteal && !t.o.NoSteal && t.sleepers.Load() > 0 {
 		t.wakeOne()
 	}
+}
+
+// touch loads each drained vertex's adjacency offset and the first slot
+// of its neighbor list, and returns their sum for the caller's sink so
+// the compiler keeps the loads. They are plain loads, so a chunk's
+// offset and adjacency misses overlap one another instead of queueing
+// behind each vertex's claim CASes (a locked CAS lets no later load pass
+// it); process then finds both lines in cache. The model charges
+// nothing here: process charges these accesses, and a cache hint has no
+// term in the Helman-JáJá model. The touch stops at the adjacency
+// heads: touching parent entries as well lost on the torus (DESIGN.md
+// §8, "The touch pass"). A degree-0 vertex at the end of the arena has
+// an offset one past the end of Adj, hence the guard.
+func (t *traversal) touch(chunk []int32) uint32 {
+	offs, adj := t.cg.Offs, t.cg.Adj
+	var sum uint32
+	for _, v := range chunk {
+		o := offs[graph.VID(v)-t.lo]
+		if o < uint32(len(adj)) {
+			sum += adj[o]
+		}
+	}
+	return sum
 }
 
 // process scans v's neighbors, claiming the unvisited ones (Algorithm 1,
@@ -1026,7 +1053,8 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 // frontier goes onto the leader's queue in one PushBatch, the sweep
 // ends, and the team steals it; the next root waits for the next
 // quiescence. The leader owns the cursor for the whole sweep — one
-// load, a local scan, one store. Every DefaultChunkSize steps (cursor
+// load, a local scan, one store; runs of claimed positions are skipped
+// in a tight inner loop. Every DefaultChunkSize steps (cursor
 // positions plus processed vertices) it polls for a stop, runs the test
 // hook and the drain chaos point, and beats the watchdog: cancel latency
 // stays at one chunk, a long sweep does not read as a stall, and the SV
@@ -1071,10 +1099,24 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 		if i >= n {
 			break
 		}
-		v := t.lo + graph.VID(i)
-		i++
-		ws.probe.NonContig(1) // cursor inspection of parent[v]
-		if atomic.LoadInt32(&t.parent[v]) != unclaimed || !t.claim(v, graph.None) {
+		// Skip claimed positions in a tight loop. Each position is one
+		// step, so the scan stops where the next poll is due; the for
+		// statement's steps++ counts the last position inspected.
+		j, end := i, min(n, i+int64(DefaultChunkSize-steps))
+		for j < end && atomic.LoadInt32(&t.parent[t.lo+graph.VID(j)]) != unclaimed {
+			j++
+		}
+		if j == end {
+			ws.probe.NonContig(j - i) // cursor inspections of parent[]
+			steps += int(j-i) - 1
+			i = j
+			continue
+		}
+		ws.probe.NonContig(j - i + 1)
+		steps += int(j - i)
+		v := t.lo + graph.VID(j)
+		i = j + 1
+		if !t.claim(v, graph.None) {
 			continue
 		}
 		ws.pend++

@@ -43,6 +43,9 @@ func shapes() []*graph.Graph {
 		graph.Union(gen.Chain(10), gen.Star(8), gen.Cycle(7), gen.Random(30, 45, 5)),
 		graph.RandomRelabel(gen.Torus2D(8, 8), 6),
 		gen.BinaryTree(63), gen.Caterpillar(41),
+		// Edgeless: every drained stub seed has its offset at the end of
+		// the empty adjacency arena, which the drain loop's touch skips.
+		gen.Random(8, 0, 1),
 	}
 }
 
@@ -71,8 +74,40 @@ func TestBothDriversAllShapes(t *testing.T) {
 				if g.NumVertices() > 0 && st.StubSize == 0 {
 					t.Fatalf("%s %v: empty stub", name, g)
 				}
+				// A worker panic degrades to the sequential BFS, whose
+				// forest would pass the checks above.
+				if st.Panic != nil {
+					t.Fatalf("%s %v p=%d: worker panicked: %v", name, g, p, st.Panic)
+				}
 			}
 		}
+	}
+}
+
+// TestTouchEndOfArena pins the drain loop's touch guard: a degree-0
+// vertex at the end of a CSR32 arena has its offset one past the end of
+// Adj. The edgeless shape covers the single team in
+// TestBothDriversAllShapes; here it runs through 4 shard teams, whose
+// offsets are indexed by local id, and on a non-empty arena only the
+// isolated last vertex lies past the end.
+func TestTouchEndOfArena(t *testing.T) {
+	g := gen.Random(8, 0, 1)
+	parent, st, err := SpanningForest(g, Options{NumProcs: 4, Seed: 5, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Panic != nil {
+		t.Fatalf("worker panicked: %v", st.Panic)
+	}
+	if err := verify.Forest(g, parent); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newTeam(graph.Union(gen.Cycle(5), gen.Chain(1)), Options{NumProcs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.touch([]int32{0, 5}); got != tr.cg.Adj[0] {
+		t.Fatalf("touch = %d, want the first adjacency slot %d", got, tr.cg.Adj[0])
 	}
 }
 

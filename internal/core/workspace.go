@@ -242,6 +242,20 @@ func (w *Workspace) Graph() *graph.Graph { return w.e.g }
 // worker panic degrades to the sequential BFS. In every case the
 // workspace remains reusable.
 func (w *Workspace) Run(seed uint64) ([]graph.VID, *Stats, error) {
+	return w.run(seed, true)
+}
+
+// Warmup is Run with the stall watchdog disarmed. Warmups are throwaway
+// construction runs that absorb one-time costs, so the stall budget,
+// which is sized for served runs, does not judge them; cancellation and
+// panic isolation still apply. Only the error is returned.
+func (w *Workspace) Warmup(seed uint64) error {
+	_, _, err := w.run(seed, false)
+	return err
+}
+
+// run executes one pooled run, arming the watchdog when watch is set.
+func (w *Workspace) run(seed uint64, watch bool) ([]graph.VID, *Stats, error) {
 	if w.closed {
 		return nil, nil, ErrWorkspaceClosed
 	}
@@ -293,9 +307,10 @@ func (w *Workspace) Run(seed uint64) ([]graph.VID, *Stats, error) {
 	// them in exactly the state the next Run's wakes expect. The parked
 	// watchdog rearms here and disarms synchronously on every exit path,
 	// so the next Run's flag Reset can never race a late stall trip;
-	// Arm/Disarm exchange a value on a preallocated channel, keeping the
-	// steady state allocation-free.
-	if e.wd != nil {
+	// Arm/Disarm only write the armed run under the watchdog's mutex, so
+	// the steady state stays allocation-free and sends the monitor
+	// nothing.
+	if watch && e.wd != nil {
 		e.wd.Arm(e.cancel, e.o.StallBudget)
 		defer e.wd.Disarm()
 	}

@@ -226,3 +226,35 @@ func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWorkspaceRun times a warmed pooled Run at p = 2: the drain
+// loop's wall-clock cost, measured without the bench/ harness. random is
+// the Fig. 3 input G(n, 1.5n) at 2^18 vertices, memory-bound with many
+// components; torus is a 512 x 512 mesh.
+func BenchmarkWorkspaceRun(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mk   func() *graph.Graph
+	}{
+		{"random", func() *graph.Graph { return gen.Random(1<<18, 3<<17, 1) }},
+		{"torus", func() *graph.Graph { return gen.Torus2D(512, 512) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w, err := NewWorkspace(c.mk(), Options{NumProcs: 2}, WorkspaceOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			if _, _, err := w.Run(0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.Run(uint64(i) + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -193,47 +194,62 @@ func (f *Flag) Err() error {
 
 // Watch trips f when ctx is done, translating ctx.Err() into
 // CauseCanceled or CauseDeadline. It returns a stop function that must
-// be called (typically deferred) to release the watcher goroutine; stop
-// is idempotent and returns only once the watcher has finished, so no
-// trip can land after it — a caller may Reset f and start the next run
-// right away. When ctx can never be canceled (context.Background()), no
-// goroutine is spawned and stop is a no-op.
+// be called (typically deferred) to release the watch; stop is
+// idempotent and returns only once no trip can land, so a caller may
+// Reset f and start the next run right away. The trip is registered
+// with context.AfterFunc, which on contexts from WithCancel, WithTimeout
+// and WithDeadline runs no goroutine until ctx is done. Only a context
+// that is already done when Watch is called gets a goroutine of its
+// own, so that Watch itself never waits on ctx.Err. When ctx can never
+// be canceled (context.Background()), nothing is registered and stop
+// is a no-op.
 func Watch(ctx context.Context, f *Flag) (stop func()) {
 	done := ctx.Done()
 	if done == nil || f == nil {
 		return func() {}
 	}
-	quit := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-done:
-			// A stop() that happened before the cancellation must win even
-			// when both channels are ready at once: re-check quit so a
-			// released watcher never trips the flag late.
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			f.Trip(causeOf(ctx.Err()))
-		case <-quit:
-		}
-	}()
-	var once atomic.Bool
-	return func() {
-		if once.CompareAndSwap(false, true) {
-			close(quit)
-			<-exited
-		}
+	w := &watch{ctx: ctx, f: f}
+	select {
+	case <-done:
+		go w.trip()
+	default:
+		w.release = context.AfterFunc(ctx, w.trip)
+	}
+	return w.stop
+}
+
+// watch is one Watch registration. mu orders the trip against stop: a
+// trip that starts after stop finds stopped set, and stop waits out a
+// trip already under way.
+type watch struct {
+	ctx     context.Context
+	f       *Flag
+	release func() bool // the AfterFunc deregistration; nil for a done ctx
+	mu      sync.Mutex
+	stopped bool
+}
+
+func (w *watch) trip() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.stopped {
+		w.f.Trip(causeOf(w.ctx.Err()))
+	}
+}
+
+func (w *watch) stop() {
+	w.mu.Lock()
+	w.stopped = true
+	w.mu.Unlock()
+	if w.release != nil {
+		w.release()
 	}
 }
 
 // TripContext trips f from a context error (ctx.Err()), translating it
 // into CauseCanceled or CauseDeadline. A nil err is a no-op, so callers
 // can feed ctx.Err() unconditionally for a synchronous already-expired
-// check that doesn't race the Watch goroutine.
+// check that doesn't race the watch's own trip.
 func (f *Flag) TripContext(err error) bool {
 	if err == nil {
 		return false

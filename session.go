@@ -41,7 +41,8 @@ type SessionOptions struct {
 	// Warmups is the number of throwaway runs executed at construction
 	// to absorb one-time costs (per-goroutine sleep timers, buffer
 	// growth on non-provisioned paths) so the first real request already
-	// runs allocation-free. 0 means 2.
+	// runs allocation-free. They run with the stall watchdog disarmed.
+	// 0 means 2.
 	Warmups int
 	// StallBudget, if > 0, arms the stuck-run watchdog exactly as in
 	// core.Options.StallBudget: a run in which no worker advances for a
@@ -112,8 +113,10 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{w: w}
+	// Warmups run with the stall watchdog disarmed: they are construction
+	// runs, not requests the budget is sized for.
 	for i := 0; i < o.Warmups; i++ {
-		if _, err := s.run(uint64(i) + 1); err != nil {
+		if err := w.Warmup(uint64(i) + 1); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("spantree: session warmup: %w", err)
 		}
@@ -143,7 +146,7 @@ func (s *Session) NumProcs() int { return s.w.NumProcs() }
 func (s *Session) Graph() *Graph { return s.w.Graph() }
 
 // Find is FindContext with a background context (the allocation-free
-// fast path: no watcher goroutine is spawned).
+// fast path: no watch is registered).
 func (s *Session) Find(seed uint64) (*Result, error) {
 	return s.FindContext(context.Background(), seed)
 }

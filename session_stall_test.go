@@ -74,3 +74,39 @@ func TestSessionStalledThenReuse(t *testing.T) {
 	// count settles back to the pre-trip level.
 	waitNumGoroutine(t, base)
 }
+
+// TestSessionWarmupIgnoresStallBudget: warmups are construction runs, so
+// the stall budget does not judge them, while a real request under the
+// same stall still returns ErrStalled. On K8 at p = 1 a run has one
+// chunk boundary (its first drain claims the whole graph), and the hook
+// holds it far past the budget: for a fixed time while the session is
+// being built, and until the run's flag trips once the session exists.
+func TestSessionWarmupIgnoresStallBudget(t *testing.T) {
+	const budget = 10 * time.Millisecond
+	var flag atomic.Pointer[fault.Flag]
+	hook := func(int) {
+		hold := time.Now().Add(20 * budget)
+		if f := flag.Load(); f != nil {
+			hold = time.Now().Add(5 * time.Second)
+			for !f.Tripped() && time.Now().Before(hold) {
+				time.Sleep(200 * time.Microsecond)
+			}
+			return
+		}
+		time.Sleep(time.Until(hold))
+	}
+	s, err := NewSession(gen.Complete(8), SessionOptions{
+		NumProcs:    1,
+		Warmups:     1,
+		StallBudget: budget,
+		testHook:    hook,
+	})
+	if err != nil {
+		t.Fatalf("NewSession under a held first chunk: %v", err)
+	}
+	defer s.Close()
+	flag.Store(s.w.Flag())
+	if _, err := s.FindContext(context.Background(), 3); !errors.Is(err, ErrStalled) {
+		t.Fatalf("held run: err = %v, want ErrStalled", err)
+	}
+}
