@@ -30,7 +30,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		chunk    = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk; 0 keeps the adaptive controller")
 		chunkPol = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
-		shards   = fs.Int("shards", 0, "shard count for the work-stealing runs: 0 or 1 = single team (the shard ablation pins its own)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
 		traceCap = fs.Int("tracecap", 1<<14, "per-run event ring-buffer capacity for -trace")
@@ -58,7 +57,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		Verify:      true,
 		ChunkPolicy: policy,
 		ChunkSize:   *chunk,
-		Shards:      *shards,
 	}
 	switch *algName {
 	case "workstealing":

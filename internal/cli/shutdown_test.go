@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spantree/internal/leakcheck"
 	"spantree/internal/serve"
 )
 
@@ -87,13 +88,7 @@ func TestSpanTreeDShutdownUnderLoadGoroutineFlat(t *testing.T) {
 	wg.Wait()
 	client.CloseIdleConnections()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > base+2 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > base+2 {
-		t.Fatalf("goroutines leaked across shutdown under load: %d -> %d", base, after)
-	}
+	leakcheck.Settle(t, base+2)
 }
 
 // TestSpanTreeDJournalRestart: a daemon booted with -journal restores

@@ -41,7 +41,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		deg2      = fs.Bool("deg2", false, "enable degree-2 elimination preprocessing")
 		chunk     = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk (1 = unbatched); 0 keeps the adaptive controller (where it caps growth)")
 		chunkPol  = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
-		shards    = fs.Int("shards", 0, "shard count for the work-stealing algorithm: partition the CSR into contiguous vertex ranges, run one team per shard, stitch the forests (0 or 1 = single team; requires -fallback 0 when > 1)")
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
 		model     = fs.Bool("model", false, "report Helman-JáJá modeled cost (E4500 profile)")
 		noverify  = fs.Bool("noverify", false, "skip result verification")
@@ -105,7 +104,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			FallbackThreshold: *fallback,
 			ChunkPolicy:       policy,
 			ChunkSize:         *chunk,
-			Shards:            *shards,
 			Verify:            !*noverify,
 			ValidateInput:     *validate,
 			ChaosSeed:         *chaosSeed,
@@ -174,7 +172,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			"p":           fmt.Sprint(*procs),
 			"seed":        fmt.Sprint(*seed),
 			"chunkpolicy": policy.String(),
-			"shards":      fmt.Sprint(max(1, *shards)),
 		}
 		rep := rec.NewReport(label, meta)
 		rep.ElapsedNS = recElapsed.Nanoseconds()

@@ -82,7 +82,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")
 		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default)")
-		shards   = fs.Int("shards", 0, "shard policy for pooled work-stealing sessions: 0 picks per graph (one shard per 256Ki vertices, capped at 8), a positive count forces it (1 = single team)")
 		stall    = fs.Duration("stall-budget", 0, "stuck-run watchdog: abort a run in which no worker advances for this long with a typed 503 (0 disables)")
 		journal  = fs.String("journal", "", "crash-safe registry journal file: replayed on boot, fsynced on every graph mutation (empty disables)")
 		coolDown = fs.Duration("cool-down", 0, "degradation ladder cool-down before a degraded graph climbs back a rung (0 = 30s)")
@@ -103,7 +102,6 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		MaxVertices: *maxVerts,
 		MaxTimeout:  *timeout,
 		Warmups:     *warmups,
-		Shards:      *shards,
 		StallBudget: *stall,
 		CoolDown:    *coolDown,
 		ChaosSeed:   *chaosS,

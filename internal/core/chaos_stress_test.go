@@ -13,6 +13,7 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/leakcheck"
 	"spantree/internal/verify"
 )
 
@@ -80,19 +81,6 @@ func runStress(t *testing.T, name string, run func(*graph.Graph, Options) ([]gra
 func TestChaosStressConcurrent(t *testing.T) { runStress(t, "concurrent", SpanningForest) }
 func TestChaosStressLockstep(t *testing.T)   { runStress(t, "lockstep", LockstepForest) }
 
-// TestChaosStressSharded drives the sharded engine — shard teams in
-// both wave regimes, the quiescence reseed path, and the stitch phase —
-// through the same >= 50 seeded perturbation schedules. The shard count
-// varies with the seed so the sweep crosses S <= p and S > p, shard
-// counts that fragment the disconnected graph, and counts that do not
-// divide n.
-func TestChaosStressSharded(t *testing.T) {
-	runStress(t, "sharded", func(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-		o.Shards = 2 + int(o.Seed%6)
-		return SpanningForest(g, o)
-	})
-}
-
 // TestChaosAimedPanicStillYieldsValidTree fires an InjectedPanic at a
 // chosen chaos point of a chosen worker and checks the graceful
 // degradation: a valid forest plus the structured PanicError in Stats.
@@ -147,7 +135,7 @@ func TestChaosAimedPanicStillYieldsValidTree(t *testing.T) {
 			if roots != wantComps {
 				t.Fatalf("%s point=%v: %d roots, want %d", name, pt, roots, wantComps)
 			}
-			waitGoroutines(t, before)
+			leakcheck.Settle(t, before)
 		}
 	}
 }
@@ -178,7 +166,7 @@ func TestChaosWithCancellation(t *testing.T) {
 			if parent != nil {
 				t.Fatalf("%s seed=%d: canceled run returned a parent array", name, seed)
 			}
-			waitGoroutines(t, before)
+			leakcheck.Settle(t, before)
 		}
 	}
 }

@@ -42,11 +42,9 @@
 // paper's multiply-colored-vertex events surface here as failed claim
 // CASes, which Stats counts.
 //
-// Every team reads its graph through a compact graph.CSR32 view: 4-byte
-// offsets where the graph.Graph it mirrors has 8-byte ones (the
-// adjacency stream is 4 bytes wide in both), in one allocation. The
-// single team reads the whole graph's mirror, a shard team (engine.go)
-// its shard's intra-shard view.
+// The team reads its graph through the compact graph.CSR32 mirror:
+// 4-byte offsets where the graph.Graph it mirrors has 8-byte ones (the
+// adjacency stream is 4 bytes wide in both), in one allocation.
 //
 // The traversal hot path is batched: the owner drains its queue in
 // chunks per lock acquisition, accumulates newly claimed children in a
@@ -126,20 +124,6 @@ type Options struct {
 	// sched.ChunkAdaptive it caps the controller's growth (<= 0 means
 	// sched.AdaptiveMaxChunk).
 	ChunkSize int
-
-	// Shards partitions the execution: the vertex range is split into
-	// this many contiguous shards (graph.PartitionCSR, with the
-	// generator-aware cut policy picked from the graph's name), each
-	// traversed by its own team of workers over a compact per-shard CSR32
-	// view, and the per-shard forests are joined through the partition's
-	// boundary edges by a union-find stitch pass (spanuf.Stitch). 0 or 1
-	// runs the single-team path — the shards=1 special case of the same
-	// engine. NumProcs is the TOTAL worker budget: with Shards <= NumProcs
-	// the teams split it, with Shards > NumProcs single-worker teams run
-	// in sequential waves of NumProcs. Shards > 1 requires
-	// FallbackThreshold == 0 (the stitch pass needs completed shard
-	// forests; the SV fallback escape hatch is a single-team remedy).
-	Shards int
 
 	// Deg2Eliminate enables the degree-2 vertex elimination preprocessing
 	// step described at the end of the paper's Section 2.
@@ -229,9 +213,8 @@ const yieldEvery = 1024
 // unclaimed marks a vertex no processor has claimed yet. It is distinct
 // from graph.None, which a root is claimed as, so a completed traversal
 // needs no pass to turn root sentinels into the public representation.
-// It never leaves the core: a finished team has claimed every vertex of
-// its range, and the SV fallback resolves the leftovers of an aborted
-// one.
+// It never leaves the core: a finished traversal has claimed every
+// vertex, and the SV fallback resolves the leftovers of an aborted one.
 const unclaimed = graph.None - 1
 
 // Stats reports what a run did.
@@ -250,9 +233,9 @@ type Stats struct {
 	ChunkShrink int64
 	// Roots is the number of roots of the returned forest, one per
 	// connected component. The core counts it as the run goes rather
-	// than by scanning the forest: one root per team, one per component
-	// a quiescence sweep seeded, minus one per stitch hook; the SV
-	// fallback and the sequential degradation count their own.
+	// than by scanning the forest: the stub's root plus one per
+	// component a quiescence sweep seeded; the SV fallback and the
+	// sequential degradation count their own.
 	Roots int
 	// FailedClaims counts CAS losses: a processor saw a vertex unvisited
 	// but another processor claimed it first — the paper's
@@ -318,6 +301,12 @@ func (s *Stats) MaxLoadImbalance() float64 {
 // array (parent[v] == graph.None marks each component's root) plus run
 // statistics.
 func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
+	return oneShot(g, opt, run)
+}
+
+// oneShot validates opt and runs drive, the concurrent or the lockstep
+// driver, on g or on its degree-2 reduction.
+func oneShot(g *graph.Graph, opt Options, drive func(*graph.Graph, Options) ([]graph.VID, Stats, error)) ([]graph.VID, Stats, error) {
 	if opt.NumProcs < 1 {
 		return nil, Stats{}, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
 	}
@@ -325,21 +314,17 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("core: Obs has %d worker slots, need >= %d",
 			opt.Obs.NumWorkers(), opt.NumProcs)
 	}
-	if opt.Shards > 1 && opt.FallbackThreshold > 0 {
-		return nil, Stats{}, errShardsFallback
-	}
 	o := opt.withDefaults()
-
 	if o.Deg2Eliminate {
-		return runWithDeg2(g, o)
+		return runWithDeg2(g, o, drive)
 	}
-	return run(g, o)
+	return drive(g, o)
 }
 
-// runWithDeg2 reduces the graph, solves the reduced instance, and
-// expands the forest back, charging the (parallelizable, but here
-// sequential) reduction to processor 0.
-func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
+// runWithDeg2 reduces the graph, solves the reduced instance with
+// drive, and expands the forest back, charging the (parallelizable, but
+// here sequential) reduction to processor 0.
+func runWithDeg2(g *graph.Graph, o Options, drive func(*graph.Graph, Options) ([]graph.VID, Stats, error)) ([]graph.VID, Stats, error) {
 	red := graph.EliminateDegree2(g)
 	probe0 := o.Model.Probe(0)
 	// The reduction scans every vertex and edge once.
@@ -347,7 +332,7 @@ func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 	probe0.Contig(int64(len(g.Adj)))
 	inner := o
 	inner.Deg2Eliminate = false
-	redParent, stats, err := run(red.Reduced, inner)
+	redParent, stats, err := drive(red.Reduced, inner)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -360,29 +345,17 @@ func runWithDeg2(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 	return parent, stats, nil
 }
 
-// traversal holds the shared state of the work-stealing phase of one
-// team. A single-team run has one traversal covering the whole graph; a
-// sharded run (engine.go) has one per shard, all writing into the same
-// shared parent array over disjoint vertex ranges. Both are built by
-// engine.newShardTraversal.
+// traversal holds the state of one run: the graph and its compact
+// mirror, the shared parent array, the team's queues and protocol
+// state, and the observability and fault plumbing. Every driver runs
+// one traversal over the whole graph (newTraversal in driver.go).
 type traversal struct {
-	// cg is the team's compact view: the whole graph's CSR32 mirror for a
-	// single team, the shard's intra-shard view otherwise. Offsets are
-	// indexed by the local id v-lo, adjacency ids are global.
+	// g is the graph; the SV fallback grafts over it. cg is its compact
+	// mirror, the only CSR the traversal reads.
+	g  *graph.Graph
 	cg *graph.CSR32
-	// g is the whole graph, set only for the single team: the SV
-	// fallback grafts over it.
-	g *graph.Graph
-	o Options
-	n int
-	// lo is the first vertex of this traversal's range [lo, lo+n): 0 for
-	// a whole-graph traversal, the shard's lower bound for a shard team.
-	// parent and span are indexed by GLOBAL vertex id throughout.
-	lo graph.VID
-	// tidBase maps this team's local worker ids onto the run's global
-	// processor slots: local tid uses recorder slot and model processor
-	// tidBase+tid. 0 for a whole-graph traversal.
-	tidBase int
+	o  Options
+	n  int
 	// parent is the fused claim array: unclaimed means no processor has
 	// claimed the vertex, graph.None a claimed root, any other value the
 	// claimed parent. Fusing claim state into the parent array halves
@@ -429,12 +402,12 @@ type traversal struct {
 	wake        chan struct{}
 	parkTimeout time.Duration
 
-	// cancel is the run's stop flag (never nil: newEngine substitutes a
-	// private flag when the caller passed none, so panic isolation
+	// cancel is the run's stop flag (never nil: newTraversal substitutes
+	// a private flag when the caller passed none, so panic isolation
 	// always has somewhere to record its cause). inj is the chaos fault
-	// injector (nil injects nothing). wd is the engine's stuck-run
-	// watchdog (nil unless Options.StallBudget > 0); workers beat their
-	// global slot tidBase+tid whenever they advance.
+	// injector (nil injects nothing). wd is the stuck-run watchdog (nil
+	// unless Options.StallBudget > 0); workers beat their slot whenever
+	// they advance.
 	cancel *fault.Flag
 	inj    *chaos.Injector
 	wd     *fault.Watchdog
@@ -445,30 +418,18 @@ type traversal struct {
 	// rec is the unified observability layer: all run statistics —
 	// per-worker work counts, steal traffic, failed claims, seeded
 	// components — live in its padded per-worker slots, and Stats is
-	// derived from its snapshot after the run.
+	// derived from its totals after the run. ows caches one handle per
+	// worker: Recorder.Worker escapes its handle to the heap on every
+	// call, so the handles are resolved once, at construction, and
+	// shared by the worker states and the stats derivation.
 	rec *obs.Recorder
-}
+	ows []*obs.Worker
 
-// initQueues builds the team's work queues. mk, when non-nil, supplies
-// externally pooled queues (the Workspace path, one call per worker in
-// shard-major tid order, handed the team range's vertex count);
-// otherwise one-shot queues sized for the team's share of its range are
-// allocated.
-func (t *traversal) initQueues(mk func(n int) *wsq.StealHalf) {
-	if mk != nil {
-		for i := range t.queues {
-			t.queues[i] = mk(t.n)
-		}
-		return
-	}
-	initCap := t.n/t.o.NumProcs + 16
-	for i := range t.queues {
-		q := wsq.NewStealHalf(min(initCap, 1<<16))
-		// Queue high-water accounting costs a check on every push, so it
-		// runs only when the caller asked to observe the run.
-		q.TrackHighWater(t.o.Obs != nil)
-		t.queues[i] = q
-	}
+	// stubRand and seeds are the stub step's RNG and seed buffer
+	// (capacity StubSteps+1, the walk's maximum yield), reused across
+	// pooled runs.
+	stubRand xrand.Rand
+	seeds    []graph.VID
 }
 
 // claim attempts to acquire w with parent p (graph.None for a root) by a
@@ -489,16 +450,15 @@ func (t *traversal) claimSeq(w, p graph.VID) bool {
 	return true
 }
 
-// run executes both steps of the algorithm on g through the engine
-// layer: a single-team run is the shards=1 special case of the same
-// code path (see engine.go).
+// run executes both steps of the algorithm on g with concurrent
+// workers (see driver.go).
 func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-	e, err := newEngine(g, o, nil)
+	t, err := newTraversal(g, o, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer e.wd.Close() // one-shot engine: the run owns the watchdog
-	return e.run()
+	defer t.wd.Close() // one-shot run: the run owns the watchdog
+	return t.run()
 }
 
 // recoverWorker records an isolated worker panic: per-worker counter and
@@ -506,11 +466,11 @@ func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 // the recorder's single-writer contract), then the run flag trips with
 // the structured PanicError so the teammates drain at their next poll.
 func (t *traversal) recoverWorker(tid int, r any) {
-	ow := t.rec.Worker(t.tidBase + tid)
+	ow := t.ows[tid]
 	ow.Incr(obs.PanicsRecovered)
 	ow.Trace(obs.EvPanic, 0, 0)
 	t.cancel.TripPanic(&fault.PanicError{
-		Worker: t.tidBase + tid, Value: r, Stack: debug.Stack(),
+		Worker: tid, Value: r, Stack: debug.Stack(),
 	})
 	t.wakeAll()
 }
@@ -568,8 +528,7 @@ type workerState struct {
 	r     xrand.Rand       // per-stream RNG, reseeded per run
 	ctrl  sched.Controller // drain-chunk controller, rebuilt per run
 	probe *smpmodel.Probe
-	// ow is cached because Recorder.Worker escapes its handle to the heap
-	// at every call; one handle per worker lives as long as the recorder.
+	// ow is the traversal's cached recorder handle for this worker.
 	ow *obs.Worker
 	// Hot-path counters batch into lc and flush at chunk boundaries;
 	// per-vertex atomic stores would put a fence (XCHG) on the claim loop.
@@ -601,8 +560,8 @@ type workerState struct {
 // controller is rebuilt from the run options, buffers are grown only
 // when too small for the controller's cap, the RNG is reseeded to the
 // exact stream a fresh xrand.New(seed).Split(tid+1) would produce, and
-// the counter batch is zeroed. The cached recorder handle survives
-// because a pooled traversal keeps one Recorder for its whole life.
+// the counter batch is zeroed. The recorder handle is the traversal's
+// cached one, which lives as long as the recorder.
 func (t *traversal) resetWorkerState(tid int, ws *workerState) {
 	ws.ctrl = sched.NewController(t.o.ChunkPolicy, t.o.ChunkSize)
 	if cap(ws.chunk) < ws.ctrl.Max() {
@@ -619,11 +578,9 @@ func (t *traversal) resetWorkerState(tid int, ws *workerState) {
 	ws.stealBuf = ws.stealBuf[:0]
 	var base xrand.Rand
 	base.Reseed(t.o.Seed)
-	ws.r.ReseedSplit(&base, uint64(t.tidBase+tid)+1)
-	ws.probe = t.o.Model.Probe(t.tidBase + tid)
-	if ws.ow == nil {
-		ws.ow = t.rec.Worker(t.tidBase + tid)
-	}
+	ws.r.ReseedSplit(&base, uint64(tid)+1)
+	ws.probe = t.o.Model.Probe(tid)
+	ws.ow = t.ows[tid]
 	ws.lc = obs.Local{}
 	ws.pend = 0
 }
@@ -677,13 +634,13 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		if h := t.o.testHook; h != nil {
 			h(tid)
 		}
-		t.inj.Visit(t.tidBase+tid, chaos.PointDrain)
+		t.inj.Visit(tid, chaos.PointDrain)
 		nPop, qrem := myQ.PopBatchLen(ws.chunk[:ws.ctrl.Chunk()])
 		if nPop > 0 {
 			// The progress heartbeat rides the chunk boundary the loop
 			// already pays for, and only fires when the drain obtained
 			// work — a team spinning idle reads as stalled.
-			t.wd.Beat(t.tidBase + tid)
+			t.wd.Beat(tid)
 			ws.probe.NonContig(2) // one locked chunk dequeue
 			ws.lc.Incr(obs.ChunkDrains)
 			ws.lc.Add(obs.DrainedVertices, int64(nPop))
@@ -730,7 +687,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		}
 		if !t.o.NoSteal {
 			if w, ok := t.trySteal(tid, &ws.r, myQ, &ws.stealBuf, ws.probe, ws.ow); ok {
-				t.wd.Beat(t.tidBase + tid)
+				t.wd.Beat(tid)
 				// Process one stolen vertex immediately: a thief that only
 				// re-queued its loot could lose it to another thief before
 				// ever popping, livelocking a one-element frontier.
@@ -780,7 +737,7 @@ func (t *traversal) touch(chunk []int32) uint32 {
 	offs, adj := t.cg.Offs, t.cg.Adj
 	var sum uint32
 	for _, v := range chunk {
-		o := offs[graph.VID(v)-t.lo]
+		o := offs[v]
 		if o < uint32(len(adj)) {
 			sum += adj[o]
 		}
@@ -796,13 +753,12 @@ func (t *traversal) touch(chunk []int32) uint32 {
 // deterministic stand-in for a CAS retry storm.
 func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 	out *[]int32, lc *obs.Local, pend *int64) {
-	t.inj.Visit(t.tidBase+tid, chaos.PointClaim)
+	t.inj.Visit(tid, chaos.PointClaim)
 	lc.Incr(obs.VerticesClaimed)
-	// The offsets are indexed by local id (v - lo, a no-op for the
-	// single team); the adjacency ids are global. The 4-byte offset load
-	// is charged at the compact rate; the adjacency stream is charged as
-	// plain Contig, because graph.Graph's ids are 4 bytes wide too.
-	nb := t.cg.Neighbors32(v - t.lo)
+	// The 4-byte offset load is charged at the compact rate; the
+	// adjacency stream is charged as plain Contig, because graph.Graph's
+	// ids are 4 bytes wide too.
+	nb := t.cg.Neighbors32(v)
 	probe.NonContigC(1) // load adjacency offset
 	probe.Contig(int64(len(nb)))
 	lc.Add(obs.EdgesScanned, int64(len(nb)))
@@ -840,22 +796,21 @@ func (t *traversal) process(tid int, v graph.VID, probe *smpmodel.Probe,
 // CAS for one child.
 func procCostNC(deg int) int64 { return 4 + int64(deg) }
 
-// spanMax returns the traversal's dependency span over its range: the
-// maximum claim-completion time in non-contiguous units, which the
-// engine folds across concurrent teams and reports to the cost model.
-// It runs after the final join and before the fallback, so the claimed
-// vertices are exactly those whose parent is not unclaimed.
+// spanMax returns the traversal's dependency span: the maximum
+// claim-completion time in non-contiguous units, which finish reports
+// to the cost model (0 without one). It runs after the final join and
+// before the fallback, so the claimed vertices are exactly those whose
+// parent is not unclaimed.
 func (t *traversal) spanMax() int64 {
 	if t.span == nil {
 		return 0
 	}
 	var max int64
-	for v := 0; v < t.n; v++ {
-		gv := t.lo + graph.VID(v)
-		if t.parent[gv] == unclaimed {
+	for v, p := range t.parent {
+		if p == unclaimed {
 			continue
 		}
-		if s := t.span[gv] + procCostNC(t.cg.Degree(graph.VID(v))); s > max {
+		if s := t.span[v] + procCostNC(t.cg.Degree(graph.VID(v))); s > max {
 			max = s
 		}
 	}
@@ -881,12 +836,12 @@ func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ *wsq.StealHalf,
 	if p == 1 {
 		return 0, false
 	}
-	t.inj.Visit(t.tidBase+tid, chaos.PointSteal)
+	t.inj.Visit(tid, chaos.PointSteal)
 	ow.Incr(obs.StealAttempts)
 	// A vetoed attempt fails before scanning any victim — the injected
 	// delayed/failed-steal fault; the thief falls through to the idle
 	// protocol and retries, so no work is lost, only deferred.
-	if t.inj.VetoSteal(t.tidBase + tid) {
+	if t.inj.VetoSteal(tid) {
 		ow.Incr(obs.StealFailures)
 		return 0, false
 	}
@@ -964,7 +919,7 @@ func (t *traversal) stealFrom(victim int, myQ *wsq.StealHalf, stealBuf *[]int32,
 // is how disconnected inputs become spanning forests with exactly one
 // root per component.
 func (t *traversal) idleOnce(tid int, myQ *wsq.StealHalf, fruitless int, ws *workerState) bool {
-	t.inj.Visit(t.tidBase+tid, chaos.PointIdle)
+	t.inj.Visit(tid, chaos.PointIdle)
 	t.sleepers.Add(1)
 	defer t.sleepers.Add(-1)
 	if t.visited.Load() >= int64(t.n) || t.abort.Load() || t.cancel.Tripped() {
@@ -1061,7 +1016,6 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 // fallback can take over mid-sweep (it completes any partial forest, so
 // the abandoned frontier needs no repair).
 func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
-	slot := t.tidBase + tid
 	i, n := t.cursor.Load(), int64(t.n)
 	fr, head := ws.out[:0], 0
 	for steps := DefaultChunkSize; ; steps++ {
@@ -1073,8 +1027,8 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 			if h := t.o.testHook; h != nil {
 				h(tid)
 			}
-			t.inj.Visit(slot, chaos.PointDrain)
-			t.wd.Beat(slot)
+			t.inj.Visit(tid, chaos.PointDrain)
+			t.wd.Beat(tid)
 		}
 		if head < len(fr) {
 			v := fr[head]
@@ -1103,7 +1057,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 		// step, so the scan stops where the next poll is due; the for
 		// statement's steps++ counts the last position inspected.
 		j, end := i, min(n, i+int64(DefaultChunkSize-steps))
-		for j < end && atomic.LoadInt32(&t.parent[t.lo+graph.VID(j)]) != unclaimed {
+		for j < end && atomic.LoadInt32(&t.parent[j]) != unclaimed {
 			j++
 		}
 		if j == end {
@@ -1114,7 +1068,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 		}
 		ws.probe.NonContig(j - i + 1)
 		steps += int(j - i)
-		v := t.lo + graph.VID(j)
+		v := graph.VID(j)
 		i = j + 1
 		if !t.claim(v, graph.None) {
 			continue
@@ -1130,8 +1084,8 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 	ws.out = fr[:0]
 }
 
-// nextUncolored advances the shared cursor to the next uncolored vertex
-// of this traversal's range. Only the lockstep driver uses it: the
+// nextUncolored advances the shared cursor to the next uncolored
+// vertex. Only the lockstep driver uses it: the
 // model deliberately keeps one seed per quiescence round, so its counts
 // are those of the paper's protocol, not of the concurrent sweep.
 func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
@@ -1141,8 +1095,8 @@ func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 			return 0, false
 		}
 		probe.NonContig(1)
-		if atomic.LoadInt32(&t.parent[t.lo+graph.VID(i)]) == unclaimed {
-			return t.lo + graph.VID(i), true
+		if atomic.LoadInt32(&t.parent[i]) == unclaimed {
+			return graph.VID(i), true
 		}
 	}
 }

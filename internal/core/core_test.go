@@ -22,15 +22,10 @@ func drivers() map[string]func(*graph.Graph, Options) ([]graph.VID, Stats, error
 	}
 }
 
-// newTeam builds the single-team traversal of g the way a one-shot run
-// does — the one-shard case of the engine — for tests that drive its
-// steps directly.
+// newTeam builds the traversal of g the way a one-shot run does, for
+// tests that drive its steps directly.
 func newTeam(g *graph.Graph, o Options) (*traversal, error) {
-	e, err := newEngine(g, o.withDefaults(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.ts[0], nil
+	return newTraversal(g, o.withDefaults(), 0)
 }
 
 func shapes() []*graph.Graph {
@@ -86,22 +81,10 @@ func TestBothDriversAllShapes(t *testing.T) {
 
 // TestTouchEndOfArena pins the drain loop's touch guard: a degree-0
 // vertex at the end of a CSR32 arena has its offset one past the end of
-// Adj. The edgeless shape covers the single team in
-// TestBothDriversAllShapes; here it runs through 4 shard teams, whose
-// offsets are indexed by local id, and on a non-empty arena only the
+// Adj. The edgeless shape covers it end to end in
+// TestBothDriversAllShapes; here, on a non-empty arena, only the
 // isolated last vertex lies past the end.
 func TestTouchEndOfArena(t *testing.T) {
-	g := gen.Random(8, 0, 1)
-	parent, st, err := SpanningForest(g, Options{NumProcs: 4, Seed: 5, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Panic != nil {
-		t.Fatalf("worker panicked: %v", st.Panic)
-	}
-	if err := verify.Forest(g, parent); err != nil {
-		t.Fatal(err)
-	}
 	tr, err := newTeam(graph.Union(gen.Cycle(5), gen.Chain(1)), Options{NumProcs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +247,10 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 	parent, st, err := LockstepForest(g, opt)
 	check("lockstep", parent, st, err)
 
-	e, err := newEngine(g, opt.withDefaults(), nil)
+	tr, err := newTeam(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := e.ts[0]
 	calls := make([]int, opt.NumProcs) // calls[tid] is touched only by worker tid
 	// The deadline turns a broken trigger into a test failure, not a hang.
 	deadline := time.Now().Add(10 * time.Second)
@@ -280,7 +262,7 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	parent, st, err = e.run()
+	parent, st, err = tr.run()
 	check("concurrent", parent, st, err)
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/sched"
@@ -26,10 +24,6 @@ import (
 // The concurrent SpanningForest remains the production entry point and
 // the one exercised for correctness under real races.
 //
-// Sharded runs (Options.Shards > 1) drive their teams shard by shard,
-// wave by wave — deterministic by construction, since the teams'
-// vertex ranges are disjoint and the stitch pass is sequential.
-//
 // The fallback detection maps to lockstep as follows: if
 // FallbackThreshold > 0 and at least that many processors idle for
 // idlePatienceRounds consecutive rounds while the traversal is
@@ -37,37 +31,7 @@ import (
 // same condition the concurrent version detects with sleeping
 // processors.
 func LockstepForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
-	if opt.NumProcs < 1 {
-		return nil, Stats{}, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
-	}
-	if opt.Obs != nil && opt.Obs.NumWorkers() < opt.NumProcs {
-		return nil, Stats{}, fmt.Errorf("core: Obs has %d worker slots, need >= %d",
-			opt.Obs.NumWorkers(), opt.NumProcs)
-	}
-	if opt.Shards > 1 && opt.FallbackThreshold > 0 {
-		return nil, Stats{}, errShardsFallback
-	}
-	o := opt.withDefaults()
-	if o.Deg2Eliminate {
-		red := graph.EliminateDegree2(g)
-		probe0 := o.Model.Probe(0)
-		probe0.NonContig(int64(g.NumVertices()))
-		probe0.Contig(int64(len(g.Adj)))
-		inner := o
-		inner.Deg2Eliminate = false
-		redParent, stats, err := LockstepForest(red.Reduced, inner)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Deg2Eliminated = red.NumEliminated()
-		parent, err := red.ExpandForest(redParent)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: expanding degree-2 reduction: %w", err)
-		}
-		probe0.NonContig(int64(red.NumEliminated()))
-		return parent, stats, nil
-	}
-	return runLockstep(g, o)
+	return oneShot(g, opt, runLockstep)
 }
 
 // idlePatienceRounds is the lockstep analogue of the concurrent
@@ -78,103 +42,53 @@ func LockstepForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 const idlePatienceRounds = 4
 
 func runLockstep(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-	e, err := newEngine(g, o, nil)
+	t, err := newTraversal(g, o, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer e.wd.Close() // one-shot engine: the run owns the watchdog
-	return e.runLockstep()
+	defer t.wd.Close() // one-shot run: the run owns the watchdog
+	return t.runLockstep()
 }
 
-// runLockstep is the engine's deterministic driver: the same stub and
-// stitch steps as run(), with every wave's teams driven sequentially in
-// round-robin lockstep on the calling goroutine.
-func (e *engine) runLockstep() ([]graph.VID, Stats, error) {
-	o := e.o
-	var stats Stats
-	stats.VerticesPerProc = make([]int64, o.NumProcs)
-	stats.EdgesPerProc = make([]int64, o.NumProcs)
-	if len(e.parent) == 0 {
-		return e.parent, stats, nil
+// runLockstep is the deterministic driver: the same stub step and
+// resolution as the concurrent run, with the traversal driven in
+// round-robin lockstep on the calling goroutine. The watchdog arms
+// around the traversal exactly like the concurrent driver: the driver
+// beats per processed turn, so a wedged drive (a blocking test hook, a
+// stuck syscall) trips the same typed ErrStalled.
+func (t *traversal) runLockstep() ([]graph.VID, Stats, error) {
+	p := t.o.NumProcs
+	stats := Stats{VerticesPerProc: make([]int64, p), EdgesPerProc: make([]int64, p)}
+	if t.n == 0 {
+		return t.parent, stats, nil
 	}
-
-	// Step 1: stub spanning trees (identical to the concurrent engine).
-	var rootRand xrand.Rand
-	probe0 := o.Model.Probe(0)
-	for si, t := range e.ts {
-		e.stubRandInto(&rootRand, o.Seed, si)
-		var seeds []graph.VID
-		if o.NoStub {
-			s := t.lo + graph.VID(rootRand.Intn(t.n))
-			t.claimSeq(s, graph.None)
-			seeds = []graph.VID{s}
-		} else {
-			seeds = stubSpanningTree(t, &rootRand, probe0, nil)
-		}
-		stats.StubSize += len(seeds)
-		for i, s := range seeds {
-			t.queues[i%t.o.NumProcs].Push(int32(s))
-			probe0.NonContig(1)
-			e.rec.Trace(0, obs.EvSeed, int64(s), int64(t.tidBase+i%t.o.NumProcs))
-		}
+	stats.StubSize = t.stub()
+	if t.wd != nil {
+		t.wd.Arm(t.cancel, t.o.StallBudget)
+		defer t.wd.Disarm()
 	}
-	o.Model.AddBarriers(1)
-	e.rec.AddBarrierEpisodes(1)
-	e.rec.Trace(-1, obs.EvBarrier, 1, 0)
-
-	// Step 2: round-robin lockstep traversal, shard by shard inside each
-	// wave (sequential either way on the driving goroutine; the barrier
-	// accounting still groups shards into waves, mirroring the
-	// concurrent engine's schedule). The watchdog arms around the
-	// traversal exactly like the concurrent engine: the driver beats per
-	// processed turn, so a wedged drive (a blocking test hook, a stuck
-	// syscall) trips the same typed ErrStalled.
-	if e.wd != nil {
-		e.wd.Arm(e.cancel, e.o.StallBudget)
-		defer e.wd.Disarm()
-	}
-	for _, wave := range e.waves {
-		for _, si := range wave {
-			lockstepDrive(e.ts[si], &stats)
-			if e.cancel.Tripped() {
-				break
-			}
-		}
-		o.Model.AddBarriers(1)
-		e.rec.AddBarrierEpisodes(1)
-		e.rec.Trace(-1, obs.EvBarrier, 2, 0)
-		if e.cancel.Tripped() {
-			break
-		}
-	}
-	if e.cancel.Tripped() {
-		return e.stopOutcome(&stats)
-	}
-	e.recordSpan()
-	hooks := e.stitchShards(probe0, e.rec.Worker(0))
-	e.finishStats(&stats)
-	if err := e.settle(&stats, hooks); err != nil {
-		return nil, stats, err
-	}
-	return e.parent, stats, nil
+	stats.LockstepRounds = t.lockstepDrive()
+	t.o.Model.AddBarriers(1)
+	t.rec.AddBarrierEpisodes(1)
+	t.rec.Trace(-1, obs.EvBarrier, 2, 0)
+	parent, err := t.finish(&stats)
+	return parent, stats, err
 }
 
-// lockstepDrive runs one team's traversal to completion in round-robin
-// lockstep. Local worker tids map onto the global processor slots
-// tidBase+tid for the recorder, the cost model, and the RNG streams —
-// exactly the mapping the concurrent workers use, so a shards=1 drive
-// is byte-identical to the pre-engine driver.
-func lockstepDrive(t *traversal, stats *Stats) {
+// lockstepDrive runs the traversal to completion in round-robin
+// lockstep and returns the number of rounds. Worker tids index the
+// recorder, the cost model and the RNG streams exactly as the
+// concurrent workers do.
+func (t *traversal) lockstepDrive() int64 {
 	o := t.o
 	p := o.NumProcs
 	rngs := make([]*xrand.Rand, p)
-	workers := make([]*obs.Worker, p)
+	workers := t.ows
 	// The driver is single-goroutine, so the hot-path counters can batch
-	// in locals for the whole run and flush once before finishStats.
+	// in locals for the whole run and flush once before finish.
 	locals := make([]obs.Local, p)
 	for tid := range rngs {
-		rngs[tid] = xrand.New(o.Seed).Split(uint64(t.tidBase+tid) + 1)
-		workers[tid] = t.rec.Worker(t.tidBase + tid)
+		rngs[tid] = xrand.New(o.Seed).Split(uint64(tid) + 1)
 	}
 	stealBuf := make([]int32, 0, 256)
 	// out and the per-tid chunk controllers mirror the concurrent hot
@@ -197,13 +111,14 @@ func lockstepDrive(t *traversal, stats *Stats) {
 	}
 	idleStreak := make([]int, p)
 	seededRoots := 0
+	var rounds int64
 
 	// processOne runs the batched process step for one vertex: children
 	// accumulate in out, are flushed with one PushBatch, and the progress
 	// batch publishes immediately (the single-goroutine driver has no
 	// concurrent readers to batch against).
 	processOne := func(tid int, v graph.VID, probe *smpmodel.Probe, myQ *wsq.StealHalf) {
-		t.wd.Beat(t.tidBase + tid)
+		t.wd.Beat(tid)
 		out = out[:0]
 		var pend int64
 		t.process(tid, v, probe, &out, &locals[tid], &pend)
@@ -234,7 +149,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 				if h := o.testHook; h != nil {
 					h(tid)
 				}
-				probe := o.Model.Probe(t.tidBase + tid)
+				probe := o.Model.Probe(tid)
 				ow := workers[tid]
 				myQ := t.queues[tid]
 				if v, ok := myQ.Pop(); ok {
@@ -326,7 +241,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 			if t.visited.Load() >= int64(t.n) {
 				break
 			}
-			stats.LockstepRounds++
+			rounds++
 			if th := o.FallbackThreshold; th > 0 && patientIdlers >= th {
 				t.abort.Store(true)
 				workers[0].Incr(obs.FallbackTriggers)
@@ -337,7 +252,7 @@ func lockstepDrive(t *traversal, stats *Stats) {
 				// Quiescence: every queue is empty and nobody processed a
 				// vertex this round, so the uncolored set is a union of whole
 				// components; seed the next one on a rotating processor.
-				if v, ok := t.nextUncolored(o.Model.Probe(t.tidBase)); ok {
+				if v, ok := t.nextUncolored(o.Model.Probe(0)); ok {
 					tid := seededRoots % p
 					t.claimSeq(v, graph.None)
 					seededRoots++
@@ -357,4 +272,5 @@ func lockstepDrive(t *traversal, stats *Stats) {
 		workers[tid].Max(obs.ChunkHighWater, int64(ctrls[tid].HighWater()))
 		locals[tid].FlushTo(workers[tid])
 	}
+	return rounds
 }

@@ -10,31 +10,9 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/leakcheck"
 	"spantree/internal/verify"
 )
-
-// waitGoroutines polls until the live goroutine count drops back to at
-// most want, failing the test after a generous deadline. Counting is
-// inherently racy (the runtime may briefly hold finalizer or test
-// goroutines), so the assertion is "returns to baseline", not equality
-// at one instant.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.Gosched()
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d live, want <= %d\n%s",
-				runtime.NumGoroutine(), want, buf[:n])
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestEdgeCaseShapes is the table-driven boundary sweep: empty graph,
 // single vertex, and far more processors than vertices, across both
@@ -117,7 +95,7 @@ func TestCancelMidRun(t *testing.T) {
 			if late := lateBoundaries.Load(); late > int64(p) {
 				t.Fatalf("%s p=%d: %d chunk boundaries crossed after cancel, want <= %d", name, p, late, p)
 			}
-			waitGoroutines(t, before)
+			leakcheck.Settle(t, before)
 		}
 	}
 }
@@ -137,7 +115,7 @@ func TestCancelBeforeStart(t *testing.T) {
 		if parent != nil {
 			t.Fatalf("%s: aborted run returned a parent array", name)
 		}
-		waitGoroutines(t, before)
+		leakcheck.Settle(t, before)
 	}
 }
 
@@ -188,7 +166,7 @@ func TestPanicIsolationDegradesToSequential(t *testing.T) {
 			if roots != wantComps {
 				t.Fatalf("%s p=%d: degraded forest has %d roots, want %d", name, p, roots, wantComps)
 			}
-			waitGoroutines(t, before)
+			leakcheck.Settle(t, before)
 		}
 	}
 }

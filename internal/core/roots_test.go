@@ -9,6 +9,25 @@ import (
 	"spantree/internal/verify"
 )
 
+// fig4Families builds small instances of the ten Fig. 4 graph families —
+// the same shapes the harness measures, scaled down for test time.
+func fig4Families() map[string]*graph.Graph {
+	n := 1 << 10
+	s := 32
+	return map[string]*graph.Graph{
+		"torus":        gen.Torus2D(s, s),
+		"torus-random": graph.RandomRelabel(gen.Torus2D(s, s), 0xA5A5),
+		"random-nlogn": gen.Random(n, n*10, 7),
+		"mesh2d":       gen.Mesh2D(s, s, 0.60, 7),
+		"mesh3d":       gen.Mesh3D(10, 10, 10, 0.40, 7),
+		"ad3":          gen.AD3(n, 7),
+		"geo-flat":     gen.GeoFlat(n, gen.DefaultGeoFlatParams(), 7),
+		"geo-hier":     gen.GeoHier(n, gen.DefaultGeoHierParams(), 7),
+		"chain":        gen.Chain(n),
+		"chain-random": graph.RandomRelabel(gen.Chain(n), 0x5A5A),
+	}
+}
+
 // checkRoots asserts that a run's reported root count matches both a
 // scan of the forest it returned and the graph's component count.
 func checkRoots(t *testing.T, label string, g *graph.Graph, parent []graph.VID, st *Stats, err error) {
@@ -26,35 +45,33 @@ func checkRoots(t *testing.T, label string, g *graph.Graph, parent []graph.VID, 
 }
 
 // TestReportedRootCount pins the counted root number that replaced the
-// post-run scan: one root per team plus one per quiescence seed minus
-// one per stitch hook must equal the forest's real root count on every
-// Fig. 4 family, under both one-shot drivers and a pooled Workspace, at
-// one and several shards, and through the degree-2 reduction.
+// post-run scan: the stub's root plus one per quiescence seed must equal
+// the forest's real root count on every Fig. 4 family, under both
+// one-shot drivers and a pooled Workspace, and through the degree-2
+// reduction.
 func TestReportedRootCount(t *testing.T) {
 	for name, g := range fig4Families() {
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, sh := range []int{1, 4} {
-				o := Options{NumProcs: p, Seed: 5, Shards: sh}
-				for dname, run := range drivers() {
-					parent, st, err := run(g, o)
-					checkRoots(t, name+" "+dname, g, parent, &st, err)
-				}
-				if p == 4 && sh == 1 {
-					for dname, run := range drivers() {
-						parent, st, err := run(g, Options{NumProcs: p, Seed: 5, Deg2Eliminate: true})
-						checkRoots(t, name+" deg2 "+dname, g, parent, &st, err)
-					}
-				}
-				w, err := NewWorkspace(g, o, WorkspaceOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for seed := uint64(1); seed <= 2; seed++ {
-					parent, st, err := w.Run(seed)
-					checkRoots(t, name+" workspace", g, parent, st, err)
-				}
-				w.Close()
+			o := Options{NumProcs: p, Seed: 5}
+			for dname, run := range drivers() {
+				parent, st, err := run(g, o)
+				checkRoots(t, name+" "+dname, g, parent, &st, err)
 			}
+			if p == 4 {
+				for dname, run := range drivers() {
+					parent, st, err := run(g, Options{NumProcs: p, Seed: 5, Deg2Eliminate: true})
+					checkRoots(t, name+" deg2 "+dname, g, parent, &st, err)
+				}
+			}
+			w, err := NewWorkspace(g, o, WorkspaceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 2; seed++ {
+				parent, st, err := w.Run(seed)
+				checkRoots(t, name+" workspace", g, parent, st, err)
+			}
+			w.Close()
 		}
 	}
 }

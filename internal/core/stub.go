@@ -24,15 +24,13 @@ import (
 // caller passes a buffer with capacity StubSteps+1 — the walk's maximum
 // yield — so the step stays allocation-free.
 func stubSpanningTree(t *traversal, r *xrand.Rand, probe *smpmodel.Probe, stub []graph.VID) []graph.VID {
-	start := t.lo + graph.VID(r.Intn(t.n))
+	start := graph.VID(r.Intn(t.n))
 	t.claimSeq(start, graph.None)
 	probe.NonContig(2)
 	stub = append(stub, start)
 	cur := start
 	for step := 0; step < t.o.StubSteps; step++ {
-		// The walk reads the team's compact view — adjacency ids global,
-		// offsets local — so a shard's stub never leaves the shard.
-		nb := t.cg.Neighbors32(cur - t.lo)
+		nb := t.cg.Neighbors32(cur)
 		probe.NonContig(1)
 		if len(nb) == 0 {
 			break

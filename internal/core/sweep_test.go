@@ -163,7 +163,7 @@ func TestSweepCancelMidSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := w.e.ts[0]
+		tr := w.t
 		var fired atomic.Int64
 		tr.o.testHook = sweepHook(tr, 3, &fired, func() { w.Flag().Trip(fault.CauseCanceled) })
 		if _, _, err := w.Run(1); !errors.Is(err, fault.ErrCanceled) {
@@ -197,13 +197,12 @@ func TestSweepPanicMidSweep(t *testing.T) {
 		// The one-shot path of SpanningForest, opened up so the hook can
 		// reach the traversal's seeding mutex.
 		var fired atomic.Int64
-		e, err := newEngine(g, (&Options{NumProcs: p, Seed: 1}).withDefaults(), nil)
+		tr, err := newTeam(g, Options{NumProcs: p, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := e.ts[0]
 		tr.o.testHook = sweepHook(tr, 3, &fired, func() { panic("injected mid-sweep") })
-		parent, st, err := e.run()
+		parent, st, err := tr.run()
 		if err != nil {
 			t.Fatalf("one-shot p=%d: err = %v", p, err)
 		}
@@ -217,7 +216,7 @@ func TestSweepPanicMidSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		fired.Store(0)
-		tr = w.e.ts[0]
+		tr = w.t
 		tr.o.testHook = sweepHook(tr, 3, &fired, func() { panic("injected mid-sweep") })
 		parent, wst, err := w.Run(1)
 		if err != nil {

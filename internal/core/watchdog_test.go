@@ -9,6 +9,7 @@ import (
 
 	"spantree/internal/fault"
 	"spantree/internal/gen"
+	"spantree/internal/leakcheck"
 	"spantree/internal/obs"
 	"spantree/internal/verify"
 )
@@ -88,12 +89,12 @@ func TestWorkspaceStallReuse(t *testing.T) {
 
 	var on atomic.Bool
 	on.Store(true)
-	w.e.ts[0].o.testHook = stallHook(&on, w.Flag())
+	w.t.o.testHook = stallHook(&on, w.Flag())
 	if _, _, err := w.Run(2); !errors.Is(err, fault.ErrStalled) {
 		t.Fatalf("stalled run: err = %v, want ErrStalled", err)
 	}
 	on.Store(false)
-	w.e.ts[0].o.testHook = nil
+	w.t.o.testHook = nil
 
 	// The flag-reset contract is the caller's, same as after a cancel.
 	w.Flag().Reset()
@@ -106,9 +107,7 @@ func TestWorkspaceStallReuse(t *testing.T) {
 			t.Fatalf("run %d after stall: %v", i, err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > base {
-		t.Fatalf("goroutines grew across a stall trip: %d -> %d", base, after)
-	}
+	leakcheck.Settle(t, base)
 }
 
 // TestWorkspaceZeroAllocWatchdogArmed extends the zero-alloc guarantee
@@ -143,20 +142,18 @@ func TestWorkspaceZeroAllocWatchdogArmed(t *testing.T) {
 // monitor fed even when the budget is of the same order as the run.
 func TestWatchdogNoFalseTrips(t *testing.T) {
 	g := gen.Torus2D(64, 64)
-	for _, shards := range []int{0, 4} {
-		w, err := NewWorkspace(g, Options{NumProcs: 4, Shards: shards, StallBudget: 250 * time.Millisecond}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 4, StallBudget: 250 * time.Millisecond}, WorkspaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 30; i++ {
+		parent, _, err := w.Run(uint64(i))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("run %d: %v", i, err)
 		}
-		for i := 0; i < 30; i++ {
-			parent, _, err := w.Run(uint64(i))
-			if err != nil {
-				t.Fatalf("shards=%d run %d: %v", shards, i, err)
-			}
-			if err := verify.Forest(g, parent); err != nil {
-				t.Fatalf("shards=%d run %d: %v", shards, i, err)
-			}
+		if err := verify.Forest(g, parent); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
-		w.Close()
 	}
 }

@@ -9,11 +9,7 @@ import (
 	"spantree/internal/barrier"
 	"spantree/internal/fault"
 	"spantree/internal/graph"
-	"spantree/internal/obs"
 	"spantree/internal/sched"
-	"spantree/internal/spanseq"
-	"spantree/internal/wsq"
-	"spantree/internal/xrand"
 )
 
 // WorkspaceOptions sizes the provisioned buffers of a Workspace.
@@ -21,9 +17,9 @@ type WorkspaceOptions struct {
 	// QueueCapacity is the per-queue frontier the workspace provisions
 	// for, in vertices. The steal-half ring doubles when more than half
 	// its buffer is live, so each queue's buffer is allocated at twice
-	// this value — with the default (0, meaning the team range's vertex
+	// this value — with the default (0, meaning the graph's vertex
 	// count) no run can ever grow a queue, because the total frontier of
-	// a team's traversal is bounded by its range. A smaller value trades
+	// a traversal is bounded by the vertex count. A smaller value trades
 	// that guarantee for memory: a run whose frontier outgrows the
 	// provision still completes correctly, it just reallocates (and the
 	// session's steady state is no longer allocation-free).
@@ -33,50 +29,32 @@ type WorkspaceOptions struct {
 // ErrWorkspaceClosed is returned by Run after Close.
 var ErrWorkspaceClosed = errors.New("core: Run on a closed Workspace")
 
-// parkedWorker is one pooled worker goroutine's identity: which shard
-// team it belongs to, its local tid there, and its slot on its wave's
-// join barrier. wake carries the run-start signal; close retires it.
-type parkedWorker struct {
-	wake  chan struct{}
-	shard int
-	tid   int
-	bslot int
-}
-
 // Workspace is a reusable runtime for SpanningForest on one fixed graph:
 // every buffer the algorithm needs (the parent array, the work-stealing
 // queues, the per-worker drain/child/steal buffers, the observability
-// recorder, the seed list, the sharded engine's partition and stitch
-// scratch) is allocated once at construction, and the worker goroutines
-// are spawned once and parked between runs on the run-start channels,
-// synchronizing each run's end through reused sense-reversing barriers
-// (one per wave of the engine's shard schedule). A warmed workspace
-// therefore executes Run with zero steady-state heap allocations — the
-// property the serving layer's pooled sessions are built on — at any
-// shard count.
+// recorder, the seed list) is allocated once at construction, and the
+// worker goroutines are spawned once and parked between runs on their
+// run-start channels, synchronizing each run's end through one reused
+// sense-reversing barrier. A warmed workspace therefore executes Run
+// with zero steady-state heap allocations — the property the serving
+// layer's pooled sessions are built on.
 //
 // A Workspace is NOT safe for concurrent use: one Run at a time (the
 // session pool enforces this by handing each workspace to one request).
 // Close releases the parked team; it is the only way the goroutines
 // exit, so callers must Close workspaces they drop.
 type Workspace struct {
-	e *engine
-	// workers[wv] holds the parked goroutines of wave wv, joined through
-	// bars[wv] (the coordinator is the extra participant).
-	workers [][]parkedWorker
-	bars    []*barrier.Sense
-	wss     [][]workerState // [shard][local tid]
-	// slotOW caches one recorder handle per global processor slot:
-	// Recorder.Worker escapes its handle to the heap on every call, so
-	// the handles are resolved once here and shared with the worker
-	// states and the stats derivation.
-	slotOW []*obs.Worker
-	wg     sync.WaitGroup
+	t *traversal
+	// wakes[tid] carries worker tid's run-start signal; closing it
+	// retires the worker. bar joins the team (the coordinator is the
+	// extra participant).
+	wakes []chan struct{}
+	bar   *barrier.Sense
+	wss   []workerState
+	wg    sync.WaitGroup
 
-	rootRand xrand.Rand
-	seeds    []graph.VID
-	stats    Stats
-	closed   bool
+	stats  Stats
+	closed bool
 }
 
 // NewWorkspace builds a workspace for g with the given run options.
@@ -84,9 +62,7 @@ type Workspace struct {
 // the workspace owns its cancel flag, exposed through Flag. Options that
 // allocate per run or change the memory shape (Model, Obs, Chaos,
 // Deg2Eliminate) are rejected: a workspace is the serving
-// fast path, not the experiment harness. Shards is supported — the
-// partition, the per-shard views and the stitch scratch are built once
-// here, so sharded pooled runs stay allocation-free too.
+// fast path, not the experiment harness.
 func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspace, error) {
 	if opt.NumProcs < 1 {
 		return nil, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
@@ -105,98 +81,64 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 	}
 	o := opt.withDefaults()
 
-	// The queue supplier runs once per worker during engine construction,
-	// handed the owning team range's vertex count; twice the provisioned
-	// frontier, see WorkspaceOptions.
-	mk := func(ns int) *wsq.StealHalf {
-		return wsq.NewStealHalf(2 * poolQueueCap(ns, wopt))
-	}
-	e, err := newEngine(g, o, mk)
+	// The queues are allocated at twice the provisioned frontier, see
+	// WorkspaceOptions.
+	qcap := poolQueueCap(g.NumVertices(), wopt)
+	t, err := newTraversal(g, o, 2*qcap)
 	if err != nil {
 		return nil, err
 	}
-	w := &Workspace{e: e}
+	w := &Workspace{t: t}
 
 	// Per-worker buffers, provisioned for the worst case so the hot loop
 	// never grows them: the child buffer can receive every not-yet-claimed
 	// vertex of a chunk's neighborhoods (bounded by the team's frontier),
 	// a steal takes at most half a victim's live queue.
 	p := o.NumProcs
-	w.slotOW = make([]*obs.Worker, p)
-	for slot := range w.slotOW {
-		w.slotOW[slot] = e.rec.Worker(slot)
+	ctrl := sched.NewController(o.ChunkPolicy, o.ChunkSize)
+	ctrlMax := ctrl.Max()
+	outCap := max(4*ctrlMax, qcap)
+	stealCap := max(qcap/2+1, 256)
+	w.wss = make([]workerState, p)
+	for tid := range w.wss {
+		ws := &w.wss[tid]
+		ws.chunk = make([]int32, ctrlMax)
+		ws.out = make([]int32, 0, outCap)
+		ws.stealBuf = make([]int32, 0, stealCap)
+		// The park timer, created stopped so that no run ever allocates
+		// one.
+		ws.timer = time.NewTimer(time.Hour)
+		ws.timer.Stop()
 	}
-	w.wss = make([][]workerState, len(e.ts))
-	for si, t := range e.ts {
-		qcap := poolQueueCap(t.n, wopt)
-		ctrl := sched.NewController(t.o.ChunkPolicy, t.o.ChunkSize)
-		ctrlMax := ctrl.Max()
-		outCap := 4 * ctrlMax
-		if outCap < qcap {
-			outCap = qcap
-		}
-		stealCap := qcap/2 + 1
-		if stealCap < 256 {
-			stealCap = 256
-		}
-		w.wss[si] = make([]workerState, t.o.NumProcs)
-		for tid := range w.wss[si] {
-			ws := &w.wss[si][tid]
-			ws.chunk = make([]int32, ctrlMax)
-			ws.out = make([]int32, 0, outCap)
-			ws.stealBuf = make([]int32, 0, stealCap)
-			ws.ow = w.slotOW[t.tidBase+tid]
-			// The park timer, created stopped so that no run ever
-			// allocates one.
-			ws.timer = time.NewTimer(time.Hour)
-			ws.timer.Stop()
-		}
-	}
-	w.seeds = make([]graph.VID, 0, o.StubSteps+1)
 	w.stats.VerticesPerProc = make([]int64, p)
 	w.stats.EdgesPerProc = make([]int64, p)
 
-	// The parked team: one goroutine per worker slot of every shard,
-	// created once, woken per run wave by wave, joined per wave through
-	// its reused sense-reversing barrier (the coordinator is the extra
-	// participant). They exit only when Close retires the wake channels.
-	w.workers = make([][]parkedWorker, len(e.waves))
-	w.bars = make([]*barrier.Sense, len(e.waves))
-	for wv, wave := range e.waves {
-		total := 0
-		for _, si := range wave {
-			total += e.ts[si].o.NumProcs
-		}
-		w.bars[wv] = barrier.NewSense(total + 1)
-		w.bars[wv].Observe(e.rec)
-		w.workers[wv] = make([]parkedWorker, 0, total)
-		slot := 0
-		for _, si := range wave {
-			for tid := 0; tid < e.ts[si].o.NumProcs; tid++ {
-				pw := parkedWorker{
-					wake: make(chan struct{}), shard: si, tid: tid, bslot: slot,
-				}
-				w.workers[wv] = append(w.workers[wv], pw)
-				slot++
-				w.wg.Add(1)
-				go func(wv int, pw parkedWorker) {
-					defer w.wg.Done()
-					for range pw.wake {
-						w.runOne(wv, pw)
-					}
-				}(wv, pw)
+	// The parked team: one goroutine per worker, created once, woken per
+	// run and joined through the reused barrier. They exit only when
+	// Close retires the wake channels.
+	w.bar = barrier.NewSense(p + 1)
+	w.bar.Observe(t.rec)
+	w.wakes = make([]chan struct{}, p)
+	for tid := range w.wakes {
+		wake := make(chan struct{})
+		w.wakes[tid] = wake
+		w.wg.Add(1)
+		go func(tid int) {
+			defer w.wg.Done()
+			for range wake {
+				w.runOne(tid)
 			}
-		}
+		}(tid)
 	}
 	return w, nil
 }
 
-// poolQueueCap resolves the provisioned per-queue frontier for a team
-// covering ns vertices.
-func poolQueueCap(ns int, wopt WorkspaceOptions) int {
+// poolQueueCap resolves the provisioned per-queue frontier for a graph
+// of n vertices.
+func poolQueueCap(n int, wopt WorkspaceOptions) int {
 	qcap := wopt.QueueCapacity
-	if qcap <= 0 || qcap > ns {
-		qcap = ns
+	if qcap <= 0 || qcap > n {
+		qcap = n
 	}
 	if qcap < 16 {
 		qcap = 16
@@ -205,31 +147,30 @@ func poolQueueCap(ns int, wopt WorkspaceOptions) int {
 }
 
 // runOne executes one parked worker's share of one run, with the same
-// isolation contract as a one-shot run: the worker reaches its wave's
-// join barrier whatever happens in its body, and a panic trips the run
-// flag so the teammates drain at their next poll.
-func (w *Workspace) runOne(wv int, pw parkedWorker) {
-	defer w.bars[wv].Wait(pw.bslot)
-	t := w.e.ts[pw.shard]
+// isolation contract as a one-shot run: the worker reaches the join
+// barrier whatever happens in its body, and a panic trips the run flag
+// so the teammates drain at their next poll.
+func (w *Workspace) runOne(tid int) {
+	defer w.bar.Wait(tid)
 	defer func() {
 		if r := recover(); r != nil {
-			t.recoverWorker(pw.tid, r)
+			w.t.recoverWorker(tid, r)
 		}
 	}()
-	t.workerLoop(pw.tid, &w.wss[pw.shard][pw.tid])
+	w.t.workerLoop(tid, &w.wss[tid])
 }
 
 // Flag returns the workspace's cancel flag. The reuse contract: callers
 // that arm it (fault.Watch, TripContext) must Reset it before the next
 // Run — Run itself never resets the flag, so a trip that lands between
 // the caller's Watch and the run's first poll is never lost.
-func (w *Workspace) Flag() *fault.Flag { return w.e.cancel }
+func (w *Workspace) Flag() *fault.Flag { return w.t.cancel }
 
-// NumProcs returns the workspace's total worker budget.
-func (w *Workspace) NumProcs() int { return w.e.o.NumProcs }
+// NumProcs returns the workspace's worker count.
+func (w *Workspace) NumProcs() int { return w.t.o.NumProcs }
 
 // Graph returns the graph the workspace was built for.
-func (w *Workspace) Graph() *graph.Graph { return w.e.g }
+func (w *Workspace) Graph() *graph.Graph { return w.t.g }
 
 // Run executes the two-step algorithm with the given seed on the pooled
 // buffers. The returned parent slice and Stats are owned by the
@@ -259,118 +200,57 @@ func (w *Workspace) run(seed uint64, watch bool) ([]graph.VID, *Stats, error) {
 	if w.closed {
 		return nil, nil, ErrWorkspaceClosed
 	}
-	e := w.e
+	t := w.t
 
 	// Rearm the shared state. Everything below is written by this
 	// goroutine before the wake sends, which happen-before the workers'
 	// reads.
-	e.rearm(seed)
-	e.rec.Reset()
+	t.rearm(seed)
+	t.rec.Reset()
 	vp, ep := w.stats.VerticesPerProc, w.stats.EdgesPerProc
 	clear(vp)
 	clear(ep)
 	w.stats = Stats{VerticesPerProc: vp, EdgesPerProc: ep}
 
-	if len(e.parent) == 0 {
-		return e.parent, &w.stats, nil
+	if t.n == 0 {
+		return t.parent, &w.stats, nil
 	}
+	w.stats.StubSize = t.stub()
 
-	// Step 1: stub spanning trees on the calling goroutine, one walk per
-	// shard, into the pooled seed buffer.
-	for si, t := range e.ts {
-		e.stubRandInto(&w.rootRand, seed, si)
-		w.seeds = w.seeds[:0]
-		if t.o.NoStub {
-			s := t.lo + graph.VID(w.rootRand.Intn(t.n))
-			t.claimSeq(s, graph.None)
-			w.seeds = append(w.seeds, s)
-		} else {
-			w.seeds = stubSpanningTree(t, &w.rootRand, nil, w.seeds)
+	// Step 2: wake the parked team and join it through the reused
+	// barrier, unless the flag tripped before the traversal started
+	// (e.g. an already-expired deadline). The parked watchdog rearms
+	// here and disarms synchronously on every exit path, so the next
+	// Run's flag Reset can never race a late stall trip; Arm/Disarm only
+	// write the armed run under the watchdog's mutex, so the steady
+	// state stays allocation-free and sends the monitor nothing.
+	if !t.cancel.Tripped() {
+		if watch && t.wd != nil {
+			t.wd.Arm(t.cancel, t.o.StallBudget)
+			defer t.wd.Disarm()
 		}
-		w.stats.StubSize += len(w.seeds)
-		for i, s := range w.seeds {
-			t.queues[i%t.o.NumProcs].Push(int32(s))
-			e.rec.Trace(0, obs.EvSeed, int64(s), int64(t.tidBase+i%t.o.NumProcs))
+		for tid := range w.wss {
+			t.resetWorkerState(tid, &w.wss[tid])
 		}
-	}
-	e.rec.AddBarrierEpisodes(1)
-	e.rec.Trace(-1, obs.EvBarrier, 1, 0)
-	if e.cancel.Tripped() {
-		// Canceled before the traversal started (e.g. an already-expired
-		// deadline): don't wake the team.
-		return w.stop()
-	}
-
-	// Step 2: wake the parked teams wave by wave and join each wave
-	// through its reused barrier. A trip ends the schedule at the wave
-	// boundary; the unwoken later waves simply stay parked, which leaves
-	// them in exactly the state the next Run's wakes expect. The parked
-	// watchdog rearms here and disarms synchronously on every exit path,
-	// so the next Run's flag Reset can never race a late stall trip;
-	// Arm/Disarm only write the armed run under the watchdog's mutex, so
-	// the steady state stays allocation-free and sends the monitor
-	// nothing.
-	if watch && e.wd != nil {
-		e.wd.Arm(e.cancel, e.o.StallBudget)
-		defer e.wd.Disarm()
-	}
-	for si := range e.ts {
-		t := e.ts[si]
-		for tid := range w.wss[si] {
-			t.resetWorkerState(tid, &w.wss[si][tid])
+		for _, wake := range w.wakes {
+			wake <- struct{}{}
 		}
+		w.bar.Wait(len(w.wakes)) // the coordinator is the extra participant
 	}
-	for wv := range w.workers {
-		for i := range w.workers[wv] {
-			w.workers[wv][i].wake <- struct{}{}
-		}
-		w.bars[wv].Wait(len(w.workers[wv])) // the coordinator is the extra participant
-		if e.cancel.Tripped() {
-			break
-		}
-	}
-	if e.cancel.Tripped() {
-		return w.stop()
-	}
-	hooks := e.stitchShards(nil, w.slotOW[0])
-	e.finishStatsPooled(&w.stats, w.slotOW)
-	if err := e.settle(&w.stats, hooks); err != nil {
-		return nil, &w.stats, err
-	}
-	return e.parent, &w.stats, nil
+	parent, err := t.finish(&w.stats)
+	return parent, &w.stats, err
 }
 
-// stop resolves a pooled run whose flag tripped, mirroring stopOutcome
-// without the allocating Snapshot: context stops return the typed error
-// with partial stats; a worker panic degrades to the sequential BFS.
-func (w *Workspace) stop() ([]graph.VID, *Stats, error) {
-	e := w.e
-	if e.cancel.Cause() == fault.CauseStalled {
-		w.slotOW[0].Incr(obs.StallTrips)
-	}
-	e.finishStatsPooled(&w.stats, w.slotOW)
-	if e.cancel.Cause() == fault.CausePanicked {
-		w.stats.Panic = e.cancel.Panic()
-		w.stats.DegradedToSeq = true
-		parent := spanseq.BFS(e.g, nil)
-		w.stats.Roots = countRoots(parent)
-		return parent, &w.stats, nil
-	}
-	return nil, &w.stats, e.cancel.Err()
-}
-
-// Close retires the parked teams and marks the workspace unusable. It
+// Close retires the parked team and marks the workspace unusable. It
 // must not race a Run. Idempotent.
 func (w *Workspace) Close() {
 	if w.closed {
 		return
 	}
 	w.closed = true
-	for _, wave := range w.workers {
-		for i := range wave {
-			close(wave[i].wake)
-		}
+	for _, wake := range w.wakes {
+		close(wake)
 	}
 	w.wg.Wait()
-	w.e.wd.Close()
+	w.t.wd.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/leakcheck"
 	"spantree/internal/verify"
 )
 
@@ -158,7 +159,7 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	// fixed tid would miss whenever that worker starts only after its
 	// teammate has covered the whole graph.
 	var fired atomic.Bool
-	w.e.ts[0].o.testHook = func(int) {
+	w.t.o.testHook = func(int) {
 		if fired.CompareAndSwap(false, true) {
 			panic("injected")
 		}
@@ -173,7 +174,7 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	if err := verify.Forest(g, parent); err != nil {
 		t.Fatalf("degraded forest: %v", err)
 	}
-	w.e.ts[0].o.testHook = nil
+	w.t.o.testHook = nil
 	w.Flag().Reset()
 	parent, st, err = w.Run(2)
 	if err != nil || st.DegradedToSeq {
@@ -202,12 +203,12 @@ func TestWorkspaceTeamDoesNotGrow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitGoroutines(t, base)
+	leakcheck.Settle(t, base)
 	w.Close()
 	// Close joins the team, but WaitGroup.Done runs before each goroutine
 	// returns, so the count settles back to the pre-construction level
 	// only a moment later.
-	waitGoroutines(t, before)
+	leakcheck.Settle(t, before)
 	if _, _, err := w.Run(1); !errors.Is(err, ErrWorkspaceClosed) {
 		t.Fatalf("Run after Close: err = %v, want ErrWorkspaceClosed", err)
 	}

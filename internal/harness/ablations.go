@@ -84,12 +84,6 @@ func registerAblations() {
 		run:         runAblAlg,
 	})
 	register(Experiment{
-		ID:          "abl-shard",
-		Title:       "Ablation: sharded execution vs the single team",
-		Description: "Partition the CSR into contiguous vertex ranges, run one team per shard on a compact per-shard view, stitch the shard forests through the boundary edges. The single team reads the same compact layout, so the comparison isolates what sharding itself buys (disjoint teams, per-wave span folding) against what it costs (the O(boundary) stitch, which collapses to a union-find over shard slots when every shard finishes as one tree). The torus rows show the win where contiguous ranges respect the topology; the geometric and random rows show the two failure modes (shard fragmentation, dense cuts) that keep the serving auto policy conservative.",
-		run:         runAblShard,
-	})
-	register(Experiment{
 		ID:          "abl-machine",
 		Title:       "Ablation: cost-model machine profile sensitivity",
 		Description: "Re-evaluates the Fig. 3 headline point under the E4500-like and modern-x86 profiles; the shape conclusion (who wins) must survive the swap.",
@@ -549,91 +543,6 @@ func runAblBarriers(cfg Config) (*Report, error) {
 			Name:   "constant-barrier traversal beats per-level barriers on a mesh",
 			Pass:   ws.time < lv.time,
 			Detail: fmt.Sprintf("NewAlg %v vs LevelBFS %v", stats.FormatDuration(ws.time), stats.FormatDuration(lv.time)),
-		})
-	}
-	return rep, nil
-}
-
-func runAblShard(cfg Config) (*Report, error) {
-	s := sqrtSide(cfg.Scale)
-	p := maxProcs(cfg)
-	families := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		// Row-major vertex ids: contiguous ranges are torus bands, the cut
-		// is O(sqrt n) edges and every band is connected — the shape
-		// sharding is built for.
-		{"torus", gen.Torus2D(s, s)},
-		// Geometric ids carry no spatial locality, so contiguous ranges
-		// fragment into many components per shard: the stitch takes the
-		// label-walk path and every component costs a quiescence reseed.
-		// That tax is fixed per component, so the verdict flips with
-		// scale — the single team wins at 2^16, sharding at 2^20.
-		{"geo-hier", gen.GeoHier(cfg.Scale, gen.DefaultGeoHierParams(), cfg.Seed)},
-		// Dense uniform edges: any bisection cuts ~half of them, so the
-		// boundary list rivals the graph itself.
-		{"random-nlogn", gen.Random(cfg.Scale, cfg.Scale*log2(cfg.Scale), cfg.Seed)},
-	}
-	variants := []struct {
-		name string
-		ws   wsConfig
-	}{
-		{"shards=1", wsConfig{forceShards: true, shards: 1}},
-		{"shards=2", wsConfig{forceShards: true, shards: 2}},
-		{"shards=4", wsConfig{forceShards: true, shards: 4}},
-	}
-	rep := &Report{ID: "abl-shard", Title: "sharded execution vs the single team (p = " + fmt.Sprint(p) + ")"}
-	rep.Table = stats.NewTable("graph", "variant", "time", "detail")
-	times := map[string]map[string]measurement{}
-	for _, fam := range families {
-		times[fam.name] = map[string]measurement{}
-		for _, v := range variants {
-			m, err := measure(cfg, fam.g, kindWS, p, v.ws)
-			if err != nil {
-				return nil, err
-			}
-			times[fam.name][v.name] = m
-			rep.Table.AddRow(fam.name, v.name, stats.FormatDuration(m.time), m.extra)
-		}
-	}
-	if cfg.Mode == Modeled {
-		// The headline claim, on the family sharding is built for: torus
-		// bands are connected with an O(sqrt n) cut, so the disjoint teams
-		// fold their span per wave while the stitch collapses to the
-		// rooted fast path — O(cut) added work, at 2^16 and at paper scale
-		// alike.
-		rep.Checks = append(rep.Checks, Check{
-			Name: "sharding beats the single team on the sparse cut",
-			Pass: times["torus"]["shards=2"].time < times["torus"]["shards=1"].time,
-			Detail: fmt.Sprintf("torus shards=2 %v vs shards=1 %v",
-				stats.FormatDuration(times["torus"]["shards=2"].time),
-				stats.FormatDuration(times["torus"]["shards=1"].time)),
-		})
-		// Doubling the shard count doubles the cut but halves nothing new;
-		// on the sparse cut the added stitch work is noise and the win must
-		// survive.
-		rep.Checks = append(rep.Checks, Check{
-			Name: "four shards hold the sparse-cut win",
-			Pass: times["torus"]["shards=4"].time < times["torus"]["shards=1"].time,
-			Detail: fmt.Sprintf("torus shards=4 %v vs shards=1 %v",
-				stats.FormatDuration(times["torus"]["shards=4"].time),
-				stats.FormatDuration(times["torus"]["shards=1"].time)),
-		})
-		// The negative space is part of the result: a uniform random graph
-		// puts ~half its edges on the cut, so the boundary list rivals the
-		// graph and the single team must win at every scale — this is why
-		// the serving layer's auto policy shards by size with a small cap
-		// instead of always sharding. (The geo-hier rows are reported but
-		// not checked: shard fragmentation loses at 2^16 yet flips to a
-		// win at paper scale, where the reseed tax amortizes — see
-		// EXPERIMENTS.md.)
-		rep.Checks = append(rep.Checks, Check{
-			Name: "the single team wins when the cut is dense",
-			Pass: times["random-nlogn"]["shards=1"].time < times["random-nlogn"]["shards=2"].time,
-			Detail: fmt.Sprintf("random shards=1 %v vs shards=2 %v",
-				stats.FormatDuration(times["random-nlogn"]["shards=1"].time),
-				stats.FormatDuration(times["random-nlogn"]["shards=2"].time)),
 		})
 	}
 	return rep, nil

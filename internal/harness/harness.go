@@ -75,12 +75,6 @@ type Config struct {
 	// policy, default growth cap.
 	ChunkPolicy sched.ChunkPolicy
 	ChunkSize   int
-	// Shards configures sharded execution for the work-stealing runs of
-	// every experiment that does not force its own shard counts (the
-	// shard ablation does). 0 and 1 are the single-team path; the
-	// fallback ablation ignores it (detection requires an unsharded
-	// run).
-	Shards int
 	// Collector, when non-nil, receives one observability Report per
 	// instrumented measurement (the work-stealing and SV-family runs),
 	// labeled "algo/graph/p=N" — the metrics artifact cmd/benchfig

@@ -29,7 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4-chain-seq", "fig4-chain-random",
 		"abl-nosteal", "abl-nostub", "abl-svlock",
 		"abl-deg2", "abl-fallback", "abl-hcs", "abl-machine", "abl-family", "abl-barriers", "abl-stublen",
-		"abl-chunk", "abl-alg", "abl-shard",
+		"abl-chunk", "abl-alg",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

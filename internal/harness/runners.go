@@ -81,10 +81,6 @@ type wsConfig struct {
 	forceChunk  bool
 	chunkPolicy sched.ChunkPolicy
 	chunkSize   int
-	// forceShards overrides cfg.Shards with shards — the shard ablation
-	// pins its variants.
-	forceShards bool
-	shards      int
 	// statsOut, when non-nil, receives the run's core.Stats for
 	// ablations that check steal hit rates and controller activity. In
 	// wall-clock mode the scheduler counters (steals, attempts, chunk
@@ -148,18 +144,13 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				StubSteps:     ws.stubSteps,
 				ChunkPolicy:   cfg.ChunkPolicy,
 				ChunkSize:     cfg.ChunkSize,
-				Shards:        cfg.Shards,
 			}
 			if ws.forceChunk {
 				opt.ChunkPolicy = ws.chunkPolicy
 				opt.ChunkSize = ws.chunkSize
 			}
-			if ws.forceShards {
-				opt.Shards = ws.shards
-			}
 			if ws.fallbackAtP {
 				opt.FallbackThreshold = maxInt(1, p-1)
-				opt.Shards = 0 // idle detection requires the unsharded path
 			}
 			var (
 				parent []graph.VID
@@ -204,23 +195,13 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			"seed":  fmt.Sprint(cfg.Seed),
 			"rep":   fmt.Sprint(rep),
 		}
-		if kind == kindWS || kind == kindSpanUF {
-			// Stamp the variant knobs so benchcmp can warn when a baseline
-			// and a current artifact measured different policies — the
-			// algorithm family alongside shards.
-			if kind == kindWS {
-				meta["alg"] = "workstealing"
-				sh := cfg.Shards
-				if ws.forceShards {
-					sh = ws.shards
-				}
-				if ws.fallbackAtP {
-					sh = 0
-				}
-				meta["shards"] = fmt.Sprint(maxInt(1, sh))
-			} else {
-				meta["alg"] = "spanuf"
-			}
+		// Stamp the algorithm family so benchcmp can warn when a baseline
+		// and a current artifact measured different ones.
+		switch kind {
+		case kindWS:
+			meta["alg"] = "workstealing"
+		case kindSpanUF:
+			meta["alg"] = "spanuf"
 		}
 		cfg.Collector.Collect(label, meta, elapsed.Nanoseconds(), rec)
 	}

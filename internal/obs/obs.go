@@ -125,20 +125,6 @@ const (
 	// compression during those finds.
 	CompressionWrites
 
-	// The sharded-execution counters were added with the engine layer.
-	// All three are recorded by the coordinator slot after the teams
-	// join, and stay 0 for unsharded runs (which never stitch).
-	//
-	// ShardRuns counts shard-team traversals this run executed (one per
-	// shard of the partition).
-	ShardRuns
-	// BoundaryEdges is the number of cross-shard edges the partitioner
-	// handed the stitch pass.
-	BoundaryEdges
-	// StitchHooks counts boundary edges the stitch elected as tree edges
-	// (one per pair of shard components joined).
-	StitchHooks
-
 	// The resilience counters were added with the serving-grade
 	// hardening. All three stay 0 for runs that never stall, degrade, or
 	// pass through adaptive admission.
@@ -196,9 +182,6 @@ const (
 	EvPanic
 	// EvChaos: the chaos layer injected a fault (A = injection point).
 	EvChaos
-	// EvStitch: the stitch pass joined the shard forests (A = boundary
-	// edges inspected, B = hooks won).
-	EvStitch
 )
 
 // String returns the schema name of the event kind.
@@ -222,8 +205,6 @@ func (k EventKind) String() string {
 		return "panic"
 	case EvChaos:
 		return "chaos"
-	case EvStitch:
-		return "stitch"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -266,8 +247,6 @@ func eventPayloadNames(kind string) (a, b string) {
 		return "cause", "b"
 	case "chaos":
 		return "point", "b"
-	case "stitch":
-		return "boundary", "hooks"
 	}
 	return "a", "b"
 }

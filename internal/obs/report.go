@@ -61,12 +61,6 @@ type Counters struct {
 	HooksLost         int64 `json:"hooks_lost,omitempty"`
 	UFFinds           int64 `json:"uf_finds,omitempty"`
 	CompressionWrites int64 `json:"compression_writes,omitempty"`
-	// The sharded-execution counters were added with the engine layer
-	// (schema grows additively); all three stay omitted for unsharded
-	// runs, so earlier artifacts compare unchanged.
-	ShardRuns     int64 `json:"shard_runs,omitempty"`
-	BoundaryEdges int64 `json:"boundary_edges,omitempty"`
-	StitchHooks   int64 `json:"stitch_hooks,omitempty"`
 	// The resilience counters were added with the serving-grade
 	// hardening (schema grows additively); all three stay omitted for
 	// runs that never stall, degrade, or pass through adaptive
@@ -103,9 +97,6 @@ func countersFrom(c *[numCounters]int64) Counters {
 		HooksLost:         c[HooksLost],
 		UFFinds:           c[UFFinds],
 		CompressionWrites: c[CompressionWrites],
-		ShardRuns:         c[ShardRuns],
-		BoundaryEdges:     c[BoundaryEdges],
-		StitchHooks:       c[StitchHooks],
 		StallTrips:        c[StallTrips],
 		DegradeSteps:      c[DegradeSteps],
 		AdmitLimit:        c[AdmitLimit],

@@ -11,6 +11,7 @@ import (
 
 	"spantree/internal/chaos"
 	"spantree/internal/fault"
+	"spantree/internal/leakcheck"
 	"spantree/internal/smpmodel"
 )
 
@@ -106,13 +107,7 @@ func TestChaosInjectedPanicSurfacesAsPanicError(t *testing.T) {
 		if !ok || ip.Worker != 1 || ip.Point != pt {
 			t.Fatalf("point=%v: panic value %v, want aimed InjectedPanic", pt, pe.Value)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before {
-			if time.Now().After(deadline) {
-				t.Fatalf("point=%v: team goroutines leaked after isolated panic", pt)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		leakcheck.Settle(t, before)
 	}
 }
 
@@ -139,12 +134,6 @@ func TestChaosCancellationUnderPerturbation(t *testing.T) {
 		if !errors.Is(err, fault.ErrCanceled) {
 			t.Fatalf("seed=%d p=%d: err = %v, want ErrCanceled", seed, p, err)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before {
-			if time.Now().After(deadline) {
-				t.Fatalf("seed=%d p=%d: goroutines leaked after cancel", seed, p)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		leakcheck.Settle(t, before)
 	}
 }

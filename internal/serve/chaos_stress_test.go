@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spantree/internal/gen"
+	"spantree/internal/leakcheck"
 )
 
 // The serving-layer chaos stress suite (chaos builds only, run under
@@ -120,15 +121,9 @@ func TestServeChaosStressSeeds(t *testing.T) {
 		t.Fatal("the sweep injected nothing — the chaos plumbing is dead")
 	}
 	t.Logf("sweep: %d injected faults, %d non-200 responses, all typed", injected, faults)
-	// Goroutine-flat across 50 server lifecycles: allow the runtime a
-	// settle window for netpoller and timer goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > base+4 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > base+4 {
-		t.Fatalf("goroutines leaked across the sweep: %d -> %d", base, after)
-	}
+	// Goroutine-flat across 50 server lifecycles, with slack for
+	// netpoller and timer goroutines.
+	leakcheck.Settle(t, base+4)
 }
 
 // TestServeChaosJournalConsistency drives registry mutations through a

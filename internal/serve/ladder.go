@@ -15,15 +15,14 @@ import (
 // until the runs complete again, and a cooled-down stretch of healthy
 // completions climbs back up.
 //
-//	rung 0: the configured execution (resolved shards, full p)
-//	rung 1: unsharded (no partition, no stitch, one team)
-//	rung 2: unsharded at half the workers
-//	rung 3: sequential (p = 1 — no steals, no barriers)
+//	rung 0: the configured execution (full p)
+//	rung 1: half the workers
+//	rung 2: sequential (p = 1 — no steals, no barriers)
 //
 // Rungs are per graph, not per server: one pathological graph degrades
 // alone while the rest of the registry keeps its full execution.
 const (
-	numRungs = 4
+	numRungs = 3
 	maxRung  = numRungs - 1
 )
 
@@ -39,7 +38,6 @@ type entry struct {
 	name     string
 	spec     gen.Spec
 	g        *spantree.Graph
-	shards   int                     // the resolved per-graph shard count
 	base     spantree.SessionOptions // rung-0 session options
 	poolSize int
 
@@ -56,16 +54,10 @@ type entry struct {
 func (e *entry) optionsFor(r int32) spantree.SessionOptions {
 	o := e.base
 	switch {
-	case r >= 3:
-		o.Shards = 1
+	case r >= 2:
 		o.NumProcs = 1
-	case r == 2:
-		o.Shards = 1
-		if o.NumProcs > 1 {
-			o.NumProcs /= 2
-		}
-	case r == 1:
-		o.Shards = 1
+	case r == 1 && o.NumProcs > 1:
+		o.NumProcs /= 2
 	}
 	return o
 }

@@ -174,28 +174,27 @@ func TestLadderStepDownAndRecovery(t *testing.T) {
 	}
 }
 
-// TestLadderOptions pins what each rung strips: sharding first, then
-// half the workers, then all parallelism.
+// TestLadderOptions pins what each rung strips: half the workers
+// first, then all parallelism.
 func TestLadderOptions(t *testing.T) {
 	e := &entry{}
 	e.base.NumProcs = 4
-	e.base.Shards = 8
-	if o := e.optionsFor(0); o.Shards != 8 || o.NumProcs != 4 {
+	if o := e.optionsFor(0); o.NumProcs != 4 {
 		t.Fatalf("rung 0 options: %+v", o)
 	}
-	if o := e.optionsFor(1); o.Shards != 1 || o.NumProcs != 4 {
+	if o := e.optionsFor(1); o.NumProcs != 2 {
 		t.Fatalf("rung 1 options: %+v", o)
 	}
-	if o := e.optionsFor(2); o.Shards != 1 || o.NumProcs != 2 {
+	if o := e.optionsFor(2); o.NumProcs != 1 {
 		t.Fatalf("rung 2 options: %+v", o)
 	}
-	if o := e.optionsFor(3); o.Shards != 1 || o.NumProcs != 1 {
-		t.Fatalf("rung 3 options: %+v", o)
+	if maxRung != 2 {
+		t.Fatalf("maxRung = %d, want the sequential rung 2", maxRung)
 	}
 	// A single-proc base cannot halve below 1.
 	e.base.NumProcs = 1
-	if o := e.optionsFor(2); o.NumProcs != 1 {
-		t.Fatalf("rung 2 on p=1 base: %+v", o)
+	if o := e.optionsFor(1); o.NumProcs != 1 {
+		t.Fatalf("rung 1 on p=1 base: %+v", o)
 	}
 }
 

@@ -21,7 +21,7 @@
 //
 //   - A per-graph degradation ladder (ladder.go) steps a graph whose
 //     runs keep stalling or blowing deadlines down to simpler execution
-//     (unsharded → fewer workers → sequential) and climbs back after a
+//     (half the workers → sequential) and climbs back after a
 //     cool-down.
 //   - A crash-safe registry journal (journal.go) replays the graph set
 //     across a SIGKILL.
@@ -97,13 +97,6 @@ type Config struct {
 	// Warmups is the per-session warmup run count (0 means the session
 	// default).
 	Warmups int
-	// Shards selects the work-stealing shard count the pooled sessions
-	// run with: 0 (the default) applies the auto policy per registered
-	// graph — one shard per 256Ki vertices, capped at 8, so small
-	// graphs keep the single-team path and cache-bound ones get compact
-	// per-shard views — and any positive count forces that many shards
-	// for every graph (1 forces the single-team path).
-	Shards int
 	// StallBudget arms the per-session stuck-run watchdog: a run in
 	// which no worker advances for this long is aborted with the typed
 	// 503 (stalled) instead of burning its whole deadline. 0 disables.
@@ -298,14 +291,9 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	if g.NumVertices() > s.cfg.MaxVertices {
 		return nil, errTooLarge{n: g.NumVertices(), max: s.cfg.MaxVertices}
 	}
-	shards, err := s.resolveShards(g)
-	if err != nil {
-		return nil, err
-	}
 	base := spantree.SessionOptions{
 		NumProcs:    s.cfg.NumProcs,
 		ChunkPolicy: spantree.ChunkAdaptive,
-		Shards:      shards,
 		Warmups:     s.cfg.Warmups,
 		StallBudget: s.cfg.StallBudget,
 	}
@@ -314,7 +302,7 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		return nil, err
 	}
 	e := &entry{
-		name: name, spec: spec, g: g, shards: shards,
+		name: name, spec: spec, g: g,
 		base: base, poolSize: s.cfg.PoolSize,
 	}
 	e.pools[0] = pool
@@ -339,27 +327,6 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	s.graphs[name] = e
 	s.mu.Unlock()
 	return e, nil
-}
-
-// resolveShards applies the server's shard policy to one graph: a
-// positive Config.Shards forces that count, 0 scales with graph size —
-// one shard per 256Ki vertices, capped at 8, so the partition's working
-// sets stay cache-sized without oversplitting the worker budget.
-func (s *Server) resolveShards(g *spantree.Graph) (int, error) {
-	if sh := s.cfg.Shards; sh != 0 {
-		if sh < 0 {
-			return 1, fmt.Errorf("bad shard count %d (want >= 0)", sh)
-		}
-		return sh, nil
-	}
-	sh := g.NumVertices() >> 18
-	if sh < 1 {
-		sh = 1
-	}
-	if sh > 8 {
-		sh = 8
-	}
-	return sh, nil
 }
 
 type errTooLarge struct{ n, max int }
@@ -417,9 +384,6 @@ type GraphInfo struct {
 	// Layout is the CSR layout the pool's sessions read, always
 	// "compact". It stays because the benchmark under bench/ parses it.
 	Layout string `json:"layout"`
-	// Shards is the work-stealing shard count the pool's sessions run
-	// with — under the auto policy, what the server picked.
-	Shards int `json:"shards"`
 	// Rung is the graph's current position on the degradation ladder
 	// (0 = full configured execution; see ladder.go).
 	Rung int `json:"rung"`
@@ -579,7 +543,6 @@ func (s *Server) graphInfo(e *entry) GraphInfo {
 		PoolSize: e.poolSize,
 		NumProcs: s.cfg.NumProcs,
 		Layout:   "compact",
-		Shards:   e.shards,
 		Rung:     int(e.rung.Load()),
 	}
 }

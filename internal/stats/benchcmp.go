@@ -340,20 +340,16 @@ func CompareHotpath(baselineJSON []byte, current *obs.Artifact, opt BenchCompare
 
 // TraversalVariants is the set of measurement policies an obs
 // artifact's parallel runs were measured under, collected from the
-// "alg" and "shards" run meta the harness stamps. Empty slices mean the
-// artifact predates variant stamping (or has no stamped runs) —
-// unknown, so nothing to warn about.
+// "alg" run meta the harness stamps. An empty slice means the artifact
+// predates variant stamping (or has no stamped runs) — unknown, so
+// nothing to warn about.
 type TraversalVariants struct {
-	Algs   []string
-	Shards []string
+	Algs []string
 }
 
-// Variants collects an artifact's distinct alg and shards stamps.
+// Variants collects an artifact's distinct alg stamps.
 func Variants(a *obs.Artifact) TraversalVariants {
-	return TraversalVariants{
-		Algs:   metaSet(a, "alg"),
-		Shards: metaSet(a, "shards"),
-	}
+	return TraversalVariants{Algs: metaSet(a, "alg")}
 }
 
 func metaSet(a *obs.Artifact, key string) []string {
@@ -370,23 +366,16 @@ func metaSet(a *obs.Artifact, key string) []string {
 }
 
 // VariantWarning renders a warning line when the baseline and current
-// artifacts were measured under different algorithm families or shard
-// counts, or "" when they agree (or either side is unknown). Like a
-// host-shape mismatch, a variant mismatch makes the timings
-// incomparable without being a code regression, so the gate warns
-// instead of failing.
+// artifacts were measured under different algorithm families, or ""
+// when they agree (or either side is unknown). Like a host-shape
+// mismatch, a variant mismatch makes the timings incomparable without
+// being a code regression, so the gate warns instead of failing.
 func VariantWarning(base, cur TraversalVariants) string {
-	var parts []string
-	if d := variantDiff("alg", base.Algs, cur.Algs); d != "" {
-		parts = append(parts, d)
-	}
-	if d := variantDiff("shards", base.Shards, cur.Shards); d != "" {
-		parts = append(parts, d)
-	}
-	if len(parts) == 0 {
+	d := variantDiff("alg", base.Algs, cur.Algs)
+	if d == "" {
 		return ""
 	}
-	return "warning: traversal variant differs — " + strings.Join(parts, "; ") +
+	return "warning: traversal variant differs — " + d +
 		"; timings are not comparable across variants"
 }
 

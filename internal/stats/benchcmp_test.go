@@ -229,57 +229,41 @@ func TestCompareHotpathRejectsWrongSchema(t *testing.T) {
 }
 
 func TestVariantWarning(t *testing.T) {
-	withMeta := func(label, shards string) obs.Report {
-		r := run(label, 10_000_000, 0, 0)
-		r.Meta = map[string]string{"shards": shards}
-		return r
-	}
-	base := artifactWith(withMeta("NewAlg/g/p=4", "1"))
-	same := artifactWith(withMeta("NewAlg/g/p=4", "1"))
-	if w := VariantWarning(Variants(base), Variants(same)); w != "" {
-		t.Fatalf("matching variants warned: %q", w)
-	}
-	shardDrift := artifactWith(withMeta("NewAlg/g/p=4", "4"))
-	w := VariantWarning(Variants(base), Variants(shardDrift))
-	if w == "" {
-		t.Fatal("shards mismatch not warned")
-	}
-
-	// A "layout" stamp, left in the checked-in baselines from when the
-	// traversal had two layouts, is ignored.
-	wide := artifactWith(withMeta("NewAlg/g/p=4", "1"))
-	wide.Runs[0].Meta["layout"] = "wide"
-	compact := artifactWith(withMeta("NewAlg/g/p=4", "1"))
-	compact.Runs[0].Meta["layout"] = "compact"
-	if w := VariantWarning(Variants(wide), Variants(compact)); w != "" {
-		t.Fatalf("layout stamp warned: %q", w)
-	}
-
-	// Artifacts that predate variant stamping stay silent: unknown is
-	// not a mismatch.
-	unstamped := artifactWith(run("NewAlg/g/p=4", 10_000_000, 0, 0))
-	if w := VariantWarning(Variants(unstamped), Variants(shardDrift)); w != "" {
-		t.Fatalf("unknown baseline warned: %q", w)
-	}
-	if w := VariantWarning(Variants(base), Variants(unstamped)); w != "" {
-		t.Fatalf("unknown current warned: %q", w)
-	}
-
-	// Algorithm-family drift warns alongside shards: a spanuf baseline
-	// compared against traversal numbers (or vice versa) is not a
-	// regression signal.
 	withAlg := func(label, alg string) obs.Report {
 		r := run(label, 10_000_000, 0, 0)
 		r.Meta = map[string]string{"alg": alg}
 		return r
 	}
-	wsBase := artifactWith(withAlg("NewAlg/g/p=4", "workstealing"))
+	base := artifactWith(withAlg("NewAlg/g/p=4", "workstealing"))
+	same := artifactWith(withAlg("NewAlg/g/p=4", "workstealing"))
+	if w := VariantWarning(Variants(base), Variants(same)); w != "" {
+		t.Fatalf("matching variants warned: %q", w)
+	}
+
+	// "layout" and "shards" stamps, left in the checked-in baselines from
+	// when the traversal had two layouts and sharded execution, are
+	// ignored.
+	stale := artifactWith(withAlg("NewAlg/g/p=4", "workstealing"))
+	stale.Runs[0].Meta["layout"] = "wide"
+	stale.Runs[0].Meta["shards"] = "4"
+	if w := VariantWarning(Variants(stale), Variants(base)); w != "" {
+		t.Fatalf("stale stamp warned: %q", w)
+	}
+
+	// Algorithm-family drift warns: a spanuf baseline compared against
+	// traversal numbers (or vice versa) is not a regression signal.
 	ufCur := artifactWith(withAlg("SpanUF/g/p=4", "spanuf"))
-	w = VariantWarning(Variants(wsBase), Variants(ufCur))
-	if w == "" || !strings.Contains(w, "alg") {
+	if w := VariantWarning(Variants(base), Variants(ufCur)); w == "" || !strings.Contains(w, "alg") {
 		t.Fatalf("alg mismatch not warned: %q", w)
 	}
-	if w := VariantWarning(Variants(wsBase), Variants(artifactWith(withAlg("NewAlg/g/p=4", "workstealing")))); w != "" {
-		t.Fatalf("matching alg warned: %q", w)
+
+	// Artifacts that predate variant stamping stay silent: unknown is
+	// not a mismatch.
+	unstamped := artifactWith(run("NewAlg/g/p=4", 10_000_000, 0, 0))
+	if w := VariantWarning(Variants(unstamped), Variants(ufCur)); w != "" {
+		t.Fatalf("unknown baseline warned: %q", w)
+	}
+	if w := VariantWarning(Variants(base), Variants(unstamped)); w != "" {
+		t.Fatalf("unknown current warned: %q", w)
 	}
 }

@@ -167,7 +167,7 @@ func CompareServing(baseline, current *ServingArtifact, opt BenchCompareOptions)
 // measured against a server holding a degradation rung (meta
 // "degrade_rung" stamped by loadgen), or the two runs disagree on the
 // rung. Percentiles at different rungs price different execution
-// configurations (sharded vs unsharded vs sequential), so the gate
+// configurations (full p vs half p vs sequential), so the gate
 // warns instead of failing — degradation is the resilience ladder doing
 // its job under ambient load, not a latency regression in the code.
 func DegradeRungWarning(base, cur map[string]string) string {

@@ -12,6 +12,7 @@ import (
 	"spantree/internal/core"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
+	"spantree/internal/leakcheck"
 )
 
 // TestFindContextBackground: a background context must behave exactly
@@ -50,7 +51,7 @@ func TestFindContextPreCanceled(t *testing.T) {
 		if res != nil {
 			t.Fatalf("%v: canceled run returned a result", algo)
 		}
-		waitNumGoroutine(t, before)
+		leakcheck.Settle(t, before)
 	}
 }
 
@@ -96,7 +97,7 @@ func TestFindContextCancelMidRun(t *testing.T) {
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%v: err = %v, want ErrCanceled", algo, err)
 		}
-		waitNumGoroutine(t, before)
+		leakcheck.Settle(t, before)
 	}
 }
 
@@ -243,18 +244,5 @@ func TestPublicPanicDegradation(t *testing.T) {
 	}
 	if verr := Verify(g, parent); verr != nil {
 		t.Fatalf("degraded forest invalid: %v", verr)
-	}
-}
-
-func waitNumGoroutine(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d live, want <= %d\n%s", runtime.NumGoroutine(), want, buf[:n])
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -23,11 +23,6 @@ type SessionOptions struct {
 	// exactly as in Options.
 	ChunkPolicy ChunkPolicy
 	ChunkSize   int
-	// Shards configures sharded execution exactly as in Options.Shards:
-	// the partition, the per-shard CSR views and the stitch scratch are
-	// built once at session construction, so sharded pooled runs stay
-	// allocation-free too. Requires FallbackThreshold == 0 when > 1.
-	Shards int
 	// FallbackThreshold enables the pathological-case detection (see
 	// Options.FallbackThreshold). A triggered fallback allocates — only
 	// the traversal itself is pooled.
@@ -101,7 +96,6 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 		NumProcs:          o.NumProcs,
 		ChunkPolicy:       o.ChunkPolicy,
 		ChunkSize:         o.ChunkSize,
-		Shards:            o.Shards,
 		FallbackThreshold: o.FallbackThreshold,
 		StallBudget:       o.StallBudget,
 	}

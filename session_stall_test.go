@@ -10,6 +10,7 @@ import (
 
 	"spantree/internal/fault"
 	"spantree/internal/gen"
+	"spantree/internal/leakcheck"
 )
 
 // TestSessionStalledThenReuse drives the watchdog contract through the
@@ -72,7 +73,7 @@ func TestSessionStalledThenReuse(t *testing.T) {
 	}
 	// The watchdog monitor is parked, not respawned, so the goroutine
 	// count settles back to the pre-trip level.
-	waitNumGoroutine(t, base)
+	leakcheck.Settle(t, base)
 }
 
 // TestSessionWarmupIgnoresStallBudget: warmups are construction runs, so

@@ -264,17 +264,6 @@ type Options struct {
 	// unbatched per-vertex hot path; under ChunkAdaptive it caps the
 	// controller's growth (0 means the default cap, 256).
 	ChunkSize int
-	// Shards splits the work-stealing traversal into that many
-	// contiguous vertex-range shards, each traversed by its own team
-	// over a compact intra-shard CSR view, with the cross-shard edges
-	// stitched into one forest afterwards (a union-find sweep over the
-	// contracted shard-component graph). 0 or 1 runs the classic
-	// single-team path — the shards=1 special case of the same engine.
-	// NumProcs stays the total worker budget: with Shards <= NumProcs
-	// the teams split it, with Shards > NumProcs single-worker teams run
-	// in sequential waves. Requires FallbackThreshold == 0. Only the
-	// work-stealing algorithm honors it.
-	Shards int
 	// Model, when non-nil, accumulates Helman-JáJá cost-model counters
 	// for the run (see the smpmodel package via Result.ModeledTime).
 	Model *smpmodel.Model
@@ -400,7 +389,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			FallbackThreshold: opt.FallbackThreshold,
 			ChunkPolicy:       opt.ChunkPolicy,
 			ChunkSize:         opt.ChunkSize,
-			Shards:            opt.Shards,
 			Cancel:            cancel,
 			Chaos:             inj,
 		})
