@@ -163,20 +163,19 @@ func BenchmarkAblationNoStub(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationChunk isolates the owner hot path's drain policy:
-// fixed-1 reproduces the unbatched one-lock-op-per-vertex traversal,
-// fixed-64 the statically batched drain, and adaptive the default
-// per-worker controller that moves between the two regimes at run time.
+// BenchmarkAblationChunk isolates the owner hot path's drain chunk:
+// chunk 1 reproduces the unbatched one-lock-op-per-vertex traversal,
+// chunk 64 a smaller batch, and the default the 256-vertex drain.
 func BenchmarkAblationChunk(b *testing.B) {
 	g := benchGraph("torus-random")
 	p := benchProcs()[len(benchProcs())-1]
-	b.Run("fixed1", func(b *testing.B) {
-		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkPolicy: ChunkFixed, ChunkSize: 1})
+	b.Run("chunk1", func(b *testing.B) {
+		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkSize: 1})
 	})
-	b.Run("fixed64", func(b *testing.B) {
-		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkPolicy: ChunkFixed, ChunkSize: 64})
+	b.Run("chunk64", func(b *testing.B) {
+		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkSize: 64})
 	})
-	b.Run("adaptive", func(b *testing.B) {
+	b.Run("default", func(b *testing.B) {
 		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1})
 	})
 }

@@ -30,11 +30,10 @@ import (
 type Options struct {
 	// NumProcs is the number of virtual processors p (>= 1).
 	NumProcs int
-	// ChunkPolicy and ChunkSize configure the shared dynamic scheduler
+	// ChunkSize is the drain chunk of the shared dynamic scheduler
 	// (par.ForDynamic) distributing whole components to workers — the
-	// same -chunk knobs as every other parallel algorithm here.
-	ChunkPolicy par.ChunkPolicy
-	ChunkSize   int
+	// same -chunk knob as every other parallel algorithm here.
+	ChunkSize int
 }
 
 // Result holds the biconnected decomposition of a graph.
@@ -132,7 +131,7 @@ func ComputeP(g *graph.Graph, opt Options) *Result {
 	blockCount := make([]int32, numComps)
 	bridgesOf := make([][]graph.Edge, numComps)
 
-	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkPolicy, opt.ChunkSize)
+	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkSize)
 	team.Run(func(c *par.Ctx) {
 		c.ForDynamic(numComps, func(ci int) {
 			blockCount[ci], bridgesOf[ci] = dfsComponent(g, starts[ci], sc, res.CompOfEdge, edgeIndex)

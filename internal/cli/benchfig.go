@@ -27,8 +27,7 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		repeats  = fs.Int("repeats", 3, "wall-clock repetitions (min reported)")
 		csv      = fs.Bool("csv", false, "emit tables as CSV")
 		strict   = fs.Bool("strict", false, "return an error if any shape check fails")
-		chunk    = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk; 0 keeps the adaptive controller")
-		chunkPol = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
+		chunk    = fs.Int("chunk", 0, chunkUsage)
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
@@ -46,17 +45,12 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	policy, err := resolveChunkPolicy(*chunkPol, *chunk)
-	if err != nil {
-		return err
-	}
 	cfg := harness.Config{
-		Scale:       *scale,
-		Seed:        *seed,
-		Repeats:     *repeats,
-		Verify:      true,
-		ChunkPolicy: policy,
-		ChunkSize:   *chunk,
+		Scale:     *scale,
+		Seed:      *seed,
+		Repeats:   *repeats,
+		Verify:    true,
+		ChunkSize: *chunk,
 	}
 	switch *algName {
 	case "workstealing":

@@ -90,7 +90,7 @@ func TestSpanTreeFallbackFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep bytes.Buffer
-	reportWorkStealing(&rep, &st, spantree.ChunkAdaptive)
+	reportWorkStealing(&rep, &st)
 	want := fmt.Sprintf("fallback: SV completion ran (%d grafts in %d iterations)", st.SVStats.Grafts, st.SVStats.Iterations)
 	if !st.FallbackTriggered || st.SVStats.Grafts == 0 || !strings.Contains(rep.String(), want) {
 		t.Fatalf("fallback not reported:\n%s", rep.String())

@@ -39,8 +39,7 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		algoName  = fs.String("algo", "workstealing", "algorithm: workstealing, seqbfs, seqdfs, sequf, sv, svlocks, hcs, as, levelbfs, spanuf")
 		procs     = fs.Int("p", runtime.GOMAXPROCS(0), "virtual processors for parallel algorithms")
 		deg2      = fs.Bool("deg2", false, "enable degree-2 elimination preprocessing")
-		chunk     = fs.Int("chunk", 0, "drain chunk size for every parallel algorithm: > 0 forces a fixed chunk (1 = unbatched); 0 keeps the adaptive controller (where it caps growth)")
-		chunkPol  = fs.String("chunkpolicy", "", "drain chunk policy for every parallel algorithm: adaptive or fixed (default adaptive, or fixed when -chunk > 0)")
+		chunk     = fs.Int("chunk", 0, chunkUsage)
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
 		model     = fs.Bool("model", false, "report Helman-JáJá modeled cost (E4500 profile)")
 		noverify  = fs.Bool("noverify", false, "skip result verification")
@@ -77,10 +76,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := resolveChunkPolicy(*chunkPol, *chunk)
-	if err != nil {
-		return err
-	}
 	if *chaosSeed != 0 && !spantree.ChaosEnabled {
 		return fmt.Errorf("spantree: -chaos-seed requires a binary built with -tags chaos")
 	}
@@ -102,7 +97,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			Seed:              *seed,
 			Deg2Eliminate:     *deg2,
 			FallbackThreshold: *fallback,
-			ChunkPolicy:       policy,
 			ChunkSize:         *chunk,
 			Verify:            !*noverify,
 			ValidateInput:     *validate,
@@ -142,7 +136,7 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "verified: spanning forest is valid")
 	}
 	if ws := best.WorkStealing; ws != nil {
-		reportWorkStealing(stdout, ws, policy)
+		reportWorkStealing(stdout, ws)
 	}
 	if sv := best.SV; sv != nil {
 		fmt.Fprintf(stdout, "sv: iterations=%d shortcutRounds=%d grafts=%d\n", sv.Iterations, sv.ShortcutRounds, sv.Grafts)
@@ -167,11 +161,10 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 	if rec != nil {
 		label := fmt.Sprintf("%s/%v/p=%d", best.Algorithm, g, *procs)
 		meta := map[string]string{
-			"algo":        best.Algorithm.String(),
-			"graph":       g.String(),
-			"p":           fmt.Sprint(*procs),
-			"seed":        fmt.Sprint(*seed),
-			"chunkpolicy": policy.String(),
+			"algo":  best.Algorithm.String(),
+			"graph": g.String(),
+			"p":     fmt.Sprint(*procs),
+			"seed":  fmt.Sprint(*seed),
 		}
 		rep := rec.NewReport(label, meta)
 		rep.ElapsedNS = recElapsed.Nanoseconds()
@@ -194,13 +187,11 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 }
 
 // reportWorkStealing prints the work-stealing traversal's statistics:
-// the protocol counters, the chunk controller's activity, and the
-// fallback and degradation outcomes when they occurred.
-func reportWorkStealing(w io.Writer, ws *core.Stats, policy spantree.ChunkPolicy) {
-	fmt.Fprintf(w, "workstealing: stub=%d steals=%d stolen=%d failedClaims=%d cursorRoots=%d imbalance=%.2f\n",
-		ws.StubSize, ws.Steals, ws.StolenVertices, ws.FailedClaims, ws.CursorRoots, ws.MaxLoadImbalance())
-	fmt.Fprintf(w, "chunk: policy=%v stealHitRate=%.3f grow=%d shrink=%d\n",
-		policy, ws.StealHitRate(), ws.ChunkGrow, ws.ChunkShrink)
+// the protocol counters, and the fallback and degradation outcomes when
+// they occurred.
+func reportWorkStealing(w io.Writer, ws *core.Stats) {
+	fmt.Fprintf(w, "workstealing: stub=%d steals=%d stolen=%d stealHitRate=%.3f failedClaims=%d cursorRoots=%d imbalance=%.2f\n",
+		ws.StubSize, ws.Steals, ws.StolenVertices, ws.StealHitRate(), ws.FailedClaims, ws.CursorRoots, ws.MaxLoadImbalance())
 	if ws.FallbackTriggered {
 		fmt.Fprintf(w, "fallback: SV completion ran (%d grafts in %d iterations)\n",
 			ws.SVStats.Grafts, ws.SVStats.Iterations)
@@ -210,19 +201,9 @@ func reportWorkStealing(w io.Writer, ws *core.Stats, policy spantree.ChunkPolicy
 	}
 }
 
-// resolveChunkPolicy maps the -chunkpolicy/-chunk flag pair onto a
-// ChunkPolicy: an explicit name wins, otherwise -chunk > 0 forces the
-// fixed policy (so existing `-chunk 64` invocations keep their exact
-// pre-adaptive behavior) and the default is adaptive.
-func resolveChunkPolicy(name string, chunk int) (spantree.ChunkPolicy, error) {
-	if name == "" {
-		if chunk > 0 {
-			return spantree.ChunkFixed, nil
-		}
-		return spantree.ChunkAdaptive, nil
-	}
-	return spantree.ParseChunkPolicy(name)
-}
+// chunkUsage is the -chunk flag's help text, shared by spantree and
+// benchfig.
+var chunkUsage = fmt.Sprintf("drain chunk size for every parallel algorithm: the most items a worker takes per lock acquisition (0 = the default, %d; 1 = unbatched)", core.DefaultChunkSize)
 
 func loadOrGenerate(inPath, kind string, n, m, k int, seed uint64, randlabel bool) (*spantree.Graph, error) {
 	if inPath != "" {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"spantree/internal/graph"
-	"spantree/internal/par"
 	"spantree/internal/xrand"
 )
 
@@ -54,14 +53,7 @@ func TestFromForestPModelCheck(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt := Options{NumProcs: p, ChunkSize: int(sizeRaw % 9)}
-		if sizeRaw%2 == 0 {
-			opt.ChunkPolicy = par.ChunkFixed
-			if opt.ChunkSize == 0 {
-				opt.ChunkSize = 1
-			}
-		}
-		got, gotCount, err := FromForestP(parent, opt)
+		got, gotCount, err := FromForestP(parent, Options{NumProcs: p, ChunkSize: int(sizeRaw % 9)})
 		if err != nil {
 			return false
 		}
@@ -121,8 +113,8 @@ func TestFromForestPStress(t *testing.T) {
 	for _, cfg := range []Options{
 		{NumProcs: 4},
 		{NumProcs: 8, ChunkSize: 4},
-		{NumProcs: 8, ChunkPolicy: par.ChunkFixed, ChunkSize: 1},
-		{NumProcs: 3, ChunkPolicy: par.ChunkFixed, ChunkSize: 64},
+		{NumProcs: 8, ChunkSize: 1},
+		{NumProcs: 3, ChunkSize: 64},
 	} {
 		got, gotCount, err := FromForestP(parent, cfg)
 		if err != nil {

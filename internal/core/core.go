@@ -53,13 +53,8 @@
 // counter at chunk boundaries and (mandatorily) on every busy-to-idle
 // transition — which is what keeps the quiescence invariant "all
 // processors asleep ⇒ the progress count is exact" true by construction.
-// The chunk itself is self-tuning by default (Options.ChunkPolicy): each
-// worker's controller grows it while the local queue is deep and steals
-// are succeeding and shrinks it toward 1 when thieves starve, so deep
-// regular frontiers get the lock amortization of a large chunk while
-// shallow or high-diameter frontiers keep their few vertices visible to
-// thieves. sched.ChunkFixed with Options.ChunkSize restores the static
-// chunk.
+// The chunk is fixed for the run (Options.ChunkSize, by default
+// sched.DefaultChunkSize).
 package core
 
 import (
@@ -82,10 +77,16 @@ import (
 )
 
 // DefaultChunkSize is the queue-drain chunk used when Options.ChunkSize
-// is unset: the owner pays ~2 lock operations per this many vertices.
-// Batching only amortizes once per-processor queue depth reaches this
-// order, so inputs with n/p well below it run in the startup regime.
+// is unset: the owner pays ~2 lock operations per up to this many
+// vertices.
 const DefaultChunkSize = sched.DefaultChunkSize
+
+// sweepChunk is the quiescence sweep's cadence: the leader spills a
+// component's frontier to its queue once it reaches this many vertices,
+// and polls for a stop every this many steps. It is independent of the
+// drain chunk: a spill this small hands a big component to the team
+// early, and the poll bounds the sweep's cancel latency.
+const sweepChunk = 64
 
 // Options configures a run of the algorithm. The traversal reads the
 // graph through its compact graph.CSR32 mirror (built once per run, or
@@ -109,20 +110,11 @@ type Options struct {
 	// (the paper specifies O(p) steps).
 	StubSteps int
 
-	// ChunkPolicy selects how the queue-drain chunk is chosen. The zero
-	// value is sched.ChunkAdaptive: a per-worker controller that grows
-	// the chunk while the local queue is deep and steals are succeeding
-	// and shrinks it toward 1 when thieves starve. sched.ChunkFixed
-	// drains exactly ChunkSize vertices per lock acquisition.
-	ChunkPolicy sched.ChunkPolicy
-
-	// ChunkSize is the number of vertices a processor drains from its
-	// queue per lock acquisition, and therefore also the flush cadence of
-	// the per-worker child and progress batches. Under sched.ChunkFixed,
-	// <= 0 means DefaultChunkSize and 1 reproduces the unbatched
-	// one-lock-op-per-vertex hot path (ablation). Under
-	// sched.ChunkAdaptive it caps the controller's growth (<= 0 means
-	// sched.AdaptiveMaxChunk).
+	// ChunkSize is the most vertices a processor drains from its queue
+	// per lock acquisition, and therefore also the flush cadence of the
+	// per-worker child and progress batches. <= 0 means
+	// DefaultChunkSize; 1 reproduces the unbatched one-lock-op-per-vertex
+	// hot path (ablation).
 	ChunkSize int
 
 	// Deg2Eliminate enables the degree-2 vertex elimination preprocessing
@@ -177,10 +169,7 @@ func (o *Options) withDefaults() Options {
 	if out.StubSteps == 0 {
 		out.StubSteps = 2 * out.NumProcs
 	}
-	// Under sched.ChunkAdaptive, ChunkSize <= 0 is meaningful (the
-	// controller uses its own sched.AdaptiveMaxChunk cap), so only the
-	// fixed policy defaults it.
-	if out.ChunkPolicy == sched.ChunkFixed && out.ChunkSize <= 0 {
+	if out.ChunkSize <= 0 {
 		out.ChunkSize = DefaultChunkSize
 	}
 	return out
@@ -227,8 +216,8 @@ type Stats struct {
 	Steals         int64
 	StealAttempts  int64
 	StolenVertices int64
-	// ChunkGrow and ChunkShrink count the adaptive chunk controller's
-	// steps across all workers (both 0 under ChunkPolicy fixed).
+	// ChunkGrow and ChunkShrink are always 0: the drain chunk is fixed.
+	// They are kept only because bench/lib.go reads them.
 	ChunkGrow   int64
 	ChunkShrink int64
 	// Roots is the number of roots of the returned forest, one per
@@ -380,14 +369,6 @@ type traversal struct {
 	visited atomic.Int64 // claimed vertices; == n means the forest is done
 	cursor  atomic.Int64 // next vertex the quiescence protocol inspects
 
-	// fail is the per-victim failed-steal signal. Thieves whose full
-	// scan comes up empty charge the specific workers still hoarding
-	// sub-threshold queues; each owner's adaptive chunk controller reads
-	// only its own slot at drain boundaries, so starvation shrinks the
-	// drains of the workers actually being raided while well-fed workers
-	// elsewhere keep their full lock amortization.
-	fail *sched.FailSignal
-
 	sleepers atomic.Int32
 	abort    atomic.Bool // set when the fallback threshold trips
 
@@ -518,26 +499,26 @@ func (t *traversal) park(ws *workerState) {
 }
 
 // workerState is one worker's reusable hot-loop state: the per-stream
-// RNG, the adaptive chunk controller, the drain/child/steal buffers, the
-// cached observability handles, and the unpublished progress batch. A
-// one-shot run builds one per worker goroutine on the stack; a Workspace
-// keeps p of them for the life of a session and rearms them with
+// RNG, the drain/child/steal buffers, the cached observability handles,
+// and the unpublished progress batch. A one-shot run builds one per
+// worker goroutine on the stack; a Workspace keeps p of them (padded,
+// see workerSlot) for the life of a session and rearms them with
 // resetWorkerState, which is what makes a warmed session's steady state
 // allocation-free.
 type workerState struct {
-	r     xrand.Rand       // per-stream RNG, reseeded per run
-	ctrl  sched.Controller // drain-chunk controller, rebuilt per run
+	r     xrand.Rand // per-stream RNG, reseeded per run
 	probe *smpmodel.Probe
 	// ow is the traversal's cached recorder handle for this worker.
 	ow *obs.Worker
 	// Hot-path counters batch into lc and flush at chunk boundaries;
 	// per-vertex atomic stores would put a fence (XCHG) on the claim loop.
 	lc obs.Local
-	// chunk receives the owner-side batched drain; out accumulates the
-	// children claimed while processing the chunk, flushed with a single
-	// PushBatch; stealBuf receives steal loot. Together chunk and out turn
-	// ~2 lock operations per vertex into ~2 per chunk. All three grow only
-	// when undersized, so a pre-provisioned session never reallocates.
+	// chunk receives the owner-side batched drain (its length is the
+	// run's ChunkSize); out accumulates the children claimed while
+	// processing the chunk, flushed with a single PushBatch; stealBuf
+	// receives steal loot. Together chunk and out turn ~2 lock
+	// operations per vertex into ~2 per chunk. All three grow only when
+	// undersized, so a pre-provisioned session never reallocates.
 	chunk    []int32
 	out      []int32
 	stealBuf []int32
@@ -556,20 +537,19 @@ type workerState struct {
 	timer *time.Timer
 }
 
-// resetWorkerState (re)arms ws for one run of t's traversal: the
-// controller is rebuilt from the run options, buffers are grown only
-// when too small for the controller's cap, the RNG is reseeded to the
-// exact stream a fresh xrand.New(seed).Split(tid+1) would produce, and
-// the counter batch is zeroed. The recorder handle is the traversal's
+// resetWorkerState (re)arms ws for one run of t's traversal: buffers
+// are grown only when too small for the run's chunk, the RNG is
+// reseeded to the exact stream a fresh xrand.New(seed).Split(tid+1)
+// would produce, and the counter batch is zeroed. The recorder handle is the traversal's
 // cached one, which lives as long as the recorder.
 func (t *traversal) resetWorkerState(tid int, ws *workerState) {
-	ws.ctrl = sched.NewController(t.o.ChunkPolicy, t.o.ChunkSize)
-	if cap(ws.chunk) < ws.ctrl.Max() {
-		ws.chunk = make([]int32, ws.ctrl.Max())
+	chunk := t.o.ChunkSize
+	if cap(ws.chunk) < chunk {
+		ws.chunk = make([]int32, chunk)
 	}
-	ws.chunk = ws.chunk[:ws.ctrl.Max()]
-	if cap(ws.out) < 4*ws.ctrl.Max() {
-		ws.out = make([]int32, 0, 4*ws.ctrl.Max())
+	ws.chunk = ws.chunk[:chunk]
+	if cap(ws.out) < 4*chunk {
+		ws.out = make([]int32, 0, 4*chunk)
 	}
 	ws.out = ws.out[:0]
 	if cap(ws.stealBuf) < 256 {
@@ -598,10 +578,9 @@ func (t *traversal) flushVisited(ws *workerState) {
 }
 
 // finishWorker drains ws's batches after its loop exits (normally or by
-// panic unwinding): progress, the chunk high-water mark, counters.
+// panic unwinding): progress, then counters.
 func (t *traversal) finishWorker(ws *workerState) {
 	t.flushVisited(ws)
-	ws.ow.Max(obs.ChunkHighWater, int64(ws.ctrl.HighWater()))
 	ws.lc.FlushTo(ws.ow)
 }
 
@@ -635,7 +614,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			h(tid)
 		}
 		t.inj.Visit(tid, chaos.PointDrain)
-		nPop, qrem := myQ.PopBatchLen(ws.chunk[:ws.ctrl.Chunk()])
+		nPop, qrem := myQ.PopBatchLen(ws.chunk)
 		if nPop > 0 {
 			// The progress heartbeat rides the chunk boundary the loop
 			// already pays for, and only fires when the drain obtained
@@ -655,20 +634,15 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 				ws.probe.NonContig(2 + int64(len(ws.out))) // one locked batch enqueue
 			}
 			t.flushVisited(ws)
-			// The children just flushed are queue depth too: the next
-			// drain size follows from the post-flush depth and the failed
-			// steals charged against this worker specifically.
-			depth := qrem + len(ws.out)
-			t.wakeIfStealable(depth)
-			ws.ctrl.Adapt(depth, t.fail.Load(tid), &ws.lc)
+			// The children just flushed are queue depth too.
+			t.wakeIfStealable(qrem + len(ws.out))
 			fruitless = 0
 			processed += nPop
-			// The yield/flush cadence is deliberately NOT the controller's
-			// chunk: the visibility argument behind the yield (yieldEvery)
-			// doesn't change when the controller shrinks. Tying it to an
-			// adaptively-shrunk chunk made serial-dependency inputs yield
-			// after every vertex — a 3x wall-clock penalty on the chain
-			// under oversubscription.
+			// The yield/flush cadence is counted in vertices, not drains:
+			// a drain of a shallow queue can be a single vertex, and
+			// yielding per drain made serial-dependency inputs yield after
+			// every vertex — a 3x wall-clock penalty on the chain under
+			// oversubscription.
 			if processed >= yieldEvery {
 				processed = 0
 				ws.lc.FlushTo(ws.ow)
@@ -824,12 +798,7 @@ func (t *traversal) spanMax() int64 {
 // threshold it falls back to the full id-order scan from a random start,
 // so a lone long queue is still always found. On success it queues all
 // but the first stolen vertex and returns the first for the caller to
-// process directly. A fully fruitless scan charges a failed steal
-// against each victim still holding a non-empty sub-threshold queue —
-// those are the workers hiding frontier in their drains — and their
-// chunk controllers read their own slot as the signal to shrink and
-// keep work visible. Empty victims are not charged (they are starving
-// too), and neither is the thief itself.
+// process directly.
 func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ *wsq.StealHalf,
 	stealBuf *[]int32, probe *smpmodel.Probe, ow *obs.Worker) (graph.VID, bool) {
 	p := t.o.NumProcs
@@ -872,15 +841,6 @@ func (t *traversal) trySteal(tid int, r *xrand.Rand, myQ *wsq.StealHalf,
 		}
 	}
 	ow.Incr(obs.StealFailures)
-	for i := 0; i < p; i++ {
-		victim := (start + i) % p
-		if victim == tid {
-			continue
-		}
-		if l := t.queues[victim].Len(); l > 0 && l < t.minSteal {
-			t.fail.Record(victim)
-		}
-	}
 	// A fruitless scan costs one polling access before the processor
 	// sleeps; sleeping itself is free in the cost model, matching the
 	// paper's condition-variable design.
@@ -1004,12 +964,12 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 // Nobody else holds work meanwhile, so each root starts a component no
 // other processor can reach: one root per component by construction.
 //
-// A component whose frontier reaches DefaultChunkSize is big: the
+// A component whose frontier reaches sweepChunk is big: the
 // frontier goes onto the leader's queue in one PushBatch, the sweep
 // ends, and the team steals it; the next root waits for the next
 // quiescence. The leader owns the cursor for the whole sweep — one
 // load, a local scan, one store; runs of claimed positions are skipped
-// in a tight inner loop. Every DefaultChunkSize steps (cursor
+// in a tight inner loop. Every sweepChunk steps (cursor
 // positions plus processed vertices) it polls for a stop, runs the test
 // hook and the drain chaos point, and beats the watchdog: cancel latency
 // stays at one chunk, a long sweep does not read as a stall, and the SV
@@ -1018,8 +978,8 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 	i, n := t.cursor.Load(), int64(t.n)
 	fr, head := ws.out[:0], 0
-	for steps := DefaultChunkSize; ; steps++ {
-		if steps >= DefaultChunkSize {
+	for steps := sweepChunk; ; steps++ {
+		if steps >= sweepChunk {
 			steps = 0
 			if t.abort.Load() || t.cancel.Tripped() {
 				break
@@ -1034,13 +994,13 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 			v := fr[head]
 			head++
 			t.process(tid, graph.VID(v), ws.probe, &fr, &ws.lc, &ws.pend)
-			if live := len(fr) - head; live >= DefaultChunkSize {
+			if live := len(fr) - head; live >= sweepChunk {
 				myQ.PushBatch(fr[head:])
 				ws.probe.NonContig(2 + int64(live)) // one locked batch enqueue
 				t.wakeAll()
 				break
 			}
-			if head >= DefaultChunkSize {
+			if head >= sweepChunk {
 				// Slide the short live frontier to the front, so a long thin
 				// component (a chain) does not grow the buffer.
 				fr, head = fr[:copy(fr, fr[head:])], 0
@@ -1056,7 +1016,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 		// Skip claimed positions in a tight loop. Each position is one
 		// step, so the scan stops where the next poll is due; the for
 		// statement's steps++ counts the last position inspected.
-		j, end := i, min(n, i+int64(DefaultChunkSize-steps))
+		j, end := i, min(n, i+int64(sweepChunk-steps))
 		for j < end && atomic.LoadInt32(&t.parent[j]) != unclaimed {
 			j++
 		}

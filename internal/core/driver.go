@@ -53,7 +53,6 @@ func newTraversal(g *graph.Graph, o Options, qcap int) (*traversal, error) {
 		parent:      make([]graph.VID, n),
 		queues:      make([]*wsq.StealHalf, p),
 		minSteal:    sched.MinStealLen(p),
-		fail:        sched.NewFailSignal(p),
 		wake:        make(chan struct{}, p),
 		parkTimeout: idleSleep,
 		cancel:      o.Cancel,
@@ -246,8 +245,6 @@ func (t *traversal) finishStats(stats *Stats) {
 	}
 	stats.Steals = t.rec.Total(obs.StealSuccesses)
 	stats.StealAttempts = t.rec.Total(obs.StealAttempts)
-	stats.ChunkGrow = t.rec.Total(obs.ChunkGrow)
-	stats.ChunkShrink = t.rec.Total(obs.ChunkShrink)
 	stats.StolenVertices = t.rec.Total(obs.StolenVertices)
 	stats.FailedClaims = t.rec.Total(obs.FailedClaims)
 	stats.CursorRoots = t.rec.Total(obs.SeededComponents)
@@ -258,15 +255,13 @@ func (t *traversal) finishStats(stats *Stats) {
 }
 
 // rearm resets every run-scoped field of the traversal for the next
-// pooled Run: parent sentinels, cursors, the failed-steal signals, the
-// work queues, leftover wake tokens, and the per-run seed. The recorder
-// reset is the caller's.
+// pooled Run: parent sentinels, cursors, the work queues, leftover wake
+// tokens, and the per-run seed. The recorder reset is the caller's.
 func (t *traversal) rearm(seed uint64) {
 	for i := range t.parent {
 		t.parent[i] = unclaimed
 	}
 	t.o.Seed = seed
-	t.fail.Reset()
 	t.visited.Store(0)
 	t.cursor.Store(0)
 	t.sleepers.Store(0)

@@ -6,7 +6,6 @@ import (
 
 	"spantree/internal/gen"
 	"spantree/internal/graph"
-	"spantree/internal/sched"
 	"spantree/internal/verify"
 )
 
@@ -23,44 +22,35 @@ func TestFusedClaimForests(t *testing.T) {
 		graph.Union(gen.Chain(40), gen.Torus2D(6, 6), gen.Star(25), gen.Chain(1)),
 		graph.Union(gen.Random(80, 60, 3), gen.Cycle(12)), // random part is itself disconnected
 	}
-	variants := []struct {
-		policy sched.ChunkPolicy
-		chunk  int
-	}{
-		{sched.ChunkAdaptive, 0}, {sched.ChunkAdaptive, 2}, {sched.ChunkAdaptive, 64},
-		{sched.ChunkFixed, 1}, {sched.ChunkFixed, 2}, {sched.ChunkFixed, 64},
-	}
 	for name, run := range drivers() {
 		for _, g := range inputs {
-			for _, v := range variants {
-				tag := v.policy.String()
-				parent, _, err := run(g, Options{NumProcs: 4, Seed: 21, ChunkPolicy: v.policy, ChunkSize: v.chunk})
+			for _, chunk := range []int{0, 1, 2, 64} {
+				parent, _, err := run(g, Options{NumProcs: 4, Seed: 21, ChunkSize: chunk})
 				if err != nil {
-					t.Fatalf("%s %v %s chunk=%d: %v", name, g, tag, v.chunk, err)
+					t.Fatalf("%s %v chunk=%d: %v", name, g, chunk, err)
 				}
 				if err := verify.Forest(g, parent); err != nil {
-					t.Fatalf("%s %v %s chunk=%d: %v", name, g, tag, v.chunk, err)
+					t.Fatalf("%s %v chunk=%d: %v", name, g, chunk, err)
 				}
 				roots := 0
 				for w, pv := range parent {
 					if pv == graph.VID(w) || pv == unclaimed {
-						t.Fatalf("%s %v %s chunk=%d: parent[%d] = %d leaked", name, g, tag, v.chunk, w, pv)
+						t.Fatalf("%s %v chunk=%d: parent[%d] = %d leaked", name, g, chunk, w, pv)
 					}
 					if pv == graph.None {
 						roots++
 					}
 				}
 				if want := graph.NumComponents(g); roots != want {
-					t.Fatalf("%s %v %s chunk=%d: %d roots, want %d", name, g, tag, v.chunk, roots, want)
+					t.Fatalf("%s %v chunk=%d: %d roots, want %d", name, g, chunk, roots, want)
 				}
 			}
 		}
 	}
 }
 
-// TestLockstepChunkInvariantForest pins that the drain chunk — fixed at
-// any size, or adaptive at any cap — is purely a cost-model parameter
-// for the deterministic driver: the round-robin schedule pops one
+// TestLockstepChunkInvariantForest pins that the drain chunk, at any
+// size, is purely a cost-model parameter for the deterministic driver: the round-robin schedule pops one
 // vertex per turn regardless, so the forest and the work distribution
 // must be bit-identical across every chunk configuration.
 func TestLockstepChunkInvariantForest(t *testing.T) {
@@ -76,40 +66,32 @@ func TestLockstepChunkInvariantWithBottomUp(t *testing.T) {
 }
 
 // checkLockstepChunkInvariant runs LockstepForest on g under a range of
-// chunk configurations and asserts each matches fixed-1 exactly, in the
-// forest and in the per-worker vertex counts.
+// chunk sizes (0 being the default) and asserts each matches chunk 1
+// exactly, in the forest and in the per-worker vertex counts.
 func checkLockstepChunkInvariant(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	variants := []struct {
-		policy sched.ChunkPolicy
-		chunk  int
-	}{
-		{sched.ChunkFixed, 2}, {sched.ChunkFixed, 16}, {sched.ChunkFixed, 64}, {sched.ChunkFixed, 1024},
-		{sched.ChunkAdaptive, 0}, {sched.ChunkAdaptive, 8}, {sched.ChunkAdaptive, 512},
-	}
-	base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: sched.ChunkFixed, ChunkSize: 1})
+	base, baseStats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.Forest(g, base); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range variants {
-		tag := v.policy.String()
-		parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkPolicy: v.policy, ChunkSize: v.chunk})
+	for _, chunk := range []int{0, 2, 8, 16, 64, 512, 1024} {
+		parent, stats, err := LockstepForest(g, Options{NumProcs: 4, Seed: 5, ChunkSize: chunk})
 		if err != nil {
-			t.Fatalf("%s chunk=%d: %v", tag, v.chunk, err)
+			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
 		for w := range parent {
 			if parent[w] != base[w] {
-				t.Fatalf("%s chunk=%d: parent[%d] = %d, differs from fixed-1's %d",
-					tag, v.chunk, w, parent[w], base[w])
+				t.Fatalf("chunk=%d: parent[%d] = %d, differs from chunk 1's %d",
+					chunk, w, parent[w], base[w])
 			}
 		}
 		for i := range stats.VerticesPerProc {
 			if stats.VerticesPerProc[i] != baseStats.VerticesPerProc[i] {
-				t.Fatalf("%s chunk=%d: worker %d claimed %d vertices, fixed-1 claimed %d",
-					tag, v.chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
+				t.Fatalf("chunk=%d: worker %d claimed %d vertices, chunk 1 claimed %d",
+					chunk, i, stats.VerticesPerProc[i], baseStats.VerticesPerProc[i])
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/wsq"
 	"spantree/internal/xrand"
@@ -91,24 +90,18 @@ func (t *traversal) lockstepDrive() int64 {
 		rngs[tid] = xrand.New(o.Seed).Split(uint64(tid) + 1)
 	}
 	stealBuf := make([]int32, 0, 256)
-	// out and the per-tid chunk controllers mirror the concurrent hot
-	// path's batching: out is the chunk-local child buffer (the driver is
-	// single-goroutine, so one buffer serves every tid), and each tid runs
-	// the same sched.Controller as a concurrent worker even though the
-	// round-robin driver still pops one vertex per turn for determinism.
-	// The chunk is cost-model-only here — remaining[tid] counts down the
-	// pops left in the current virtual drain, and each boundary charges
-	// the amortized lock pairs of one chunked dequeue plus one batch
-	// flush and lets the controller resize from the queue depth and the
-	// failed steals charged against that tid. Forest output is therefore
-	// chunk-invariant by construction, while the modeled T_M/T_C charges
-	// track the adaptive schedule.
+	// out and the virtual drains mirror the concurrent hot path's
+	// batching: out is the chunk-local child buffer (the driver is
+	// single-goroutine, so one buffer serves every tid), and each tid
+	// drains in virtual chunks of o.ChunkSize even though the round-robin
+	// driver still pops one vertex per turn for determinism. The chunk is
+	// cost-model-only here — remaining[tid] counts down the pops left in
+	// the current virtual drain, and each boundary charges the amortized
+	// lock pairs of one chunked dequeue plus one batch flush. Forest
+	// output is therefore chunk-invariant by construction, while the
+	// modeled T_M/T_C charges follow the chunk.
 	out := make([]int32, 0, 256)
-	ctrls := make([]sched.Controller, p)
 	remaining := make([]int, p)
-	for tid := range ctrls {
-		ctrls[tid] = sched.NewController(o.ChunkPolicy, o.ChunkSize)
-	}
 	idleStreak := make([]int, p)
 	seededRoots := 0
 	var rounds int64
@@ -156,18 +149,11 @@ func (t *traversal) lockstepDrive() int64 {
 					// Charge the batched hot path's amortized costs: at each
 					// virtual chunk boundary, the lock pairs of one chunked
 					// dequeue plus one batch flush (the per-vertex offset load
-					// is charged inside process). The controller resizes the
-					// next virtual drain at the boundary, so the modeled
-					// charges follow the adaptive schedule (single-goroutine,
-					// hence still deterministic).
+					// is charged inside process).
 					if remaining[tid] == 0 {
 						probe.NonContig(4)
-						ctrl := &ctrls[tid]
-						ctrl.Adapt(myQ.Len(), t.fail.Load(tid), &locals[tid])
-						drained := myQ.Len() + 1 // this pop plus what the drain would take
-						if drained > ctrl.Chunk() {
-							drained = ctrl.Chunk()
-						}
+						// This pop plus what the drain would take.
+						drained := min(myQ.Len()+1, o.ChunkSize)
 						remaining[tid] = drained
 						locals[tid].Incr(obs.ChunkDrains)
 						locals[tid].Add(obs.DrainedVertices, int64(drained))
@@ -219,17 +205,6 @@ func (t *traversal) lockstepDrive() int64 {
 						continue
 					}
 					ow.Incr(obs.StealFailures)
-					// Per-victim charge, as in the concurrent scan: only the
-					// workers still hoarding sub-threshold queues shrink.
-					for i := 0; i < p; i++ {
-						victim := (start + i) % p
-						if victim == tid {
-							continue
-						}
-						if l := t.queues[victim].Len(); l > 0 && l < t.minSteal {
-							t.fail.Record(victim)
-						}
-					}
 					probe.NonContig(1) // fruitless poll before sleeping
 				}
 				idleThisRound++
@@ -269,7 +244,6 @@ func (t *traversal) lockstepDrive() int64 {
 		}
 	}()
 	for tid := range locals {
-		workers[tid].Max(obs.ChunkHighWater, int64(ctrls[tid].HighWater()))
 		locals[tid].FlushTo(workers[tid])
 	}
 	return rounds

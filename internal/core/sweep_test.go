@@ -13,7 +13,7 @@ import (
 )
 
 // sweepTorusSide is the side of the torus that closes sweepGraph: its
-// BFS frontier passes DefaultChunkSize long before wrapping around, so a
+// BFS frontier passes sweepChunk long before wrapping around, so a
 // sweep that reaches it must spill.
 const sweepTorusSide = 48
 
@@ -102,8 +102,8 @@ func TestSweepSpillsBigComponent(t *testing.T) {
 		tr.resetWorkerState(0, &ws)
 		tr.sweep(0, tr.queues[0], &ws)
 
-		if got := tr.queues[0].Len(); got < DefaultChunkSize {
-			t.Fatalf("p=%d: leader queue holds %d vertices, want a spilled frontier of >= %d", p, got, DefaultChunkSize)
+		if got := tr.queues[0].Len(); got < sweepChunk {
+			t.Fatalf("p=%d: leader queue holds %d vertices, want a spilled frontier of >= %d", p, got, sweepChunk)
 		}
 		if got := tr.cursor.Load(); got != int64(lo)+1 {
 			t.Fatalf("p=%d: cursor at %d, want %d (just past the torus root)", p, got, lo+1)

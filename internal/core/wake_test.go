@@ -132,7 +132,7 @@ func TestParkedWorkerWakesOnSweepSpill(t *testing.T) {
 	tr := parkedTeam(t, g, 2)
 	held := false // touched only by worker 0
 	tr.o.testHook = func(tid int) {
-		if tid != 0 || held || tr.queues[0].Len() < DefaultChunkSize {
+		if tid != 0 || held || tr.queues[0].Len() < sweepChunk {
 			return
 		}
 		held = true

@@ -61,8 +61,8 @@ func registerAblations() {
 	})
 	register(Experiment{
 		ID:          "abl-chunk",
-		Title:       "Ablation: drain chunk policy (fixed-1 / fixed-64 / adaptive)",
-		Description: "The adaptive chunk controller against the two fixed regimes it interpolates: per-vertex locking (fixed-1) and the statically tuned batch (fixed-64), across deep-frontier (torus, geometric), high-diameter (chain) and small-input-high-p shapes where each fixed setting loses somewhere.",
+		Title:       "Ablation: drain chunk size (1 / 64 / default)",
+		Description: "The default drain chunk against per-vertex locking (chunk 1) and a smaller batch (chunk 64), across deep-frontier (torus, geometric), high-diameter (chain) and small-input-high-p shapes.",
 		run:         runAblChunk,
 	})
 	register(Experiment{
@@ -306,34 +306,32 @@ func runAblChunk(cfg Config) (*Report, error) {
 		{"chain", gen.Chain(cfg.Scale)},
 		{"small-randconn", gen.RandomConnected(small, 3*small/2, cfg.Seed)},
 	}
+	def := fmt.Sprintf("default-%d", sched.DefaultChunkSize)
 	variants := []struct {
-		name string
-		ws   wsConfig
+		name  string
+		chunk int
 	}{
-		{"fixed-1", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkFixed, chunkSize: 1}},
-		{"fixed-64", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkFixed, chunkSize: 64}},
-		{"adaptive", wsConfig{forceChunk: true, chunkPolicy: sched.ChunkAdaptive}},
+		{"chunk-1", 1},
+		{"chunk-64", 64},
+		{def, sched.DefaultChunkSize},
 	}
-	rep := &Report{ID: "abl-chunk", Title: "drain chunk policy sweep (p = " + fmt.Sprint(p) + ")"}
-	rep.Table = stats.NewTable("graph", "variant", "time", "stealhit", "grow", "shrink")
+	rep := &Report{ID: "abl-chunk", Title: "drain chunk size sweep (p = " + fmt.Sprint(p) + ")"}
+	rep.Table = stats.NewTable("graph", "variant", "time", "stealhit")
 	times := map[string]map[string]measurement{}
 	hits := map[string]map[string]float64{}
 	for _, fam := range families {
 		times[fam.name] = map[string]measurement{}
 		hits[fam.name] = map[string]float64{}
 		for _, v := range variants {
-			ws := v.ws
 			var st core.Stats
-			ws.statsOut = &st
-			m, err := measure(cfg, fam.g, kindWS, p, ws)
+			m, err := measure(cfg, fam.g, kindWS, p, wsConfig{chunkSize: v.chunk, statsOut: &st})
 			if err != nil {
 				return nil, err
 			}
 			times[fam.name][v.name] = m
 			hits[fam.name][v.name] = st.StealHitRate()
 			rep.Table.AddRow(fam.name, v.name, stats.FormatDuration(m.time),
-				fmt.Sprintf("%.3f", st.StealHitRate()),
-				fmt.Sprint(st.ChunkGrow), fmt.Sprint(st.ChunkShrink))
+				fmt.Sprintf("%.3f", st.StealHitRate()))
 		}
 	}
 	if cfg.Mode == Modeled {
@@ -341,46 +339,38 @@ func runAblChunk(cfg Config) (*Report, error) {
 		// schedule (and hit rate) is variant-invariant by construction;
 		// the meaningful modeled comparisons are the charged times.
 		deep := []string{"torus-random", "geo-hier"}
-		batchWins := true
+		detail := func(ref string) string {
+			return fmt.Sprintf("torus %s %v vs %s %v; geo %v vs %v", def,
+				stats.FormatDuration(times["torus-random"][def].time), ref,
+				stats.FormatDuration(times["torus-random"][ref].time),
+				stats.FormatDuration(times["geo-hier"][def].time),
+				stats.FormatDuration(times["geo-hier"][ref].time))
+		}
+		batchWins, nearSmall := true, true
 		for _, f := range deep {
-			if times[f]["adaptive"].time >= times[f]["fixed-1"].time {
+			d := times[f][def].time
+			if d >= times[f]["chunk-1"].time {
 				batchWins = false
 			}
-		}
-		rep.Checks = append(rep.Checks, Check{
-			Name: "adaptive beats per-vertex locking on deep frontiers",
-			Pass: batchWins,
-			Detail: fmt.Sprintf("torus adaptive %v vs fixed-1 %v; geo %v vs %v",
-				stats.FormatDuration(times["torus-random"]["adaptive"].time),
-				stats.FormatDuration(times["torus-random"]["fixed-1"].time),
-				stats.FormatDuration(times["geo-hier"]["adaptive"].time),
-				stats.FormatDuration(times["geo-hier"]["fixed-1"].time)),
-		})
-		nearTuned := true
-		for _, f := range deep {
-			if times[f]["adaptive"].time > times[f]["fixed-64"].time*11/10 {
-				nearTuned = false
+			if d > times[f]["chunk-64"].time*11/10 {
+				nearSmall = false
 			}
 		}
-		rep.Checks = append(rep.Checks, Check{
-			Name: "adaptive stays within 10% of the tuned fixed chunk",
-			Pass: nearTuned,
-			Detail: fmt.Sprintf("torus adaptive %v vs fixed-64 %v; geo %v vs %v",
-				stats.FormatDuration(times["torus-random"]["adaptive"].time),
-				stats.FormatDuration(times["torus-random"]["fixed-64"].time),
-				stats.FormatDuration(times["geo-hier"]["adaptive"].time),
-				stats.FormatDuration(times["geo-hier"]["fixed-64"].time)),
-		})
+		rep.Checks = append(rep.Checks,
+			Check{Name: "default chunk beats per-vertex locking on deep frontiers",
+				Pass: batchWins, Detail: detail("chunk-1")},
+			Check{Name: "default chunk stays within 10% of chunk 64",
+				Pass: nearSmall, Detail: detail("chunk-64")})
 	} else {
 		// Wall-clock: the steal hit rate is a real (scheduler-dependent)
 		// signal; surface the shallow-frontier comparison as a finding
 		// rather than a hard check, since single-host noise is large.
 		rep.Findings = append(rep.Findings, fmt.Sprintf(
-			"shallow-frontier steal hit rates pooled over %d reps: chain adaptive %.3f vs fixed-64 %.3f; small-randconn adaptive %.3f vs fixed-64 %.3f vs fixed-1 %.3f",
+			"shallow-frontier steal hit rates pooled over %d reps: chain %s %.3f vs chunk-64 %.3f; small-randconn %s %.3f vs chunk-64 %.3f vs chunk-1 %.3f",
 			cfg.Repeats,
-			hits["chain"]["adaptive"], hits["chain"]["fixed-64"],
-			hits["small-randconn"]["adaptive"], hits["small-randconn"]["fixed-64"],
-			hits["small-randconn"]["fixed-1"]))
+			def, hits["chain"][def], hits["chain"]["chunk-64"],
+			def, hits["small-randconn"][def], hits["small-randconn"]["chunk-64"],
+			hits["small-randconn"]["chunk-1"]))
 	}
 	return rep, nil
 }

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"spantree/internal/obs"
-	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/stats"
 )
@@ -69,12 +68,10 @@ type Config struct {
 	// Verify re-checks every computed forest with the independent
 	// verifier (on by default in the tools; costs one O(n+m) pass).
 	Verify bool
-	// ChunkPolicy and ChunkSize configure the work-stealing drain chunk
-	// for every experiment that does not force its own (the chunk-size
-	// ablations do). The zero values are the core defaults: adaptive
-	// policy, default growth cap.
-	ChunkPolicy sched.ChunkPolicy
-	ChunkSize   int
+	// ChunkSize is the drain chunk of every parallel algorithm, for
+	// every experiment that does not force its own (the chunk ablation
+	// does). 0 means sched.DefaultChunkSize.
+	ChunkSize int
 	// Collector, when non-nil, receives one observability Report per
 	// instrumented measurement (the work-stealing and SV-family runs),
 	// labeled "algo/graph/p=N" — the metrics artifact cmd/benchfig

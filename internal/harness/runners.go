@@ -7,7 +7,6 @@ import (
 	"spantree/internal/core"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanas"
 	"spantree/internal/spanhcs"
@@ -75,16 +74,12 @@ type wsConfig struct {
 	deg2        bool
 	fallbackAtP bool // threshold = max(1, p-1): force-detect pathologies
 	stubSteps   int  // 0 = the default 2p
-	// forceChunk overrides cfg.ChunkPolicy/ChunkSize with chunkPolicy and
-	// chunkSize — the chunk ablations pin their variants regardless of
-	// what the CLI asked for globally.
-	forceChunk  bool
-	chunkPolicy sched.ChunkPolicy
-	chunkSize   int
+	// chunkSize, when > 0, overrides cfg.ChunkSize — the chunk ablation
+	// pins its variants regardless of what the CLI asked for globally.
+	chunkSize int
 	// statsOut, when non-nil, receives the run's core.Stats for
-	// ablations that check steal hit rates and controller activity. In
-	// wall-clock mode the scheduler counters (steals, attempts, chunk
-	// grow/shrink) are summed across repetitions — a hit rate computed
+	// ablations that check steal hit rates. In wall-clock mode the
+	// steal counters are summed across repetitions — a hit rate computed
 	// from one repetition's handful of attempts is binomial noise —
 	// while the remaining fields reflect the final repetition.
 	statsOut *core.Stats
@@ -102,33 +97,31 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			return spanseq.BFS(g, model.Probe(0)), "", nil
 		case kindSV, kindSVLocks:
 			parent, st, err := spansv.SpanningForest(g, spansv.Options{
-				NumProcs:    p,
-				UseLocks:    kind == kindSVLocks,
-				Model:       model,
-				Obs:         rec,
-				ChunkPolicy: cfg.ChunkPolicy,
-				ChunkSize:   cfg.ChunkSize,
+				NumProcs:  p,
+				UseLocks:  kind == kindSVLocks,
+				Model:     model,
+				Obs:       rec,
+				ChunkSize: cfg.ChunkSize,
 			})
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindHCS:
-			parent, st, err := spanhcs.SpanningForest(g, spanhcs.Options{NumProcs: p, Model: model, ChunkPolicy: cfg.ChunkPolicy, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanhcs.SpanningForest(g, spanhcs.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindAS:
-			parent, st, err := spanas.SpanningForest(g, spanas.Options{NumProcs: p, Model: model, ChunkPolicy: cfg.ChunkPolicy, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanas.SpanningForest(g, spanas.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
 			return parent, fmt.Sprintf("iters=%d hooks=%d+%d", st.Iterations, st.ConditionalHooks, st.UnconditionalHooks), err
 		case kindRM:
-			parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: cfg.Seed, Model: model, ChunkPolicy: cfg.ChunkPolicy, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: cfg.Seed, Model: model, ChunkSize: cfg.ChunkSize})
 			return parent, fmt.Sprintf("rounds=%d", st.Rounds), err
 		case kindLevelBFS:
-			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model, ChunkPolicy: cfg.ChunkPolicy, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
 			return parent, fmt.Sprintf("levels=%d", st.Levels), err
 		case kindSpanUF:
 			parent, st, err := spanuf.SpanningForest(g, spanuf.Options{
-				NumProcs:    p,
-				Model:       model,
-				Obs:         rec,
-				ChunkPolicy: cfg.ChunkPolicy,
-				ChunkSize:   cfg.ChunkSize,
+				NumProcs:  p,
+				Model:     model,
+				Obs:       rec,
+				ChunkSize: cfg.ChunkSize,
 			})
 			return parent, fmt.Sprintf("hookslost=%d finds=%d compress=%d",
 				st.HooksLost, st.Finds, st.CompressionWrites), err
@@ -142,11 +135,9 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				NoStub:        ws.noStub,
 				Deg2Eliminate: ws.deg2,
 				StubSteps:     ws.stubSteps,
-				ChunkPolicy:   cfg.ChunkPolicy,
 				ChunkSize:     cfg.ChunkSize,
 			}
-			if ws.forceChunk {
-				opt.ChunkPolicy = ws.chunkPolicy
+			if ws.chunkSize > 0 {
 				opt.ChunkSize = ws.chunkSize
 			}
 			if ws.fallbackAtP {
@@ -167,8 +158,6 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				*ws.statsOut = st
 				ws.statsOut.Steals += prev.Steals
 				ws.statsOut.StealAttempts += prev.StealAttempts
-				ws.statsOut.ChunkGrow += prev.ChunkGrow
-				ws.statsOut.ChunkShrink += prev.ChunkShrink
 			}
 			extra := fmt.Sprintf("steals=%d imbalance=%.2f", st.Steals, st.MaxLoadImbalance())
 			if st.FallbackTriggered {

@@ -82,13 +82,6 @@ const (
 	// DrainedVertices is the total vertices those drains obtained;
 	// DrainedVertices/ChunkDrains is the mean effective drain chunk.
 	DrainedVertices
-	// ChunkGrow and ChunkShrink count the adaptive chunk controller's
-	// growth and shrink steps (0 under ChunkPolicy fixed).
-	ChunkGrow
-	ChunkShrink
-	// ChunkHighWater is the largest drain chunk this worker's controller
-	// reached (the configured chunk itself under ChunkPolicy fixed).
-	ChunkHighWater
 	// DrainHist0..DrainHist7 are the log2 histogram of effective drain
 	// sizes: bucket i counts drains that obtained [2^i, 2^(i+1)) vertices,
 	// with the last bucket open-ended (>= 128). Use DrainHistBucket to map
@@ -440,7 +433,7 @@ func (r *Recorder) Reset() {
 
 // Total aggregates counter c across all workers without allocating: a
 // sum for flow counters, a maximum for the high-water marks
-// (QueueHighWater, ChunkHighWater), matching Snapshot's totals rule.
+// (QueueHighWater, AdmitLimit), matching Snapshot's totals rule.
 // Pooled sessions derive their per-run statistics through Total instead
 // of Snapshot, whose slice-of-workers view allocates.
 func (r *Recorder) Total(c Counter) int64 {
@@ -450,7 +443,7 @@ func (r *Recorder) Total(c Counter) int64 {
 	var tot int64
 	for i := range r.workers {
 		v := r.workers[i].c[c].Load()
-		if c == QueueHighWater || c == ChunkHighWater || c == AdmitLimit {
+		if c == QueueHighWater || c == AdmitLimit {
 			if v > tot {
 				tot = v
 			}

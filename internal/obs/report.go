@@ -35,14 +35,11 @@ type Counters struct {
 	IdleTransitions  int64 `json:"idle_transitions"`
 	FallbackTriggers int64 `json:"fallback_triggers"`
 	SeededComponents int64 `json:"seeded_components"`
-	// The chunked-drain counters were added with the adaptive runtime
+	// The chunked-drain counters were added with the batched runtime
 	// (schema grows additively); omitempty keeps reports from algorithms
 	// without a drain loop (the SV family) unchanged.
 	ChunkDrains     int64 `json:"chunk_drains,omitempty"`
 	DrainedVertices int64 `json:"drained_vertices,omitempty"`
-	ChunkGrow       int64 `json:"chunk_grow,omitempty"`
-	ChunkShrink     int64 `json:"chunk_shrink,omitempty"`
-	ChunkHighWater  int64 `json:"chunk_high_water,omitempty"`
 	// DrainHist is the log2 histogram of effective drain sizes (bucket i
 	// counts drains of [2^i, 2^(i+1)) vertices, last bucket open-ended);
 	// nil when no drain ran.
@@ -87,9 +84,6 @@ func countersFrom(c *[numCounters]int64) Counters {
 		SeededComponents:  c[SeededComponents],
 		ChunkDrains:       c[ChunkDrains],
 		DrainedVertices:   c[DrainedVertices],
-		ChunkGrow:         c[ChunkGrow],
-		ChunkShrink:       c[ChunkShrink],
-		ChunkHighWater:    c[ChunkHighWater],
 		Cancels:           c[Cancels],
 		PanicsRecovered:   c[PanicsRecovered],
 		ChaosInjections:   c[ChaosInjections],
@@ -121,7 +115,7 @@ type WorkerCounters struct {
 
 // Snapshot is a point-in-time aggregation of a Recorder. Totals sums
 // every counter across workers except the high-water marks
-// (QueueHighWater, ChunkHighWater), which take the maximum (a sum of
+// (QueueHighWater, AdmitLimit), which take the maximum (a sum of
 // high-water marks has no meaning).
 type Snapshot struct {
 	NumWorkers      int              `json:"num_workers"`
@@ -148,7 +142,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		var vals [numCounters]int64
 		for c := Counter(0); c < numCounters; c++ {
 			vals[c] = r.workers[tid].c[c].Load()
-			if c == QueueHighWater || c == ChunkHighWater || c == AdmitLimit {
+			if c == QueueHighWater || c == AdmitLimit {
 				// A sum of high-water marks has no meaning; aggregate by max.
 				if vals[c] > totals[c] {
 					totals[c] = vals[c]

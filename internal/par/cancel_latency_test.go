@@ -11,9 +11,8 @@ import (
 
 // TestForDynamicCancellationLatencyBound pins the documented polling
 // cadence: the flag is checked once per drain chunk, so after a trip
-// each worker finishes at most the chunk it already claimed — with the
-// fixed policy, at most p*chunk body calls run after the flag is
-// visible. The body trips the flag on the first item and counts every
+// each worker finishes at most the chunk it already claimed — at most
+// p*chunk body calls run after the flag is visible. The body trips the flag on the first item and counts every
 // call; the overshoot past the snapshot taken right after the trip must
 // stay within the bound.
 func TestForDynamicCancellationLatencyBound(t *testing.T) {
@@ -23,7 +22,7 @@ func TestForDynamicCancellationLatencyBound(t *testing.T) {
 		p     = 4
 	)
 	flag := &fault.Flag{}
-	team := NewTeam(p, nil).Chunk(ChunkFixed, chunk).Cancel(flag)
+	team := NewTeam(p, nil).Chunk(chunk).Cancel(flag)
 	var done, atTrip atomic.Int64
 	err := team.RunErr(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {
@@ -58,7 +57,7 @@ func TestForDynamicModeledCancellationLatency(t *testing.T) {
 		p     = 4
 	)
 	flag := &fault.Flag{}
-	team := NewTeam(p, smpmodel.New(p)).Chunk(ChunkFixed, chunk).Cancel(flag)
+	team := NewTeam(p, smpmodel.New(p)).Chunk(chunk).Cancel(flag)
 	var done, atTrip atomic.Int64
 	err := team.RunErr(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {

@@ -1,17 +1,17 @@
 package par
 
 // This file is the shared dynamic execution layer: a work-stealing
-// parallel-for over index ranges with the adaptive chunking, p-scaled
-// steal threshold, and per-victim starvation signal of internal/sched —
-// the same runtime discipline as the work-stealing traversal in
-// internal/core, exposed to every algorithm in the tree. Porting a hot
-// loop from ForStatic to ForDynamic is a one-line change; the chunk
-// policy of the -chunk flag then governs it like everything else.
+// parallel-for over index ranges with the drain chunk and p-scaled
+// steal threshold of internal/sched — the same runtime discipline as
+// the work-stealing traversal in internal/core, exposed to every
+// algorithm in the tree. Porting a hot loop from ForStatic to
+// ForDynamic is a one-line change; the -chunk flag then governs it like
+// everything else.
 //
 // Scheduling works on contiguous index ranges, not queued items: each
 // worker starts from its static block of [0, n) held in a per-worker
-// range slot, drains the front of its own slot in controller-sized
-// chunks, and when empty raids the other slots, moving the upper half
+// range slot, drains the front of its own slot in fixed-size chunks,
+// and when empty raids the other slots, moving the upper half
 // of a victim's remaining range into its own slot (steal-half, as in
 // wsq, but O(1) on ranges). A slot is a mutex-guarded [lo, hi) plus an
 // atomic size mirror so thieves can scan victims without touching their
@@ -30,7 +30,7 @@ package par
 // call simply stop stealing from it.
 //
 // Determinism contract: with a cost model attached, ForDynamic runs
-// each worker's static block in controller-sized chunks with no
+// each worker's static block in fixed-size chunks with no
 // stealing, charging the same per-drain costs the real path would pay
 // (T_M += 2 noncontiguous accesses per drain boundary, as in the
 // traversal's batched hot path) plus each worker's terminal steal scan
@@ -49,26 +49,15 @@ import (
 	"spantree/internal/sched"
 )
 
-// Re-exports: algorithm packages configure chunking through par without
-// importing the scheduling layer directly.
-type ChunkPolicy = sched.ChunkPolicy
-
-const (
-	ChunkAdaptive = sched.ChunkAdaptive
-	ChunkFixed    = sched.ChunkFixed
-	// DefaultChunkSize is the fixed-policy default drain chunk.
-	DefaultChunkSize = sched.DefaultChunkSize
-)
-
-// ParseChunkPolicy converts a CLI name ("adaptive", "fixed") into a
-// ChunkPolicy.
-func ParseChunkPolicy(s string) (ChunkPolicy, error) { return sched.ParseChunkPolicy(s) }
+// DefaultChunkSize is the drain chunk ForDynamic uses when the team's
+// chunk size is unset (re-exported so algorithm packages need not
+// import the scheduling layer).
+const DefaultChunkSize = sched.DefaultChunkSize
 
 // dynSlot is one worker's shareable range of the iteration space.
-// lo/hi/tag are guarded by mu; size mirrors hi-lo for lock-free victim
-// scans and tag is additionally readable without mu for the thief-side
-// starvation charge. Padded out so neighboring workers' slots don't
-// false-share.
+// lo/hi/tag are guarded by mu; size mirrors hi-lo and tag is readable
+// without mu, so thieves can filter victims without taking their locks.
+// Padded out so neighboring workers' slots don't false-share.
 type dynSlot struct {
 	mu     sync.Mutex
 	lo, hi int
@@ -77,51 +66,38 @@ type dynSlot struct {
 	_      [4]int64
 }
 
-type dynCtrl struct {
-	c     sched.Controller
-	calls int64 // this worker's ForDynamic invocation count (the slot tag)
-	init  bool
-	_     [4]int64
+// dynCalls is one worker's ForDynamic invocation count, which tags its
+// slot. Padded like dynSlot.
+type dynCalls struct {
+	n int64
+	_ [7]int64
 }
 
 // dynState is the per-team half of the dynamic layer.
 type dynState struct {
-	slots  []dynSlot
-	ctrls  []dynCtrl
-	fail   *sched.FailSignal
-	policy sched.ChunkPolicy
-	size   int
+	slots []dynSlot
+	calls []dynCalls
+	chunk int
 }
 
 func (d *dynState) init(p int) {
 	d.slots = make([]dynSlot, p)
-	d.ctrls = make([]dynCtrl, p)
-	d.fail = sched.NewFailSignal(p)
+	d.calls = make([]dynCalls, p)
+	d.chunk = DefaultChunkSize
 }
 
-// Chunk selects the team's chunk policy and size (the -chunk knobs) for
-// ForDynamic loops. Call before Run, like Observe; the zero
-// configuration is the adaptive policy with the default growth cap.
-func (t *Team) Chunk(policy ChunkPolicy, size int) *Team {
-	t.dyn.policy = policy
-	t.dyn.size = size
+// Chunk sets the team's drain chunk (the -chunk knob) for ForDynamic
+// loops: each drain claims at most size items. Call before Run, like
+// Observe; size <= 0 keeps DefaultChunkSize.
+func (t *Team) Chunk(size int) *Team {
+	if size > 0 {
+		t.dyn.chunk = size
+	}
 	return t
 }
 
-// ctrl returns this worker's persistent chunk controller, creating it
-// on first use so a controller's learned chunk size carries across the
-// ForDynamic calls of one team (phases of one algorithm run).
-func (c *Ctx) ctrl() *dynCtrl {
-	dc := &c.team.dyn.ctrls[c.tid]
-	if !dc.init {
-		dc.c = sched.NewController(c.team.dyn.policy, c.team.dyn.size)
-		dc.init = true
-	}
-	return dc
-}
-
 // ForDynamic runs body(i) for every i in [0, n) across the team with
-// work-stealing and adaptive chunking. All processors must call it
+// work-stealing and fixed-size chunks. All processors must call it
 // collectively with the same n and an equivalent body; each i is
 // executed exactly once, by whichever worker claims it. Like ForStatic
 // there is no implied barrier — pair with Barrier as needed.
@@ -132,24 +108,22 @@ func (c *Ctx) ctrl() *dynCtrl {
 // atomic load per chunk. The latency bound that buys: after a trip,
 // each worker finishes at most the chunk it already claimed before
 // unwinding, so at most p chunks of body calls run after the flag is
-// visible — one chunk per worker, sized by the chunk controller (the
-// adaptive policy caps growth; the fixed policy makes the bound exact).
-// Algorithms whose per-item work is unbounded (edge sweeps over skewed
-// degree distributions) inherit the bound in items, not edges: a
-// pathological vertex extends the window by its own degree only.
+// visible — one chunk per worker. Algorithms whose per-item work is
+// unbounded (edge sweeps over skewed degree distributions) inherit the
+// bound in items, not edges: a pathological vertex extends the window
+// by its own degree only.
 func (c *Ctx) ForDynamic(n int, body func(i int)) {
-	dc := c.ctrl()
-	dc.calls++
+	calls := &c.team.dyn.calls[c.tid]
+	calls.n++
 	if n <= 0 {
 		return
 	}
 	var lc obs.Local
 	if c.team.model != nil {
-		c.forDynamicModeled(n, body, dc, &lc)
+		c.forDynamicModeled(n, body, &lc)
 	} else {
-		c.forDynamicSteal(n, body, dc, &lc)
+		c.forDynamicSteal(n, body, calls.n, &lc)
 	}
-	c.obs.Max(obs.ChunkHighWater, int64(dc.c.HighWater()))
 	lc.FlushTo(c.obs)
 }
 
@@ -157,8 +131,7 @@ func (c *Ctx) ForDynamic(n int, body func(i int)) {
 // model is attached: the worker keeps its static block (so T_M is a
 // pure function of input and p, never of steal timing) but pays the
 // dynamic layer's drain cadence — 2 noncontiguous accesses per chunk
-// boundary — and runs the real controller against its own remaining
-// range, so modeled runs exercise and report the same chunk dynamics.
+// boundary — and reports its drains in the same counters.
 //
 // Steal traffic is charged at its deterministic floor: the wall-clock
 // path's workers each run one terminal steal scan before returning —
@@ -167,17 +140,14 @@ func (c *Ctx) ForDynamic(n int, body func(i int)) {
 // exists on every schedule, so the model charges it per worker; what
 // stays out is the timing-dependent part (successful steals and
 // retries), which would make T_M a function of the schedule.
-func (c *Ctx) forDynamicModeled(n int, body func(i int), dc *dynCtrl, lc *obs.Local) {
+func (c *Ctx) forDynamicModeled(n int, body func(i int), lc *obs.Local) {
 	lo, hi := c.Block(n)
 	for lo < hi {
 		if c.team.flag.Tripped() {
 			lc.FlushTo(c.obs)
 			c.abort()
 		}
-		k := dc.c.Chunk()
-		if k > hi-lo {
-			k = hi - lo
-		}
+		k := min(c.team.dyn.chunk, hi-lo)
 		c.probe.NonContig(2)
 		lc.Incr(obs.ChunkDrains)
 		lc.Add(obs.DrainedVertices, int64(k))
@@ -186,7 +156,6 @@ func (c *Ctx) forDynamicModeled(n int, body func(i int), dc *dynCtrl, lc *obs.Lo
 			body(i)
 		}
 		lo += k
-		dc.c.Adapt(hi-lo, 0, lc)
 	}
 	if p := c.team.p; p > 1 {
 		c.probe.NonContig(int64(p-1) + 1) // terminal victim scan + fruitless poll
@@ -196,9 +165,9 @@ func (c *Ctx) forDynamicModeled(n int, body func(i int), dc *dynCtrl, lc *obs.Lo
 }
 
 // forDynamicSteal is the wall-clock path: drain the front of the own
-// slot in controller-sized chunks; when empty, raid the other slots for
+// slot in fixed-size chunks; when empty, raid the other slots for
 // the upper half of a victim's range.
-func (c *Ctx) forDynamicSteal(n int, body func(i int), dc *dynCtrl, lc *obs.Local) {
+func (c *Ctx) forDynamicSteal(n int, body func(i int), call int64, lc *obs.Local) {
 	d := &c.team.dyn
 	p := c.team.p
 	minSteal := sched.MinStealLen(p)
@@ -207,7 +176,7 @@ func (c *Ctx) forDynamicSteal(n int, body func(i int), dc *dynCtrl, lc *obs.Loca
 	lo, hi := c.Block(n)
 	my.mu.Lock()
 	my.lo, my.hi = lo, hi
-	my.tag.Store(dc.calls)
+	my.tag.Store(call)
 	my.size.Store(int64(hi - lo))
 	my.mu.Unlock()
 
@@ -223,14 +192,10 @@ func (c *Ctx) forDynamicSteal(n int, body func(i int), dc *dynCtrl, lc *obs.Loca
 			}
 			c.team.inj.Visit(c.tid, chaos.PointDrain)
 			my.mu.Lock()
-			k := dc.c.Chunk()
-			if rem := my.hi - my.lo; k > rem {
-				k = rem
-			}
+			k := min(d.chunk, my.hi-my.lo)
 			lo = my.lo
 			my.lo += k
-			rem := my.hi - my.lo
-			my.size.Store(int64(rem))
+			my.size.Store(int64(my.hi - my.lo))
 			my.mu.Unlock()
 			if k == 0 {
 				break
@@ -241,9 +206,8 @@ func (c *Ctx) forDynamicSteal(n int, body func(i int), dc *dynCtrl, lc *obs.Loca
 			for i := lo; i < lo+k; i++ {
 				body(i)
 			}
-			dc.c.Adapt(rem, d.fail.Load(c.tid), lc)
 		}
-		if p == 1 || !c.dynSteal(dc, minSteal, lc) {
+		if p == 1 || !c.dynSteal(call, minSteal, lc) {
 			return
 		}
 	}
@@ -253,10 +217,10 @@ func (c *Ctx) forDynamicSteal(n int, body func(i int), dc *dynCtrl, lc *obs.Loca
 // moves the upper half of the first such range into this worker's slot.
 // It retries while some victim shows a stealable surplus (a lost lock
 // race is not starvation) and returns false once every victim is empty
-// or too shallow to raid — charging, per the per-victim discipline, one
-// failed steal against exactly the workers still holding sub-threshold
-// work, since only their drain chunks hide frontier from thieves.
-func (c *Ctx) dynSteal(dc *dynCtrl, minSteal int, lc *obs.Local) bool {
+// or too shallow to raid — counting a failed steal when some victim
+// still held sub-threshold work, the starvation the steal threshold
+// leaves behind.
+func (c *Ctx) dynSteal(call int64, minSteal int, lc *obs.Local) bool {
 	d := &c.team.dyn
 	p := c.team.p
 	for {
@@ -271,7 +235,7 @@ func (c *Ctx) dynSteal(dc *dynCtrl, minSteal int, lc *obs.Local) bool {
 			vs := &d.slots[v]
 			// Lock-free probe; the tag filter keeps a straggler from
 			// spinning on workers already gone ahead into a later call.
-			if int(vs.size.Load()) < minSteal || vs.tag.Load() != dc.calls {
+			if int(vs.size.Load()) < minSteal || vs.tag.Load() != call {
 				continue
 			}
 			anyDeep = true
@@ -284,7 +248,7 @@ func (c *Ctx) dynSteal(dc *dynCtrl, minSteal int, lc *obs.Local) bool {
 			}
 			vs.mu.Lock()
 			rem := vs.hi - vs.lo
-			if vs.tag.Load() != dc.calls || rem < minSteal {
+			if vs.tag.Load() != call || rem < minSteal {
 				vs.mu.Unlock()
 				continue
 			}
@@ -304,19 +268,14 @@ func (c *Ctx) dynSteal(dc *dynCtrl, minSteal int, lc *obs.Local) bool {
 		}
 		if !anyDeep {
 			// Fully fruitless pass: every matching slot is below the
-			// steal threshold. Whoever still holds items is hiding them
-			// in a too-large chunk — tell their controllers.
-			starving := false
+			// steal threshold. It is a failed steal if some victim still
+			// holds items this worker could not take.
 			for off := 1; off < p; off++ {
-				v := (c.tid + off) % p
-				vs := &d.slots[v]
-				if vs.size.Load() > 0 && vs.tag.Load() == dc.calls {
-					d.fail.Record(v)
-					starving = true
+				vs := &d.slots[(c.tid+off)%p]
+				if vs.size.Load() > 0 && vs.tag.Load() == call {
+					lc.Incr(obs.StealFailures)
+					break
 				}
-			}
-			if starving {
-				lc.Incr(obs.StealFailures)
 			}
 			return false
 		}

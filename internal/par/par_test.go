@@ -99,23 +99,17 @@ func TestForStaticPartitions(t *testing.T) {
 
 func TestForDynamicPartitions(t *testing.T) {
 	const n = 1000
-	for _, cfg := range []struct {
-		policy ChunkPolicy
-		size   int
-	}{
-		{ChunkAdaptive, 0}, {ChunkAdaptive, 4},
-		{ChunkFixed, 1}, {ChunkFixed, 7}, {ChunkFixed, 64}, {ChunkFixed, 5000},
-	} {
+	for _, size := range []int{0, 1, 4, 7, 64, 5000} {
 		for _, p := range []int{1, 3, 4, 8} {
-			team := NewTeam(p, nil).Chunk(cfg.policy, cfg.size)
+			team := NewTeam(p, nil).Chunk(size)
 			hits := make([]int32, n)
 			team.Run(func(c *Ctx) {
 				c.ForDynamic(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			})
 			for i, h := range hits {
 				if h != 1 {
-					t.Fatalf("%v/%d p=%d: index %d visited %d times",
-						cfg.policy, cfg.size, p, i, h)
+					t.Fatalf("chunk %d p=%d: index %d visited %d times",
+						size, p, i, h)
 				}
 			}
 		}

@@ -1,79 +1,21 @@
 // Package sched is the shared dynamic-scheduling layer of the
-// repository: the adaptive chunk controller, the p-scaled steal
-// threshold, and the per-victim failed-steal signal that every parallel
-// loop in the tree consults — the work-stealing traversal in
+// repository: the drain chunk and the p-scaled steal threshold that
+// every parallel loop in the tree uses — the work-stealing traversal in
 // internal/core and the work-stealing parallel-for of internal/par
-// alike. It exists so there is exactly one implementation of chunk
-// control and steal policy: a scheduling improvement lands here and
-// takes effect in every algorithm at once.
-//
-// The controller was grown inside internal/core (where the batched
-// hot path made the drain chunk the load-balancing knob) and then
-// extracted unchanged: a big chunk amortizes lock traffic but hides up
-// to a chunk's worth of frontier from thieves, a small chunk keeps work
-// visible at a per-item lock cost, and no fixed value fits all inputs,
-// so each worker moves between the regimes at run time.
+// alike. It exists so there is exactly one definition of chunk size and
+// steal policy: a scheduling change lands here and takes effect in
+// every algorithm at once.
 package sched
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"spantree/internal/obs"
-)
-
-// ChunkPolicy selects how a worker's drain chunk is chosen.
-type ChunkPolicy int
-
-const (
-	// ChunkAdaptive is the default policy: each worker grows its drain
-	// chunk (doubling, up to the cap) while its queue stays deep and no
-	// steal attempt against it is failing, and shrinks it (halving,
-	// toward 1) when thieves report failed steals or the queue runs
-	// shallow.
-	ChunkAdaptive ChunkPolicy = iota
-	// ChunkFixed drains exactly the configured chunk size per lock
-	// acquisition — the pre-adaptive behavior, selected by the CLIs'
-	// -chunk flag and used by the chunk-size ablations.
-	ChunkFixed
-)
-
-// String returns the CLI name of the policy.
-func (cp ChunkPolicy) String() string {
-	if cp == ChunkFixed {
-		return "fixed"
-	}
-	return "adaptive"
-}
-
-// ParseChunkPolicy converts a CLI name into a ChunkPolicy.
-func ParseChunkPolicy(s string) (ChunkPolicy, error) {
-	switch s {
-	case "adaptive":
-		return ChunkAdaptive, nil
-	case "fixed":
-		return ChunkFixed, nil
-	}
-	return 0, fmt.Errorf("sched: unknown chunk policy %q (want adaptive or fixed)", s)
-}
-
-const (
-	// AdaptiveInitChunk is the drain chunk an adaptive worker starts
-	// from: small enough that shallow frontiers never hide more than a
-	// few items from thieves, three doublings from the fixed default.
-	AdaptiveInitChunk = 8
-	// AdaptiveMaxChunk is the adaptive controller's default growth cap
-	// (an explicit chunk size overrides it when set). Deep regular
-	// frontiers reach it within ~5 doublings, beyond which the lock cost
-	// per item is already down in the noise.
-	AdaptiveMaxChunk = 256
-	// DefaultChunkSize is the drain chunk used when ChunkFixed is
-	// selected without an explicit size: the owner pays ~2 lock
-	// operations per this many items. Batching only amortizes once
-	// per-worker queue depth reaches this order, so inputs with n/p well
-	// below it run in the startup regime.
-	DefaultChunkSize = 64
-)
+// DefaultChunkSize is the drain chunk used when no explicit chunk size
+// is set: a worker takes up to this many items per lock acquisition,
+// paying ~2 lock operations per chunk instead of per item. The items of
+// a drain are hidden from thieves until processed, so a big chunk trades
+// frontier visibility for lock amortization. A fixed 256 was as fast as
+// per-worker adaptive chunking on the benchmark workloads and at or
+// below it in the modeled chunk ablation (EXPERIMENTS.md, "Adaptive
+// chunk deleted"); 1 reproduces the unbatched per-item hot path.
+const DefaultChunkSize = 256
 
 // MinStealLen returns the smallest victim queue worth stealing from at
 // processor count p: max(2, p/2). The floor of 2 leaves a single
@@ -93,139 +35,4 @@ func MinStealLen(p int) int {
 		return m
 	}
 	return 2
-}
-
-// Controller adapts one worker's drain chunk between lock-cost
-// amortization (big chunks) and frontier visibility for thieves (small
-// chunks). It is consulted once per drain, entirely from worker-local
-// state plus one atomic load of the worker's failed-steal count, so it
-// adds no coherence traffic to the hot path.
-type Controller struct {
-	chunk int // next drain size
-	max   int // growth cap (== chunk under ChunkFixed)
-	hi    int // largest chunk reached (ChunkHighWater)
-	fixed bool
-	// lastFail is the failed-steal count observed at the previous
-	// decision; any movement since means thieves probed this worker and
-	// starved.
-	lastFail int64
-}
-
-// NewController returns a controller for the given policy. size is the
-// fixed chunk under ChunkFixed (<= 0 means DefaultChunkSize) and the
-// growth cap under ChunkAdaptive (<= 0 means AdaptiveMaxChunk).
-func NewController(policy ChunkPolicy, size int) Controller {
-	if policy == ChunkFixed {
-		if size <= 0 {
-			size = DefaultChunkSize
-		}
-		return Controller{chunk: size, max: size, hi: size, fixed: true}
-	}
-	max := size
-	if max <= 0 {
-		max = AdaptiveMaxChunk
-	}
-	c := AdaptiveInitChunk
-	if c > max {
-		c = max
-	}
-	return Controller{chunk: c, max: max, hi: c}
-}
-
-// Chunk returns the next drain size.
-func (c *Controller) Chunk() int { return c.chunk }
-
-// Max returns the controller's growth cap (the fixed chunk itself under
-// ChunkFixed) — callers size their drain buffers with it.
-func (c *Controller) Max() int { return c.max }
-
-// HighWater returns the largest chunk the controller ever reached.
-func (c *Controller) HighWater() int { return c.hi }
-
-// Adapt updates the drain chunk after a drain: qlen is the worker's
-// post-flush queue depth and failNow the failed-steal count charged
-// against this worker (per-victim: only thieves that probed this
-// worker's queue and starved move it). Shrinking halves toward 1
-// whenever a steal against this worker failed since the last decision
-// (work must become visible to thieves) or the queue is too shallow to
-// fill the current chunk; growing doubles toward the cap only while the
-// queue is deep enough to fill several chunks AND no steal against this
-// worker is failing. Grow/shrink steps land in the observability batch.
-func (c *Controller) Adapt(qlen int, failNow int64, lc *obs.Local) {
-	if c.fixed {
-		return
-	}
-	starved := failNow != c.lastFail
-	c.lastFail = failNow
-	switch {
-	case starved || qlen < c.chunk:
-		if c.chunk > 1 {
-			c.chunk >>= 1
-			lc.Incr(obs.ChunkShrink)
-		}
-	case qlen >= 4*c.chunk && c.chunk < c.max:
-		c.chunk <<= 1
-		if c.chunk > c.max {
-			c.chunk = c.max
-		}
-		if c.chunk > c.hi {
-			c.hi = c.chunk
-		}
-		lc.Incr(obs.ChunkGrow)
-	}
-}
-
-// FailSignal is the per-victim failed-steal signal: one padded counter
-// per worker, bumped by thieves against the specific victims they
-// probed and found wanting, and read by each owner's Controller at its
-// drain boundaries. Charging the victims instead of a traversal-wide
-// count means a starving thief shrinks only the chunks of the workers
-// actually being raided — a well-fed worker on a distant part of the
-// input keeps its full lock amortization (the ROADMAP's large-p
-// concern with the global signal).
-//
-// Writes are thief-side atomic adds; reads are owner-side atomic loads
-// of the owner's own slot only, so the signal adds no read-side
-// coherence traffic to foreign cache lines on the drain path.
-type FailSignal struct {
-	slots []failSlot
-}
-
-type failSlot struct {
-	n atomic.Int64
-	_ [7]int64 // pad to a cache line so victims don't false-share
-}
-
-// NewFailSignal returns a signal with one slot per worker.
-func NewFailSignal(p int) *FailSignal {
-	return &FailSignal{slots: make([]failSlot, p)}
-}
-
-// Reset zeroes every slot, rearming the signal for a new run on a
-// pooled workspace. The caller must guarantee the previous run's
-// thieves have drained; Reset is not synchronized against Record.
-func (s *FailSignal) Reset() {
-	if s == nil {
-		return
-	}
-	for i := range s.slots {
-		s.slots[i].n.Store(0)
-	}
-}
-
-// Record charges one failed steal against victim. Nil-safe.
-func (s *FailSignal) Record(victim int) {
-	if s == nil {
-		return
-	}
-	s.slots[victim].n.Add(1)
-}
-
-// Load returns the failed-steal count charged against owner. Nil-safe
-// (a nil signal never reports starvation).
-func (s *FailSignal) Load(owner int) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.slots[owner].n.Load()
 }

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"testing"
-
-	"spantree/internal/obs"
-)
+import "testing"
 
 // TestMinStealLenScaling pins the p-scaled steal threshold: max(2, p/2).
 // These exact values are load-bearing — lowering them reintroduces the
@@ -17,162 +12,5 @@ func TestMinStealLenScaling(t *testing.T) {
 		if got := MinStealLen(p); got != w {
 			t.Errorf("MinStealLen(%d) = %d, want %d", p, got, w)
 		}
-	}
-}
-
-// TestChunkPolicyNames pins the CLI vocabulary.
-func TestChunkPolicyNames(t *testing.T) {
-	if ChunkAdaptive.String() != "adaptive" || ChunkFixed.String() != "fixed" {
-		t.Fatalf("policy names: %v %v", ChunkAdaptive, ChunkFixed)
-	}
-	for _, name := range []string{"adaptive", "fixed"} {
-		cp, err := ParseChunkPolicy(name)
-		if err != nil || cp.String() != name {
-			t.Fatalf("ParseChunkPolicy(%q) = %v, %v", name, cp, err)
-		}
-	}
-	if _, err := ParseChunkPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy name accepted")
-	}
-	var zero ChunkPolicy
-	if zero != ChunkAdaptive {
-		t.Fatal("zero value is not the adaptive default")
-	}
-}
-
-// TestControllerAdapts unit-tests the controller's dynamics: doubling
-// toward the cap while the queue is deep and steals succeed, halving
-// toward 1 on starvation or a shallow queue, and inertness under the
-// fixed policy.
-func TestControllerAdapts(t *testing.T) {
-	var lc obs.Local
-	c := NewController(ChunkAdaptive, 0)
-	if c.Chunk() != AdaptiveInitChunk || c.Max() != AdaptiveMaxChunk {
-		t.Fatalf("adaptive start = %d cap %d, want %d cap %d",
-			c.Chunk(), c.Max(), AdaptiveInitChunk, AdaptiveMaxChunk)
-	}
-	// Deep queue, no failed steals: doubles each decision up to the cap.
-	for i := 0; i < 20; i++ {
-		c.Adapt(4*c.Chunk(), 0, &lc)
-	}
-	if c.Chunk() != AdaptiveMaxChunk || c.HighWater() != AdaptiveMaxChunk {
-		t.Fatalf("deep queue reached chunk=%d hi=%d, want cap %d",
-			c.Chunk(), c.HighWater(), AdaptiveMaxChunk)
-	}
-	// A failed steal since the last decision halves, even with depth.
-	c.Adapt(4*c.Chunk(), 1, &lc)
-	if c.Chunk() != AdaptiveMaxChunk/2 {
-		t.Fatalf("starvation did not shrink: chunk=%d", c.Chunk())
-	}
-	// No new failures afterward: the same count does not re-shrink.
-	c.Adapt(4*c.Chunk(), 1, &lc)
-	if c.Chunk() != AdaptiveMaxChunk {
-		t.Fatalf("recovery did not grow: chunk=%d", c.Chunk())
-	}
-	// Shallow queue shrinks toward (and floors at) 1.
-	for i := 0; i < 20; i++ {
-		c.Adapt(0, 1, &lc)
-	}
-	if c.Chunk() != 1 {
-		t.Fatalf("shallow queue floored at %d, want 1", c.Chunk())
-	}
-
-	// An explicit size caps adaptive growth and bounds the start.
-	c = NewController(ChunkAdaptive, 4)
-	if c.Chunk() != 4 || c.Max() != 4 {
-		t.Fatalf("capped start = %d/%d, want 4/4", c.Chunk(), c.Max())
-	}
-
-	// Fixed: never moves, and defaults its size.
-	c = NewController(ChunkFixed, 64)
-	c.Adapt(10_000, 5, &lc)
-	c.Adapt(0, 9, &lc)
-	if c.Chunk() != 64 || c.HighWater() != 64 {
-		t.Fatalf("fixed controller moved: chunk=%d hi=%d", c.Chunk(), c.HighWater())
-	}
-	if c := NewController(ChunkFixed, 0); c.Chunk() != DefaultChunkSize {
-		t.Fatalf("fixed default chunk = %d, want %d", c.Chunk(), DefaultChunkSize)
-	}
-}
-
-// TestFailSignalPerVictim pins the per-victim semantics: a thief's
-// failure charges only the victims it names, owners read only their own
-// slot, and nil signals are inert.
-func TestFailSignalPerVictim(t *testing.T) {
-	s := NewFailSignal(4)
-	s.Record(2)
-	s.Record(2)
-	s.Record(0)
-	for owner, want := range []int64{1, 0, 2, 0} {
-		if got := s.Load(owner); got != want {
-			t.Errorf("Load(%d) = %d, want %d", owner, got, want)
-		}
-	}
-	var nilSig *FailSignal
-	nilSig.Record(1) // must not panic
-	if nilSig.Load(1) != 0 {
-		t.Error("nil signal reported starvation")
-	}
-}
-
-// TestControllerPerVictimIsolation is the satellite's behavioral check:
-// with the per-victim signal, only the raided worker's controller
-// shrinks — the un-raided worker with a deep queue keeps growing. Under
-// the old traversal-wide count both would have shrunk.
-func TestControllerPerVictimIsolation(t *testing.T) {
-	var lc obs.Local
-	s := NewFailSignal(2)
-	raided := NewController(ChunkAdaptive, 0)
-	wellFed := NewController(ChunkAdaptive, 0)
-
-	// Both grow for a while on deep queues.
-	for i := 0; i < 3; i++ {
-		raided.Adapt(4*raided.Chunk(), s.Load(0), &lc)
-		wellFed.Adapt(4*wellFed.Chunk(), s.Load(1), &lc)
-	}
-	before0, before1 := raided.Chunk(), wellFed.Chunk()
-
-	// A thief starves against worker 0 only.
-	s.Record(0)
-	raided.Adapt(4*raided.Chunk(), s.Load(0), &lc)
-	wellFed.Adapt(4*wellFed.Chunk(), s.Load(1), &lc)
-
-	if raided.Chunk() != before0/2 {
-		t.Errorf("raided worker chunk = %d, want %d (shrink)", raided.Chunk(), before0/2)
-	}
-	if wellFed.Chunk() != 2*before1 {
-		t.Errorf("well-fed worker chunk = %d, want %d (keep growing)", wellFed.Chunk(), 2*before1)
-	}
-}
-
-// TestFailSignalConcurrentRecord is the -race certificate for the
-// thief-side writes racing an owner-side reader.
-func TestFailSignalConcurrentRecord(t *testing.T) {
-	const thieves = 4
-	const each = 10000
-	s := NewFailSignal(thieves)
-	var wg sync.WaitGroup
-	wg.Add(thieves + 1)
-	for th := 0; th < thieves; th++ {
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				s.Record((th + i) % thieves)
-			}
-		}(th)
-	}
-	go func() { // owner-side poller
-		defer wg.Done()
-		for i := 0; i < each; i++ {
-			s.Load(i % thieves)
-		}
-	}()
-	wg.Wait()
-	var total int64
-	for v := 0; v < thieves; v++ {
-		total += s.Load(v)
-	}
-	if total != thieves*each {
-		t.Fatalf("recorded %d failures, want %d", total, thieves*each)
 	}
 }

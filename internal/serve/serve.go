@@ -293,7 +293,6 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	}
 	base := spantree.SessionOptions{
 		NumProcs:    s.cfg.NumProcs,
-		ChunkPolicy: spantree.ChunkAdaptive,
 		Warmups:     s.cfg.Warmups,
 		StallBudget: s.cfg.StallBudget,
 	}

@@ -45,10 +45,9 @@ type Options struct {
 	// MaxIterations caps iterations; 0 means 2n+4 (always sufficient:
 	// every iteration either hooks or halves some tree height).
 	MaxIterations int
-	// ChunkPolicy and ChunkSize configure the shared dynamic scheduler
+	// ChunkSize is the drain chunk of the shared dynamic scheduler
 	// (par.ForDynamic) running the detect/hook/jump sweeps.
-	ChunkPolicy par.ChunkPolicy
-	ChunkSize   int
+	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -104,7 +103,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	changed := make([]int32, n)
 	winner := make([]int64, n)
 
-	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkPolicy, opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkSize).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	condBufs := make([]int, opt.NumProcs)

@@ -21,10 +21,9 @@ type HybridOptions struct {
 	// MatingRounds is the number of random-mating rounds to run before
 	// handing the contracted graph to Shiloach-Vishkin; 0 means 3.
 	MatingRounds int
-	// ChunkPolicy and ChunkSize configure the shared dynamic scheduler
-	// for both the mating sweeps and the SV completion.
-	ChunkPolicy par.ChunkPolicy
-	ChunkSize   int
+	// ChunkSize is the drain chunk of the shared dynamic scheduler for
+	// both the mating sweeps and the SV completion.
+	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing). Both are shared
 	// with the SV completion phase.
@@ -63,7 +62,7 @@ func HybridSpanningForest(g *graph.Graph, opt HybridOptions) ([]graph.VID, Hybri
 	winner := make([]int64, n)
 	coin := make([]bool, n)
 
-	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkPolicy, opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkSize).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	var stats HybridStats
@@ -139,7 +138,7 @@ func HybridSpanningForest(g *graph.Graph, opt HybridOptions) ([]graph.VID, Hybri
 	// Completion: SV grafts the remaining components. The mating phase
 	// left d as rooted stars, which is exactly GraftFrom's precondition.
 	svEdges, svStats, err := spansv.GraftFrom(g, d, spansv.Options{
-		NumProcs: opt.NumProcs, ChunkPolicy: opt.ChunkPolicy, ChunkSize: opt.ChunkSize,
+		NumProcs: opt.NumProcs, ChunkSize: opt.ChunkSize,
 		Cancel: opt.Cancel, Chaos: opt.Chaos})
 	if err != nil {
 		return nil, stats, fmt.Errorf("spanrm: hybrid SV completion: %w", err)

@@ -56,12 +56,11 @@ type Options struct {
 	// which always suffices (every productive iteration removes at least
 	// one root). Tests use small caps to exercise early termination.
 	MaxIterations int
-	// ChunkPolicy and ChunkSize configure the shared dynamic scheduler
+	// ChunkSize is the drain chunk of the shared dynamic scheduler
 	// (par.ForDynamic) that runs the election, graft, and shortcut
-	// sweeps — the same -chunk knobs as the work-stealing traversal. The
-	// zero values select the adaptive policy with its default cap.
-	ChunkPolicy par.ChunkPolicy
-	ChunkSize   int
+	// sweeps — the same -chunk knob as the work-stealing traversal. 0
+	// means par.DefaultChunkSize.
+	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips); the
 	// team polls it at every barrier entry and ForDynamic chunk
 	// boundary, and a tripped run returns the flag's typed error.
@@ -150,7 +149,7 @@ func GraftFrom(g *graph.Graph, d []int32, opt Options) ([]graph.Edge, Stats, err
 	}
 
 	team := par.NewTeam(opt.NumProcs, opt.Model).Observe(opt.Obs).
-		Chunk(opt.ChunkPolicy, opt.ChunkSize).
+		Chunk(opt.ChunkSize).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	iterations, rounds := 0, 0

@@ -6,19 +6,18 @@ import (
 
 	"spantree/internal/gen"
 	"spantree/internal/graph"
-	"spantree/internal/par"
 	"spantree/internal/verify"
 )
 
 // These tests are the data-race certificate for SV on the shared dynamic
 // scheduler (par.ForDynamic), in the style of the wsq batch stress
 // tests: run the real concurrent scheduler — range publishing, chunked
-// drains, steal-half on index ranges — under -race across policies and
-// processor counts, and model-check the results against sequential
+// drains, steal-half on index ranges — under -race across chunk sizes
+// and processor counts, and model-check the results against sequential
 // references that do not depend on the schedule.
 
 // TestSVDynamicSchedulerStress drives the full graft-and-shortcut loop
-// on skewed and multi-component inputs with every chunk policy. The
+// on skewed and multi-component inputs across chunk sizes. The
 // hub-heavy star slabs concentrate the election sweep's work in a few
 // indices, which is exactly the shape that makes thieves raid the
 // loaded worker's range.
@@ -26,24 +25,15 @@ func TestSVDynamicSchedulerStress(t *testing.T) {
 	g := graph.Union(gen.Star(4000), gen.Torus2D(32, 32), gen.Chain(700),
 		gen.Random(1500, 2500, 5), gen.Star(900), gen.Chain(1))
 	wantComps := graph.NumComponents(g)
-	cfgs := []struct {
-		policy par.ChunkPolicy
-		size   int
-	}{
-		{par.ChunkAdaptive, 0}, {par.ChunkAdaptive, 4},
-		{par.ChunkFixed, 1}, {par.ChunkFixed, 64},
-	}
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, c := range cfgs {
+		for _, size := range []int{0, 1, 4, 64} {
 			for rep := 0; rep < 3; rep++ {
-				parent, _, err := SpanningForest(g, Options{
-					NumProcs: p, ChunkPolicy: c.policy, ChunkSize: c.size,
-				})
+				parent, _, err := SpanningForest(g, Options{NumProcs: p, ChunkSize: size})
 				if err != nil {
-					t.Fatalf("p=%d %v/%d: %v", p, c.policy, c.size, err)
+					t.Fatalf("p=%d chunk %d: %v", p, size, err)
 				}
 				if err := verify.Forest(g, parent); err != nil {
-					t.Fatalf("p=%d %v/%d: %v", p, c.policy, c.size, err)
+					t.Fatalf("p=%d chunk %d: %v", p, size, err)
 				}
 				roots := 0
 				for _, pv := range parent {
@@ -52,7 +42,7 @@ func TestSVDynamicSchedulerStress(t *testing.T) {
 					}
 				}
 				if roots != wantComps {
-					t.Fatalf("p=%d %v/%d: %d roots, want %d", p, c.policy, c.size, roots, wantComps)
+					t.Fatalf("p=%d chunk %d: %d roots, want %d", p, size, roots, wantComps)
 				}
 			}
 		}
@@ -71,14 +61,7 @@ func TestSVLabelsModelCheck(t *testing.T) {
 		m := int(mRaw % 600)
 		p := int(pRaw%8) + 1
 		g := gen.Random(n, m, seed)
-		opt := Options{NumProcs: p, ChunkSize: int(sizeRaw % 9)}
-		if sizeRaw%2 == 0 {
-			opt.ChunkPolicy = par.ChunkFixed
-			if opt.ChunkSize == 0 {
-				opt.ChunkSize = 1
-			}
-		}
-		label, comps, err := ConnectedComponents(g, opt)
+		label, comps, err := ConnectedComponents(g, Options{NumProcs: p, ChunkSize: int(sizeRaw % 9)})
 		if err != nil {
 			return false
 		}

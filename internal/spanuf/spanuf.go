@@ -63,11 +63,10 @@ type Options struct {
 	// HooksWon/HooksLost, UFFinds, CompressionWrites, the chunk-drain
 	// set) and barrier waits from the team.
 	Obs *obs.Recorder
-	// ChunkPolicy and ChunkSize configure the shared dynamic scheduler
-	// (par.ForDynamic) that runs the edge sweep — the same -chunk knobs
+	// ChunkSize is the drain chunk of the shared dynamic scheduler
+	// (par.ForDynamic) that runs the edge sweep — the same -chunk knob
 	// as every other parallel algorithm in the tree.
-	ChunkPolicy par.ChunkPolicy
-	ChunkSize   int
+	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips). The
 	// sweep polls it at every ForDynamic chunk boundary, so cancellation
 	// latency is bounded by one chunk per worker (see par.ForDynamic).
@@ -208,7 +207,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		}
 	} else {
 		team := par.NewTeam(opt.NumProcs, nil).Observe(opt.Obs).
-			Chunk(opt.ChunkPolicy, opt.ChunkSize).
+			Chunk(opt.ChunkSize).
 			Cancel(opt.Cancel).Chaos(opt.Chaos)
 		if err := team.RunErr(func(c *par.Ctx) {
 			hookSweep(c, g, uf, hooks, cells)

@@ -148,8 +148,8 @@ func (q *StealHalf) HighWater() int {
 // chunk, and the atomic size mirror is updated once, so Len stays exact
 // at chunk boundaries. Elements moved into dst are no longer visible to
 // thieves, exactly as if the owner had popped them one by one. The
-// adaptive chunk controller sizes its next drain from the remaining
-// depth, which this gives exactly, without a second synchronized probe
+// traversal decides from the remaining depth whether to wake an idle
+// thief, and this gives it exactly, without a second synchronized probe
 // of the size mirror.
 func (q *StealHalf) PopBatchLen(dst []int32) (n, remaining int) {
 	if len(dst) == 0 {

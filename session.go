@@ -19,10 +19,8 @@ var ErrSessionClosed = errors.New("spantree: session closed")
 type SessionOptions struct {
 	// NumProcs is the number of virtual processors; 0 means 1.
 	NumProcs int
-	// ChunkPolicy and ChunkSize configure the drain-chunk controller
-	// exactly as in Options.
-	ChunkPolicy ChunkPolicy
-	ChunkSize   int
+	// ChunkSize is the drain chunk, exactly as in Options.
+	ChunkSize int
 	// FallbackThreshold enables the pathological-case detection (see
 	// Options.FallbackThreshold). A triggered fallback allocates — only
 	// the traversal itself is pooled.
@@ -94,7 +92,6 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	}
 	co := core.Options{
 		NumProcs:          o.NumProcs,
-		ChunkPolicy:       o.ChunkPolicy,
 		ChunkSize:         o.ChunkSize,
 		FallbackThreshold: o.FallbackThreshold,
 		StallBudget:       o.StallBudget,

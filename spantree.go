@@ -36,7 +36,6 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanas"
 	"spantree/internal/spanhcs"
@@ -186,25 +185,6 @@ func Algorithms() []Algorithm {
 	}
 }
 
-// ChunkPolicy selects how a parallel worker's drain chunk is chosen.
-// One controller implementation (internal/sched) serves the whole tree:
-// the work-stealing traversal's queue drains and the dynamic
-// parallel-for sweeps of every other parallel algorithm.
-type ChunkPolicy = sched.ChunkPolicy
-
-const (
-	// ChunkAdaptive (the default) grows and shrinks each processor's
-	// drain chunk at run time from queue depth and steal pressure.
-	ChunkAdaptive = sched.ChunkAdaptive
-	// ChunkFixed drains exactly Options.ChunkSize vertices per lock
-	// acquisition.
-	ChunkFixed = sched.ChunkFixed
-)
-
-// ParseChunkPolicy converts a CLI name ("adaptive" or "fixed") into a
-// ChunkPolicy.
-func ParseChunkPolicy(s string) (ChunkPolicy, error) { return sched.ParseChunkPolicy(s) }
-
 // Layout names the CSR layout the work-stealing traversal reads. There
 // is one, LayoutCompact: the traversal always reads a uint32 mirror of
 // the Graph.
@@ -250,19 +230,12 @@ type Options struct {
 	// processors are simultaneously idle with nothing stealable, the run
 	// finishes with a Shiloach-Vishkin pass. 0 disables detection.
 	FallbackThreshold int
-	// ChunkPolicy selects how each worker's drain chunk is chosen, for
-	// every parallel algorithm (they all run on the shared dynamic
-	// scheduler). The zero value, ChunkAdaptive, lets each processor tune
-	// its own chunk at run time (growing while its queue is deep and
-	// steals succeed, shrinking when thieves starve); ChunkFixed drains
-	// exactly ChunkSize vertices per lock acquisition.
-	ChunkPolicy ChunkPolicy
-	// ChunkSize is the number of vertices a worker drains from its queue
-	// (or claims from its index range) per lock acquisition, and the
-	// flush cadence of its batched child pushes and progress counts.
-	// Under ChunkFixed, 0 means a tuned default (64) and 1 reproduces the
-	// unbatched per-vertex hot path; under ChunkAdaptive it caps the
-	// controller's growth (0 means the default cap, 256).
+	// ChunkSize is the most vertices a worker drains from its queue (or
+	// claims from its index range) per lock acquisition, and the flush
+	// cadence of its batched child pushes and progress counts, for every
+	// parallel algorithm (they all run on the shared dynamic scheduler).
+	// 0 means the default (256); 1 reproduces the unbatched per-vertex
+	// hot path.
 	ChunkSize int
 	// Model, when non-nil, accumulates Helman-JáJá cost-model counters
 	// for the run (see the smpmodel package via Result.ModeledTime).
@@ -387,7 +360,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			Obs:               opt.Obs,
 			Deg2Eliminate:     opt.Deg2Eliminate,
 			FallbackThreshold: opt.FallbackThreshold,
-			ChunkPolicy:       opt.ChunkPolicy,
 			ChunkSize:         opt.ChunkSize,
 			Cancel:            cancel,
 			Chaos:             inj,
@@ -412,14 +384,13 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		}
 	case AlgSV, AlgSVLocks:
 		parent, stats, err := spansv.SpanningForest(g, spansv.Options{
-			NumProcs:    p,
-			UseLocks:    opt.Algorithm == AlgSVLocks,
-			Model:       opt.Model,
-			Obs:         opt.Obs,
-			ChunkPolicy: opt.ChunkPolicy,
-			ChunkSize:   opt.ChunkSize,
-			Cancel:      cancel,
-			Chaos:       inj,
+			NumProcs:  p,
+			UseLocks:  opt.Algorithm == AlgSVLocks,
+			Model:     opt.Model,
+			Obs:       opt.Obs,
+			ChunkSize: opt.ChunkSize,
+			Cancel:    cancel,
+			Chaos:     inj,
 		})
 		if err != nil {
 			return nil, err
@@ -427,12 +398,11 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.Parent, res.SV = parent, &stats
 	case AlgHCS:
 		parent, stats, err := spanhcs.SpanningForest(g, spanhcs.Options{
-			NumProcs:    p,
-			Model:       opt.Model,
-			ChunkPolicy: opt.ChunkPolicy,
-			ChunkSize:   opt.ChunkSize,
-			Cancel:      cancel,
-			Chaos:       inj,
+			NumProcs:  p,
+			Model:     opt.Model,
+			ChunkSize: opt.ChunkSize,
+			Cancel:    cancel,
+			Chaos:     inj,
 		})
 		if err != nil {
 			return nil, err
@@ -441,12 +411,11 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.HCS = &stats
 	case AlgAwerbuchShiloach:
 		parent, stats, err := spanas.SpanningForest(g, spanas.Options{
-			NumProcs:    p,
-			Model:       opt.Model,
-			ChunkPolicy: opt.ChunkPolicy,
-			ChunkSize:   opt.ChunkSize,
-			Cancel:      cancel,
-			Chaos:       inj,
+			NumProcs:  p,
+			Model:     opt.Model,
+			ChunkSize: opt.ChunkSize,
+			Cancel:    cancel,
+			Chaos:     inj,
 		})
 		if err != nil {
 			return nil, err
@@ -455,12 +424,11 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.AS = &stats
 	case AlgLevelBFS:
 		parent, stats, err := spanlevel.SpanningForest(g, spanlevel.Options{
-			NumProcs:    p,
-			Model:       opt.Model,
-			ChunkPolicy: opt.ChunkPolicy,
-			ChunkSize:   opt.ChunkSize,
-			Cancel:      cancel,
-			Chaos:       inj,
+			NumProcs:  p,
+			Model:     opt.Model,
+			ChunkSize: opt.ChunkSize,
+			Cancel:    cancel,
+			Chaos:     inj,
 		})
 		if err != nil {
 			return nil, err
@@ -469,13 +437,12 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.LevelBFS = &stats
 	case AlgSpanUF:
 		parent, stats, err := spanuf.SpanningForest(g, spanuf.Options{
-			NumProcs:    p,
-			Model:       opt.Model,
-			Obs:         opt.Obs,
-			ChunkPolicy: opt.ChunkPolicy,
-			ChunkSize:   opt.ChunkSize,
-			Cancel:      cancel,
-			Chaos:       inj,
+			NumProcs:  p,
+			Model:     opt.Model,
+			Obs:       opt.Obs,
+			ChunkSize: opt.ChunkSize,
+			Cancel:    cancel,
+			Chaos:     inj,
 		})
 		if err != nil {
 			return nil, err
