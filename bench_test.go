@@ -169,15 +169,19 @@ func BenchmarkAblationNoStub(b *testing.B) {
 func BenchmarkAblationChunk(b *testing.B) {
 	g := benchGraph("torus-random")
 	p := benchProcs()[len(benchProcs())-1]
-	b.Run("chunk1", func(b *testing.B) {
-		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkSize: 1})
-	})
-	b.Run("chunk64", func(b *testing.B) {
-		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1, ChunkSize: 64})
-	})
-	b.Run("default", func(b *testing.B) {
-		runFindBench(b, g, Options{Algorithm: AlgWorkStealing, NumProcs: p, Seed: 1})
-	})
+	for _, v := range []struct {
+		name  string
+		chunk int
+	}{{"chunk1", 1}, {"chunk64", 64}, {"default", 0}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := findWS(g, p, wsToggles{chunkSize: v.chunk}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAblationSVLock compares CAS elections against per-root locks
@@ -223,14 +227,6 @@ func BenchmarkExtensions(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := FindRandomMating(g, p, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hybrid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := FindHybrid(g, p, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,16 +6,18 @@ import "spantree/internal/core"
 // which are deliberately not part of the public Options.
 
 type wsToggles struct {
-	noSteal bool
-	noStub  bool
+	noSteal   bool
+	noStub    bool
+	chunkSize int // 0 = the default drain chunk
 }
 
 func findWS(g *Graph, p int, t wsToggles) ([]VID, error) {
 	parent, _, err := core.SpanningForest(g, core.Options{
-		NumProcs: p,
-		Seed:     1,
-		NoSteal:  t.noSteal,
-		NoStub:   t.noStub,
+		NumProcs:  p,
+		Seed:      1,
+		NoSteal:   t.noSteal,
+		NoStub:    t.noStub,
+		ChunkSize: t.chunkSize,
 	})
 	return parent, err
 }

@@ -141,28 +141,3 @@ func AnalyzeForest(parent []VID) (*Tree, error) { return treeops.New(parent) }
 // RerootTree returns a copy of the forest with newRoot as its tree's
 // root.
 func RerootTree(parent []VID, newRoot VID) []VID { return treeops.Reroot(parent, newRoot) }
-
-// FindHybrid computes a spanning forest with Greiner's hybrid strategy:
-// a few labeling-insensitive random-mating rounds contract the graph,
-// then Shiloach-Vishkin finishes the residue.
-func FindHybrid(g *Graph, p int, seed uint64) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("spantree: nil graph")
-	}
-	if p < 1 {
-		p = 1
-	}
-	start := time.Now()
-	parent, _, err := spanrm.HybridSpanningForest(g, spanrm.HybridOptions{NumProcs: p, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Parent: parent, Elapsed: time.Since(start)}
-	for _, pv := range parent {
-		if pv == None {
-			res.Roots++
-		}
-	}
-	res.TreeEdges = len(parent) - res.Roots
-	return res, nil
-}

@@ -117,20 +117,3 @@ func TestEarsAPI(t *testing.T) {
 		t.Fatal("chain misclassified")
 	}
 }
-
-func TestFindHybrid(t *testing.T) {
-	g := graph.Union(gen.Torus2D(8, 8), gen.Chain(20))
-	res, err := FindHybrid(g, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(g, res.Parent); err != nil {
-		t.Fatal(err)
-	}
-	if res.Roots != 2 {
-		t.Fatalf("roots = %d, want 2", res.Roots)
-	}
-	if _, err := FindHybrid(nil, 1, 0); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-}

@@ -30,10 +30,6 @@ import (
 type Options struct {
 	// NumProcs is the number of virtual processors p (>= 1).
 	NumProcs int
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) distributing whole components to workers — the
-	// same -chunk knob as every other parallel algorithm here.
-	ChunkSize int
 }
 
 // Result holds the biconnected decomposition of a graph.
@@ -131,7 +127,7 @@ func ComputeP(g *graph.Graph, opt Options) *Result {
 	blockCount := make([]int32, numComps)
 	bridgesOf := make([][]graph.Edge, numComps)
 
-	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkSize)
+	team := par.NewTeam(opt.NumProcs, nil)
 	team.Run(func(c *par.Ctx) {
 		c.ForDynamic(numComps, func(ci int) {
 			blockCount[ci], bridgesOf[ci] = dfsComponent(g, starts[ci], sc, res.CompOfEdge, edgeIndex)

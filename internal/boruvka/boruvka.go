@@ -43,10 +43,6 @@ type Options struct {
 	Weight WeightFunc
 	// Model, when non-nil, accumulates Helman-JáJá cost counters.
 	Model *smpmodel.Model
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) running the propose/apply/flatten sweeps — the
-	// degree-weighted propose sweep is where skewed inputs profit.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -138,7 +134,7 @@ func MinimumSpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, err
 		best[i].weight = math.Inf(1)
 	}
 
-	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	weightBufs := make([]float64, opt.NumProcs)

@@ -27,7 +27,6 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 		repeats  = fs.Int("repeats", 3, "wall-clock repetitions (min reported)")
 		csv      = fs.Bool("csv", false, "emit tables as CSV")
 		strict   = fs.Bool("strict", false, "return an error if any shape check fails")
-		chunk    = fs.Int("chunk", 0, chunkUsage)
 		algName  = fs.String("alg", "workstealing", "parallel algorithm for the Fig. 3/4 experiments: workstealing or spanuf (spanuf substitutes the CAS-hook sweep and skips the traversal's shape checks — used to pin the spanuf wall-clock baseline)")
 		metrics  = fs.String("metrics", "", "write per-worker metrics JSON (one report per instrumented measurement and repetition) to this path")
 		trace    = fs.String("trace", "", "write event-trace JSON for the instrumented measurements to this path")
@@ -46,11 +45,10 @@ func RunBenchFig(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := harness.Config{
-		Scale:     *scale,
-		Seed:      *seed,
-		Repeats:   *repeats,
-		Verify:    true,
-		ChunkSize: *chunk,
+		Scale:   *scale,
+		Seed:    *seed,
+		Repeats: *repeats,
+		Verify:  true,
 	}
 	switch *algName {
 	case "workstealing":

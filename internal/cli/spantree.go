@@ -39,7 +39,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 		algoName  = fs.String("algo", "workstealing", "algorithm: workstealing, seqbfs, seqdfs, sequf, sv, svlocks, hcs, as, levelbfs, spanuf")
 		procs     = fs.Int("p", runtime.GOMAXPROCS(0), "virtual processors for parallel algorithms")
 		deg2      = fs.Bool("deg2", false, "enable degree-2 elimination preprocessing")
-		chunk     = fs.Int("chunk", 0, chunkUsage)
 		fallback  = fs.Int("fallback", 0, "idle-detection threshold (0 disables the SV fallback)")
 		model     = fs.Bool("model", false, "report Helman-JáJá modeled cost (E4500 profile)")
 		noverify  = fs.Bool("noverify", false, "skip result verification")
@@ -97,7 +96,6 @@ func RunSpanTree(args []string, stdout, stderr io.Writer) error {
 			Seed:              *seed,
 			Deg2Eliminate:     *deg2,
 			FallbackThreshold: *fallback,
-			ChunkSize:         *chunk,
 			Verify:            !*noverify,
 			ValidateInput:     *validate,
 			ChaosSeed:         *chaosSeed,
@@ -200,10 +198,6 @@ func reportWorkStealing(w io.Writer, ws *core.Stats) {
 		fmt.Fprintf(w, "degraded: worker panic recovered (%v); forest recomputed sequentially\n", ws.Panic)
 	}
 }
-
-// chunkUsage is the -chunk flag's help text, shared by spantree and
-// benchfig.
-var chunkUsage = fmt.Sprintf("drain chunk size for every parallel algorithm: the most items a worker takes per lock acquisition (0 = the default, %d; 1 = unbatched)", core.DefaultChunkSize)
 
 func loadOrGenerate(inPath, kind string, n, m, k int, seed uint64, randlabel bool) (*spantree.Graph, error) {
 	if inPath != "" {

@@ -24,10 +24,6 @@ type Options struct {
 	NumProcs int
 	// Seed drives the spanning-forest traversal's randomness.
 	Seed uint64
-	// ChunkSize is the drain chunk of the shared dynamic scheduler for
-	// both the forest traversal and the pointer-jumping sweeps — the
-	// same -chunk knob as every other parallel algorithm here.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips),
 	// shared between the forest traversal and the labeling sweeps;
 	// Chaos the fault injector (nil injects nothing).
@@ -45,11 +41,10 @@ func Labels(g *graph.Graph, p int, seed uint64) ([]graph.VID, int, error) {
 // LabelsOpt is Labels with full scheduler configuration.
 func LabelsOpt(g *graph.Graph, opt Options) ([]graph.VID, int, error) {
 	parent, _, err := core.SpanningForest(g, core.Options{
-		NumProcs:  opt.NumProcs,
-		Seed:      opt.Seed,
-		ChunkSize: opt.ChunkSize,
-		Cancel:    opt.Cancel,
-		Chaos:     opt.Chaos,
+		NumProcs: opt.NumProcs,
+		Seed:     opt.Seed,
+		Cancel:   opt.Cancel,
+		Chaos:    opt.Chaos,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -133,7 +128,7 @@ func FromForestP(parent []graph.VID, opt Options) ([]graph.VID, int, error) {
 	labels := make([]graph.VID, n)
 	cyclic := false
 
-	team := par.NewTeam(opt.NumProcs, nil).Chunk(opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, nil).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	err := team.RunErr(func(c *par.Ctx) {
 		// Roots point at themselves so jumping is a no-op on them.

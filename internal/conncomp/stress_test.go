@@ -6,14 +6,18 @@ import (
 	"testing/quick"
 
 	"spantree/internal/graph"
+	"spantree/internal/par"
 	"spantree/internal/xrand"
 )
 
 // These tests are the data-race certificate for the pointer-jumping
 // labeler on the shared dynamic scheduler, in the style of the wsq batch
 // stress tests: model-check FromForestP against the sequential walk over
-// random forests and random scheduler configurations, with the real
-// concurrent scheduler underneath (run them under -race).
+// random forests and processor counts, with the real concurrent
+// scheduler underneath (run them under -race). Every input gives each
+// worker at least two par.DefaultChunkSize drains at p >= 2 (the model
+// check four), so a worker still holds a stealable range while it works
+// through its first chunk.
 
 // randomForest builds a random parent array with the given number of
 // vertices: each vertex either becomes a root or attaches to a random
@@ -43,17 +47,17 @@ func randomForest(n int, seed uint64) []graph.VID {
 
 // TestFromForestPModelCheck: the parallel labeling must be identical —
 // labels, not just the partition — to the sequential reference on any
-// forest, any processor count, any chunk configuration.
+// forest and any processor count.
 func TestFromForestPModelCheck(t *testing.T) {
-	f := func(seed uint64, nRaw uint16, pRaw, sizeRaw uint8) bool {
-		n := int(nRaw % 2000)
+	f := func(seed uint64, nRaw uint16, pRaw uint8) bool {
 		p := int(pRaw%8) + 1
+		n := 4*par.DefaultChunkSize*p + int(nRaw%2000)
 		parent := randomForest(n, seed)
 		want, wantCount, err := FromForest(parent)
 		if err != nil {
 			return false
 		}
-		got, gotCount, err := FromForestP(parent, Options{NumProcs: p, ChunkSize: int(sizeRaw % 9)})
+		got, gotCount, err := FromForestP(parent, Options{NumProcs: p})
 		if err != nil {
 			return false
 		}
@@ -88,9 +92,10 @@ func TestFromForestPRejectsCycles(t *testing.T) {
 	}
 }
 
-// TestFromForestPStress hammers one big mixed forest concurrently under
-// every policy: a deep path (worst case for jumping rounds) unioned with
-// wide stars (worst case for write contention on one round).
+// TestFromForestPStress hammers one big mixed forest concurrently at
+// several processor counts: a deep path (worst case for jumping rounds)
+// unioned with wide stars (worst case for write contention on one
+// round).
 func TestFromForestPStress(t *testing.T) {
 	const n = 1 << 15
 	parent := make([]graph.VID, n)
@@ -111,10 +116,10 @@ func TestFromForestPStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Options{
+		{NumProcs: 2},
+		{NumProcs: 3},
 		{NumProcs: 4},
-		{NumProcs: 8, ChunkSize: 4},
-		{NumProcs: 8, ChunkSize: 1},
-		{NumProcs: 3, ChunkSize: 64},
+		{NumProcs: 8},
 	} {
 		got, gotCount, err := FromForestP(parent, cfg)
 		if err != nil {

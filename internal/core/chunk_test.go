@@ -6,23 +6,15 @@ import (
 	"spantree/internal/gen"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
+	"spantree/internal/par"
 	"spantree/internal/smpmodel"
 	"spantree/internal/verify"
 )
 
-// TestMinStealLenScaling pins the p-scaled steal threshold: max(2, p/2).
-// These exact values are load-bearing — lowering them reintroduces the
-// bursty re-idling on small graphs at high p, raising them starves
-// thieves on two-processor runs.
+// TestMinStealLenScaling checks that the traversal wires the p-scaled
+// steal threshold (par.MinStealLen, whose values par pins) from
+// NumProcs.
 func TestMinStealLenScaling(t *testing.T) {
-	want := map[int]int{1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 3, 8: 4, 16: 8, 32: 16}
-	for p, w := range want {
-		if got := sched.MinStealLen(p); got != w {
-			t.Errorf("sched.MinStealLen(%d) = %d, want %d", p, got, w)
-		}
-	}
-	// The traversal must wire it from NumProcs.
 	topt := Options{NumProcs: 8}
 	tr, _ := newTeam(gen.Chain(10), topt.withDefaults())
 	if tr.minSteal != 4 {
@@ -31,12 +23,12 @@ func TestMinStealLenScaling(t *testing.T) {
 }
 
 // TestControllerWiring pins the drain-chunk wiring: zero Options
-// resolve to DefaultChunkSize, and a worker's drain buffer is exactly
-// the run's chunk, in one-shot state and in a pooled Workspace.
+// resolve to par.DefaultChunkSize, and a worker's drain buffer is
+// exactly the run's chunk, in one-shot state and in a pooled Workspace.
 func TestControllerWiring(t *testing.T) {
 	var zero Options
-	if o := zero.withDefaults(); o.ChunkSize != DefaultChunkSize || DefaultChunkSize != sched.DefaultChunkSize {
-		t.Fatalf("zero Options resolve to chunk %d, want %d", o.ChunkSize, sched.DefaultChunkSize)
+	if o := zero.withDefaults(); o.ChunkSize != par.DefaultChunkSize {
+		t.Fatalf("zero Options resolve to chunk %d, want %d", o.ChunkSize, par.DefaultChunkSize)
 	}
 	g := gen.Chain(10)
 	for _, chunk := range []int{0, 1, 4} {
@@ -48,7 +40,7 @@ func TestControllerWiring(t *testing.T) {
 		if len(ws.chunk) != want {
 			t.Fatalf("ChunkSize %d: drain buffer %d, want %d", chunk, len(ws.chunk), want)
 		}
-		w, err := NewWorkspace(g, topt, WorkspaceOptions{})
+		w, err := NewWorkspace(g, topt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,8 +53,9 @@
 // counter at chunk boundaries and (mandatorily) on every busy-to-idle
 // transition — which is what keeps the quiescence invariant "all
 // processors asleep ⇒ the progress count is exact" true by construction.
-// The chunk is fixed for the run (Options.ChunkSize, by default
-// sched.DefaultChunkSize).
+// The chunk is fixed for the run: par.DefaultChunkSize, the drain chunk
+// of every parallel loop in the tree (Options.ChunkSize overrides it
+// for the chunk ablation).
 package core
 
 import (
@@ -69,17 +70,12 @@ import (
 	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
+	"spantree/internal/par"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spansv"
 	"spantree/internal/wsq"
 	"spantree/internal/xrand"
 )
-
-// DefaultChunkSize is the queue-drain chunk used when Options.ChunkSize
-// is unset: the owner pays ~2 lock operations per up to this many
-// vertices.
-const DefaultChunkSize = sched.DefaultChunkSize
 
 // sweepChunk is the quiescence sweep's cadence: the leader spills a
 // component's frontier to its queue once it reaches this many vertices,
@@ -113,8 +109,9 @@ type Options struct {
 	// ChunkSize is the most vertices a processor drains from its queue
 	// per lock acquisition, and therefore also the flush cadence of the
 	// per-worker child and progress batches. <= 0 means
-	// DefaultChunkSize; 1 reproduces the unbatched one-lock-op-per-vertex
-	// hot path (ablation).
+	// par.DefaultChunkSize. It is an ablation toggle like NoSteal and
+	// NoStub: only the chunk ablation sets it, and 1 reproduces the
+	// unbatched one-lock-op-per-vertex hot path.
 	ChunkSize int
 
 	// Deg2Eliminate enables the degree-2 vertex elimination preprocessing
@@ -170,7 +167,7 @@ func (o *Options) withDefaults() Options {
 		out.StubSteps = 2 * out.NumProcs
 	}
 	if out.ChunkSize <= 0 {
-		out.ChunkSize = DefaultChunkSize
+		out.ChunkSize = par.DefaultChunkSize
 	}
 	return out
 }
@@ -362,7 +359,7 @@ type traversal struct {
 	span []int64
 
 	// minSteal is the smallest victim queue worth stealing from,
-	// sched.MinStealLen(p): the constant floor of 2 scaled by p/2 at high
+	// par.MinStealLen(p): the constant floor of 2 scaled by p/2 at high
 	// p.
 	minSteal int
 

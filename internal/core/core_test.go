@@ -367,7 +367,7 @@ func TestUnrepresentableGraphReturnsError(t *testing.T) {
 		_, _, err := run(g, Options{NumProcs: 2})
 		check(name, err)
 	}
-	_, err := NewWorkspace(g, Options{NumProcs: 2}, WorkspaceOptions{})
+	_, err := NewWorkspace(g, Options{NumProcs: 2})
 	check("NewWorkspace", err)
 }
 

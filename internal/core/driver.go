@@ -13,11 +13,10 @@ package core
 import (
 	"fmt"
 
-	"spantree/internal/barrier"
 	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
+	"spantree/internal/par"
 	"spantree/internal/spanseq"
 	"spantree/internal/wsq"
 )
@@ -52,7 +51,7 @@ func newTraversal(g *graph.Graph, o Options, qcap int) (*traversal, error) {
 		n:           n,
 		parent:      make([]graph.VID, n),
 		queues:      make([]*wsq.StealHalf, p),
-		minSteal:    sched.MinStealLen(p),
+		minSteal:    par.MinStealLen(p),
 		wake:        make(chan struct{}, p),
 		parkTimeout: idleSleep,
 		cancel:      o.Cancel,
@@ -113,7 +112,7 @@ func (t *traversal) run() ([]graph.VID, Stats, error) {
 		// the extra participant), which gives the work-stealing path
 		// per-worker barrier_waits just like the SV family, and the
 		// paper's B = 2 with the stub step's barrier.
-		bar := barrier.NewSense(p + 1)
+		bar := par.NewBarrier(p + 1)
 		bar.Observe(t.rec)
 		for tid := 0; tid < p; tid++ {
 			go func(tid int) {

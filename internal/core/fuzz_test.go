@@ -67,7 +67,7 @@ func FuzzFind(f *testing.F) {
 		check("concurrent", parent, &st, err)
 		parent, st, err = LockstepForest(g, o)
 		check("lockstep", parent, &st, err)
-		w, err := NewWorkspace(g, o, WorkspaceOptions{})
+		w, err := NewWorkspace(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}

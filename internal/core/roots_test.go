@@ -63,7 +63,7 @@ func TestReportedRootCount(t *testing.T) {
 					checkRoots(t, name+" deg2 "+dname, g, parent, &st, err)
 				}
 			}
-			w, err := NewWorkspace(g, o, WorkspaceOptions{})
+			w, err := NewWorkspace(g, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestReportedRootCountFallbackAndDegraded(t *testing.T) {
 	checkRoots(t, "lockstep fallback", chain, parent, &st, err)
 	parent, st, err = SpanningForest(chain, fb)
 	checkRoots(t, "concurrent fallback", chain, parent, &st, err)
-	w, err := NewWorkspace(chain, fb, WorkspaceOptions{})
+	w, err := NewWorkspace(chain, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReportedRootCountFallbackAndDegraded(t *testing.T) {
 		if hits.Add(1) == 3 {
 			panic("injected test panic")
 		}
-	}), WorkspaceOptions{})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

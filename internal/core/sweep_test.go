@@ -68,7 +68,7 @@ func TestSweepOracle(t *testing.T) {
 				t.Fatalf("one-shot p=%d seed=%d: %d cursor roots, want %d", p, seed, st.CursorRoots, wantSeeded)
 			}
 		}
-		w, err := NewWorkspace(g, Options{NumProcs: p}, WorkspaceOptions{})
+		w, err := NewWorkspace(g, Options{NumProcs: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func sweepHook(tr *traversal, n int64, fired *atomic.Int64, act func()) func(int
 func TestSweepCancelMidSweep(t *testing.T) {
 	g := sweepGraph()
 	for _, p := range []int{1, 2, 4} {
-		w, err := NewWorkspace(g, Options{NumProcs: p}, WorkspaceOptions{})
+		w, err := NewWorkspace(g, Options{NumProcs: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestSweepPanicMidSweep(t *testing.T) {
 		}
 		checkForest(t, "one-shot degraded", g, parent)
 
-		w, err := NewWorkspace(g, Options{NumProcs: p}, WorkspaceOptions{})
+		w, err := NewWorkspace(g, Options{NumProcs: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestLockstepStalled(t *testing.T) {
 // same parked team serves healthy runs again, goroutine-flat.
 func TestWorkspaceStallReuse(t *testing.T) {
 	g := gen.RandomConnected(2000, 4000, 7)
-	w, err := NewWorkspace(g, Options{NumProcs: 2, StallBudget: 25 * time.Millisecond}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 2, StallBudget: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWorkspaceStallReuse(t *testing.T) {
 func TestWorkspaceZeroAllocWatchdogArmed(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		g := gen.Torus2D(32, 32)
-		w, err := NewWorkspace(g, Options{NumProcs: p, StallBudget: time.Minute}, WorkspaceOptions{})
+		w, err := NewWorkspace(g, Options{NumProcs: p, StallBudget: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestWorkspaceZeroAllocWatchdogArmed(t *testing.T) {
 // monitor fed even when the budget is of the same order as the run.
 func TestWatchdogNoFalseTrips(t *testing.T) {
 	g := gen.Torus2D(64, 64)
-	w, err := NewWorkspace(g, Options{NumProcs: 4, StallBudget: 250 * time.Millisecond}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 4, StallBudget: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

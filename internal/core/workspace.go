@@ -7,24 +7,10 @@ import (
 	"time"
 	"unsafe"
 
-	"spantree/internal/barrier"
 	"spantree/internal/fault"
 	"spantree/internal/graph"
+	"spantree/internal/par"
 )
-
-// WorkspaceOptions sizes the provisioned buffers of a Workspace.
-type WorkspaceOptions struct {
-	// QueueCapacity is the per-queue frontier the workspace provisions
-	// for, in vertices. The steal-half ring doubles when more than half
-	// its buffer is live, so each queue's buffer is allocated at twice
-	// this value — with the default (0, meaning the graph's vertex
-	// count) no run can ever grow a queue, because the total frontier of
-	// a traversal is bounded by the vertex count. A smaller value trades
-	// that guarantee for memory: a run whose frontier outgrows the
-	// provision still completes correctly, it just reallocates (and the
-	// session's steady state is no longer allocation-free).
-	QueueCapacity int
-}
 
 // workerSlot pads one pooled worker's state to a multiple of two cache
 // lines, so that neighboring workers in Workspace.wss never share a line
@@ -62,7 +48,7 @@ type Workspace struct {
 	// retires the worker. bar joins the team (the coordinator is the
 	// extra participant).
 	wakes []chan struct{}
-	bar   *barrier.Sense
+	bar   *par.Barrier
 	wss   []workerSlot
 	wg    sync.WaitGroup
 
@@ -76,7 +62,7 @@ type Workspace struct {
 // allocate per run or change the memory shape (Model, Obs, Chaos,
 // Deg2Eliminate) are rejected: a workspace is the serving
 // fast path, not the experiment harness.
-func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspace, error) {
+func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 	if opt.NumProcs < 1 {
 		return nil, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
 	}
@@ -94,9 +80,11 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 	}
 	o := opt.withDefaults()
 
-	// The queues are allocated at twice the provisioned frontier, see
-	// WorkspaceOptions.
-	qcap := poolQueueCap(g.NumVertices(), wopt)
+	// Each queue is provisioned for the whole vertex count, the bound on
+	// a traversal's total frontier. The steal-half ring doubles when more
+	// than half its buffer is live, so it is allocated at twice that, and
+	// no run ever grows a queue.
+	qcap := max(g.NumVertices(), 16)
 	t, err := newTraversal(g, o, 2*qcap)
 	if err != nil {
 		return nil, err
@@ -127,7 +115,7 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 	// The parked team: one goroutine per worker, created once, woken per
 	// run and joined through the reused barrier. They exit only when
 	// Close retires the wake channels.
-	w.bar = barrier.NewSense(p + 1)
+	w.bar = par.NewBarrier(p + 1)
 	w.bar.Observe(t.rec)
 	w.wakes = make([]chan struct{}, p)
 	for tid := range w.wakes {
@@ -142,19 +130,6 @@ func NewWorkspace(g *graph.Graph, opt Options, wopt WorkspaceOptions) (*Workspac
 		}(tid)
 	}
 	return w, nil
-}
-
-// poolQueueCap resolves the provisioned per-queue frontier for a graph
-// of n vertices.
-func poolQueueCap(n int, wopt WorkspaceOptions) int {
-	qcap := wopt.QueueCapacity
-	if qcap <= 0 || qcap > n {
-		qcap = n
-	}
-	if qcap < 16 {
-		qcap = 16
-	}
-	return qcap
 }
 
 // runOne executes one parked worker's share of one run, with the same

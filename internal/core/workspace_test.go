@@ -16,7 +16,7 @@ import (
 func TestWorkspaceAllShapes(t *testing.T) {
 	for _, g := range shapes() {
 		for _, p := range []int{1, 2, 4} {
-			w, err := NewWorkspace(g, Options{NumProcs: p}, WorkspaceOptions{})
+			w, err := NewWorkspace(g, Options{NumProcs: p})
 			if err != nil {
 				t.Fatalf("%v p=%d: NewWorkspace: %v", g, p, err)
 			}
@@ -61,7 +61,7 @@ func TestWorkspaceMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: one-shot: %v", g, err)
 		}
-		w, err := NewWorkspace(g, Options{NumProcs: 1}, WorkspaceOptions{})
+		w, err := NewWorkspace(g, Options{NumProcs: 1})
 		if err != nil {
 			t.Fatalf("%v: NewWorkspace: %v", g, err)
 		}
@@ -94,7 +94,7 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, p := range []int{1, 4} {
-			w, err := NewWorkspace(g, Options{NumProcs: p}, WorkspaceOptions{})
+			w, err := NewWorkspace(g, Options{NumProcs: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 // before re-arming) restores normal completion.
 func TestWorkspaceReusableAfterCancel(t *testing.T) {
 	g := gen.RandomConnected(300, 600, 3)
-	w, err := NewWorkspace(g, Options{NumProcs: 2}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWorkspaceReusableAfterCancel(t *testing.T) {
 // request.
 func TestWorkspaceReusableAfterPanic(t *testing.T) {
 	g := gen.RandomConnected(400, 800, 5)
-	w, err := NewWorkspace(g, Options{NumProcs: 2}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWorkspaceReusableAfterPanic(t *testing.T) {
 func TestWorkspaceTeamDoesNotGrow(t *testing.T) {
 	g := gen.Torus2D(16, 16)
 	before := runtime.NumGoroutine()
-	w, err := NewWorkspace(g, Options{NumProcs: 4}, WorkspaceOptions{})
+	w, err := NewWorkspace(g, Options{NumProcs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 		{NumProcs: 1, Cancel: &fault.Flag{}},
 	}
 	for i, o := range bad {
-		if _, err := NewWorkspace(g, o, WorkspaceOptions{}); err == nil {
+		if _, err := NewWorkspace(g, o); err == nil {
 			t.Errorf("case %d: NewWorkspace accepted unsupported options", i)
 		}
 	}
@@ -241,7 +241,7 @@ func BenchmarkWorkspaceRun(b *testing.B) {
 		{"torus", func() *graph.Graph { return gen.Torus2D(512, 512) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			w, err := NewWorkspace(c.mk(), Options{NumProcs: 2}, WorkspaceOptions{})
+			w, err := NewWorkspace(c.mk(), Options{NumProcs: 2})
 			if err != nil {
 				b.Fatal(err)
 			}

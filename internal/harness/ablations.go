@@ -6,7 +6,7 @@ import (
 	"spantree/internal/core"
 	"spantree/internal/gen"
 	"spantree/internal/graph"
-	"spantree/internal/sched"
+	"spantree/internal/par"
 	"spantree/internal/smpmodel"
 	"spantree/internal/stats"
 )
@@ -306,14 +306,14 @@ func runAblChunk(cfg Config) (*Report, error) {
 		{"chain", gen.Chain(cfg.Scale)},
 		{"small-randconn", gen.RandomConnected(small, 3*small/2, cfg.Seed)},
 	}
-	def := fmt.Sprintf("default-%d", sched.DefaultChunkSize)
+	def := fmt.Sprintf("default-%d", par.DefaultChunkSize)
 	variants := []struct {
 		name  string
 		chunk int
 	}{
 		{"chunk-1", 1},
 		{"chunk-64", 64},
-		{def, sched.DefaultChunkSize},
+		{def, par.DefaultChunkSize},
 	}
 	rep := &Report{ID: "abl-chunk", Title: "drain chunk size sweep (p = " + fmt.Sprint(p) + ")"}
 	rep.Table = stats.NewTable("graph", "variant", "time", "stealhit")

@@ -160,7 +160,7 @@ func runFig3(cfg Config) (*Report, error) {
 	// band and the flatness statistics only cover points past that
 	// knee; the findings line still reports the full range. The knee
 	// belongs to the checked curve, not to the drain chunk, so it does
-	// not follow core.DefaultChunkSize.
+	// not follow par.DefaultChunkSize.
 	amortizedN := cfg.Fig3Procs * 4 * 64
 	var speedups, flatSpeedups []float64
 	for _, frac := range []int{16, 8, 4, 2, 1} {

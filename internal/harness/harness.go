@@ -68,10 +68,6 @@ type Config struct {
 	// Verify re-checks every computed forest with the independent
 	// verifier (on by default in the tools; costs one O(n+m) pass).
 	Verify bool
-	// ChunkSize is the drain chunk of every parallel algorithm, for
-	// every experiment that does not force its own (the chunk ablation
-	// does). 0 means sched.DefaultChunkSize.
-	ChunkSize int
 	// Collector, when non-nil, receives one observability Report per
 	// instrumented measurement (the work-stealing and SV-family runs),
 	// labeled "algo/graph/p=N" — the metrics artifact cmd/benchfig

@@ -74,9 +74,7 @@ type wsConfig struct {
 	deg2        bool
 	fallbackAtP bool // threshold = max(1, p-1): force-detect pathologies
 	stubSteps   int  // 0 = the default 2p
-	// chunkSize, when > 0, overrides cfg.ChunkSize — the chunk ablation
-	// pins its variants regardless of what the CLI asked for globally.
-	chunkSize int
+	chunkSize   int  // 0 = par.DefaultChunkSize; set only by the chunk ablation
 	// statsOut, when non-nil, receives the run's core.Stats for
 	// ablations that check steal hit rates. In wall-clock mode the
 	// steal counters are summed across repetitions — a hit rate computed
@@ -97,31 +95,29 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			return spanseq.BFS(g, model.Probe(0)), "", nil
 		case kindSV, kindSVLocks:
 			parent, st, err := spansv.SpanningForest(g, spansv.Options{
-				NumProcs:  p,
-				UseLocks:  kind == kindSVLocks,
-				Model:     model,
-				Obs:       rec,
-				ChunkSize: cfg.ChunkSize,
+				NumProcs: p,
+				UseLocks: kind == kindSVLocks,
+				Model:    model,
+				Obs:      rec,
 			})
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindHCS:
-			parent, st, err := spanhcs.SpanningForest(g, spanhcs.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanhcs.SpanningForest(g, spanhcs.Options{NumProcs: p, Model: model})
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindAS:
-			parent, st, err := spanas.SpanningForest(g, spanas.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanas.SpanningForest(g, spanas.Options{NumProcs: p, Model: model})
 			return parent, fmt.Sprintf("iters=%d hooks=%d+%d", st.Iterations, st.ConditionalHooks, st.UnconditionalHooks), err
 		case kindRM:
-			parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: cfg.Seed, Model: model, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: cfg.Seed, Model: model})
 			return parent, fmt.Sprintf("rounds=%d", st.Rounds), err
 		case kindLevelBFS:
-			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model, ChunkSize: cfg.ChunkSize})
+			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model})
 			return parent, fmt.Sprintf("levels=%d", st.Levels), err
 		case kindSpanUF:
 			parent, st, err := spanuf.SpanningForest(g, spanuf.Options{
-				NumProcs:  p,
-				Model:     model,
-				Obs:       rec,
-				ChunkSize: cfg.ChunkSize,
+				NumProcs: p,
+				Model:    model,
+				Obs:      rec,
 			})
 			return parent, fmt.Sprintf("hookslost=%d finds=%d compress=%d",
 				st.HooksLost, st.Finds, st.CompressionWrites), err
@@ -135,10 +131,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 				NoStub:        ws.noStub,
 				Deg2Eliminate: ws.deg2,
 				StubSteps:     ws.stubSteps,
-				ChunkSize:     cfg.ChunkSize,
-			}
-			if ws.chunkSize > 0 {
-				opt.ChunkSize = ws.chunkSize
+				ChunkSize:     ws.chunkSize,
 			}
 			if ws.fallbackAtP {
 				opt.FallbackThreshold = maxInt(1, p-1)

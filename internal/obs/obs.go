@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer of the repository: one
 // low-overhead recorder that every parallel component (the work-stealing
-// traversal in internal/core, the queues in internal/wsq, the barriers
-// in internal/barrier, the SV family via internal/par) reports into, and
+// traversal in internal/core, the queues in internal/wsq, the barrier
+// and the SV family via internal/par) reports into, and
 // one stable JSON schema (Report) that every tool emits, so each
 // benchmark run produces a comparable per-worker metrics artifact.
 //

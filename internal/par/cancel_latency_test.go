@@ -22,7 +22,7 @@ func TestForDynamicCancellationLatencyBound(t *testing.T) {
 		p     = 4
 	)
 	flag := &fault.Flag{}
-	team := NewTeam(p, nil).Chunk(chunk).Cancel(flag)
+	team := NewTeam(p, nil).withChunk(chunk).Cancel(flag)
 	var done, atTrip atomic.Int64
 	err := team.RunErr(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {
@@ -57,7 +57,7 @@ func TestForDynamicModeledCancellationLatency(t *testing.T) {
 		p     = 4
 	)
 	flag := &fault.Flag{}
-	team := NewTeam(p, smpmodel.New(p)).Chunk(chunk).Cancel(flag)
+	team := NewTeam(p, smpmodel.New(p)).withChunk(chunk).Cancel(flag)
 	var done, atTrip atomic.Int64
 	err := team.RunErr(func(c *Ctx) {
 		c.ForDynamic(n, func(i int) {

@@ -1,12 +1,9 @@
 package par
 
 // This file is the shared dynamic execution layer: a work-stealing
-// parallel-for over index ranges with the drain chunk and p-scaled
-// steal threshold of internal/sched — the same runtime discipline as
-// the work-stealing traversal in internal/core, exposed to every
-// algorithm in the tree. Porting a hot loop from ForStatic to
-// ForDynamic is a one-line change; the -chunk flag then governs it like
-// everything else.
+// parallel-for over index ranges, exposed to every algorithm in the
+// tree, with the one drain chunk and the p-scaled steal threshold that
+// the work-stealing traversal in internal/core reads from here too.
 //
 // Scheduling works on contiguous index ranges, not queued items: each
 // worker starts from its static block of [0, n) held in a per-worker
@@ -17,10 +14,10 @@ package par
 // atomic size mirror so thieves can scan victims without touching their
 // locks — the same two-step probe the traversal queues use.
 //
-// Like ForStatic, ForDynamic has no entry or exit barrier: a worker
-// returns when its slot is empty and no victim has a stealable surplus,
-// so callers pair it with Barrier exactly as before and the modeled
-// barrier count B is unchanged by a port. Ranges still in shallow slots
+// ForDynamic has no entry or exit barrier: a worker returns when its
+// slot is empty and no victim has a stealable surplus, so callers pair
+// it with Barrier and the modeled barrier count B is that of the
+// algorithm's own barriers. Ranges still in shallow slots
 // at that point are finished by their owners (a worker never abandons a
 // non-empty slot), which keeps the exactly-once guarantee without a
 // termination protocol. Because there is no barrier, a slot is tagged
@@ -46,13 +43,39 @@ import (
 
 	"spantree/internal/chaos"
 	"spantree/internal/obs"
-	"spantree/internal/sched"
 )
 
-// DefaultChunkSize is the drain chunk ForDynamic uses when the team's
-// chunk size is unset (re-exported so algorithm packages need not
-// import the scheduling layer).
-const DefaultChunkSize = sched.DefaultChunkSize
+// DefaultChunkSize is the drain chunk of every parallel loop in the
+// tree: a worker takes up to this many items per lock acquisition,
+// paying ~2 lock operations per chunk instead of per item. The items of
+// a drain are hidden from thieves until processed, so a big chunk trades
+// frontier visibility for lock amortization. A fixed 256 was as fast as
+// per-worker adaptive chunking on the benchmark workloads and at or
+// below it in the modeled chunk ablation (EXPERIMENTS.md, "Adaptive
+// chunk deleted"). Only that ablation drains other chunks, through the
+// work-stealing traversal's options; 1 reproduces the unbatched
+// per-item hot path.
+const DefaultChunkSize = 256
+
+// MinStealLen returns the smallest victim queue worth stealing from at
+// processor count p: max(2, p/2). The floor of 2 leaves a single
+// in-flight item to its owner — ripping it would only relocate the
+// serial bottleneck while thrashing the queues. The p/2 scaling
+// addresses the bursty re-idling seen at high p on small inputs: with
+// many thieves, halving a 2-element queue hands each of them at most
+// one item, which they exhaust immediately and re-idle, so the steal
+// threshold must grow with the number of mouths a steal feeds. This is
+// also what makes the paper's starvation scenario real — "queues of the
+// busy processors may contain only a few elements (in extreme cases ...
+// only one element). In this case work awaits busy processors while
+// idle processors starve" — and therefore what the idle-detection
+// fallback exists to catch.
+func MinStealLen(p int) int {
+	if m := p / 2; m > 2 {
+		return m
+	}
+	return 2
+}
 
 // dynSlot is one worker's shareable range of the iteration space.
 // lo/hi/tag are guarded by mu; size mirrors hi-lo and tag is readable
@@ -73,7 +96,8 @@ type dynCalls struct {
 	_ [7]int64
 }
 
-// dynState is the per-team half of the dynamic layer.
+// dynState is the per-team half of the dynamic layer. chunk is
+// DefaultChunkSize; the in-package tests vary it.
 type dynState struct {
 	slots []dynSlot
 	calls []dynCalls
@@ -86,21 +110,11 @@ func (d *dynState) init(p int) {
 	d.chunk = DefaultChunkSize
 }
 
-// Chunk sets the team's drain chunk (the -chunk knob) for ForDynamic
-// loops: each drain claims at most size items. Call before Run, like
-// Observe; size <= 0 keeps DefaultChunkSize.
-func (t *Team) Chunk(size int) *Team {
-	if size > 0 {
-		t.dyn.chunk = size
-	}
-	return t
-}
-
 // ForDynamic runs body(i) for every i in [0, n) across the team with
 // work-stealing and fixed-size chunks. All processors must call it
 // collectively with the same n and an equivalent body; each i is
-// executed exactly once, by whichever worker claims it. Like ForStatic
-// there is no implied barrier — pair with Barrier as needed.
+// executed exactly once, by whichever worker claims it. There is no
+// implied barrier — pair with Barrier as needed.
 //
 // Cancellation cadence: the team's fault flag is polled once per drain
 // chunk (and per steal scan), never per item — the poll piggybacks on
@@ -170,7 +184,7 @@ func (c *Ctx) forDynamicModeled(n int, body func(i int), lc *obs.Local) {
 func (c *Ctx) forDynamicSteal(n int, body func(i int), call int64, lc *obs.Local) {
 	d := &c.team.dyn
 	p := c.team.p
-	minSteal := sched.MinStealLen(p)
+	minSteal := MinStealLen(p)
 	my := &d.slots[c.tid]
 
 	lo, hi := c.Block(n)

@@ -1,8 +1,10 @@
-// Package par is the SMP execution substrate: it runs a fixed team of p
-// virtual processors (goroutines), gives each a processor id, and
-// provides barriers, block partitioning, parallel-for loops and
-// reductions — the programming model of the paper's POSIX-threads
-// implementation, transplanted onto goroutines.
+// Package par is the SMP runtime: it runs a fixed team of p virtual
+// processors (goroutines), gives each a processor id, and provides the
+// software barrier, block partitioning, the work-stealing parallel-for
+// with its drain chunk and steal threshold, and reductions — the
+// programming model of the paper's POSIX-threads implementation,
+// transplanted onto goroutines. The work-stealing traversal in
+// internal/core shares its barrier, chunk and steal threshold.
 package par
 
 import (
@@ -10,7 +12,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"spantree/internal/barrier"
 	"spantree/internal/chaos"
 	"spantree/internal/fault"
 	"spantree/internal/obs"
@@ -22,7 +23,7 @@ import (
 // ForDynamic. Create one per algorithm invocation.
 type Team struct {
 	p       int
-	bar     barrier.Barrier
+	bar     *Barrier
 	model   *smpmodel.Model
 	obs     *obs.Recorder
 	scratch []pad64 // per-processor reduction slots
@@ -46,15 +47,15 @@ type pad64 struct {
 	_ [7]int64
 }
 
-// NewTeam returns a team of p virtual processors using a dissemination
-// barrier. model may be nil for un-instrumented runs.
+// NewTeam returns a team of p virtual processors. model may be nil for
+// un-instrumented runs.
 func NewTeam(p int, model *smpmodel.Model) *Team {
 	if p < 1 {
 		panic(fmt.Sprintf("par: NewTeam(%d) needs p >= 1", p))
 	}
 	t := &Team{
 		p:       p,
-		bar:     barrier.NewDissemination(p),
+		bar:     NewBarrier(p),
 		model:   model,
 		scratch: make([]pad64, p),
 		flag:    &fault.Flag{},
@@ -226,30 +227,9 @@ func min(a, b int) int {
 	return b
 }
 
-// ForStatic runs body(i) for i in this processor's block of [0, n).
-// Purely local — no synchronization; pair with Barrier as needed.
-func (c *Ctx) ForStatic(n int, body func(i int)) {
-	lo, hi := c.Block(n)
-	for i := lo; i < hi; i++ {
-		body(i)
-	}
-}
-
-// ReduceSum writes x into this processor's slot, synchronizes, and
-// returns the team-wide sum. Involves two barriers so the scratch space
-// can be reused immediately after return.
-func (c *Ctx) ReduceSum(x int64) int64 {
-	c.team.scratch[c.tid].v = x
-	c.Barrier()
-	var sum int64
-	for i := 0; i < c.team.p; i++ {
-		sum += c.team.scratch[i].v
-	}
-	c.Barrier()
-	return sum
-}
-
-// ReduceMax behaves like ReduceSum with the max operator.
+// ReduceMax writes x into this processor's slot, synchronizes, and
+// returns the team-wide maximum. Involves two barriers so the scratch
+// space can be reused immediately after return.
 func (c *Ctx) ReduceMax(x int64) int64 {
 	c.team.scratch[c.tid].v = x
 	c.Barrier()
@@ -263,7 +243,7 @@ func (c *Ctx) ReduceMax(x int64) int64 {
 	return best
 }
 
-// ReduceOr behaves like ReduceSum with boolean OR.
+// ReduceOr behaves like ReduceMax with boolean OR.
 func (c *Ctx) ReduceOr(x bool) bool {
 	var v int64
 	if x {

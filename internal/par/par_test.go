@@ -83,16 +83,25 @@ func TestTeamRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestForStaticPartitions(t *testing.T) {
-	const n = 1000
-	team := NewTeam(4, nil)
-	hits := make([]int32, n)
-	team.Run(func(c *Ctx) {
-		c.ForStatic(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
+// withChunk sets the team's ForDynamic drain chunk, so the tests can
+// drive chunk sizes other than DefaultChunkSize; size <= 0 keeps the
+// default. Call before Run.
+func (t *Team) withChunk(size int) *Team {
+	if size > 0 {
+		t.dyn.chunk = size
+	}
+	return t
+}
+
+// TestMinStealLenScaling pins the p-scaled steal threshold: max(2, p/2).
+// These exact values are load-bearing — lowering them reintroduces the
+// bursty re-idling on small graphs at high p, raising them starves
+// thieves on two-processor runs.
+func TestMinStealLenScaling(t *testing.T) {
+	want := map[int]int{1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 3, 8: 4, 16: 8, 32: 16}
+	for p, w := range want {
+		if got := MinStealLen(p); got != w {
+			t.Errorf("MinStealLen(%d) = %d, want %d", p, got, w)
 		}
 	}
 }
@@ -101,7 +110,7 @@ func TestForDynamicPartitions(t *testing.T) {
 	const n = 1000
 	for _, size := range []int{0, 1, 4, 7, 64, 5000} {
 		for _, p := range []int{1, 3, 4, 8} {
-			team := NewTeam(p, nil).Chunk(size)
+			team := NewTeam(p, nil).withChunk(size)
 			hits := make([]int32, n)
 			team.Run(func(c *Ctx) {
 				c.ForDynamic(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
@@ -254,10 +263,6 @@ func TestForDynamicModeledStealFloor(t *testing.T) {
 func TestReductions(t *testing.T) {
 	team := NewTeam(6, nil)
 	team.Run(func(c *Ctx) {
-		sum := c.ReduceSum(int64(c.TID() + 1))
-		if sum != 21 { // 1+2+...+6
-			t.Errorf("ReduceSum = %d, want 21", sum)
-		}
 		max := c.ReduceMax(int64(c.TID()))
 		if max != 5 {
 			t.Errorf("ReduceMax = %d, want 5", max)
@@ -271,9 +276,9 @@ func TestReductions(t *testing.T) {
 			t.Error("ReduceOr fabricated a true vote")
 		}
 		// Back-to-back reductions must not interfere.
-		a := c.ReduceSum(1)
-		b := c.ReduceSum(2)
-		if a != 6 || b != 12 {
+		a := c.ReduceMax(int64(c.TID()))
+		b := c.ReduceMax(int64(10 - c.TID()))
+		if a != 5 || b != 10 {
 			t.Errorf("sequential reductions %d, %d", a, b)
 		}
 	})

@@ -45,9 +45,6 @@ type Options struct {
 	// MaxIterations caps iterations; 0 means 2n+4 (always sufficient:
 	// every iteration either hooks or halves some tree height).
 	MaxIterations int
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) running the detect/hook/jump sweeps.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -103,7 +100,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	changed := make([]int32, n)
 	winner := make([]int64, n)
 
-	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	condBufs := make([]int, opt.NumProcs)

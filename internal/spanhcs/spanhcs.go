@@ -32,9 +32,6 @@ type Options struct {
 	Model *smpmodel.Model
 	// MaxIterations caps iterations; 0 means n+2 (always sufficient).
 	MaxIterations int
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) running the propose/apply/shortcut sweeps.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -92,7 +89,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	keys := make([]int64, n)
 	arcs := make([]int64, n)
 
-	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	iterations, rounds := 0, 0

@@ -30,9 +30,6 @@ type Options struct {
 	NumProcs int
 	// Model, when non-nil, accumulates Helman-JáJá cost counters.
 	Model *smpmodel.Model
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) used for the per-level frontier expansion.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -69,7 +66,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	}
 
 	p := opt.NumProcs
-	team := par.NewTeam(p, opt.Model).Chunk(opt.ChunkSize).
+	team := par.NewTeam(p, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	frontier := make([]graph.VID, 0, 1024)
 	// next collects each processor's discoveries; they are concatenated

@@ -36,9 +36,6 @@ type Options struct {
 	// MaxRounds caps mating rounds; 0 means 4*ceil(log2 n)+32, far above
 	// the expected need (the cap exists to bound pathological seeds).
 	MaxRounds int
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) running the coin/election/hook/flatten sweeps.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -85,7 +82,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	coin := make([]bool, n) // true = heads: this root accepts hooks
 	winner := make([]int64, n)
 
-	team := par.NewTeam(opt.NumProcs, opt.Model).Chunk(opt.ChunkSize).
+	team := par.NewTeam(opt.NumProcs, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	rounds := 0

@@ -111,62 +111,3 @@ func TestMaxRoundsCap(t *testing.T) {
 		t.Skip("converged in one round (possible on this seed)")
 	}
 }
-
-func TestHybridSpanningForest(t *testing.T) {
-	shapes := []*graph.Graph{
-		gen.Chain(0), gen.Chain(64), gen.Star(40), gen.Cycle(33),
-		gen.Torus2D(7, 7), gen.Random(200, 300, 1),
-		graph.Union(gen.Chain(8), gen.Star(6), gen.Cycle(5)),
-		graph.RandomRelabel(gen.Chain(128), 3),
-	}
-	for _, g := range shapes {
-		for _, p := range []int{1, 2, 5} {
-			parent, st, err := HybridSpanningForest(g, HybridOptions{NumProcs: p, Seed: 7})
-			if err != nil {
-				t.Fatalf("%v p=%d: %v", g, p, err)
-			}
-			if err := verify.Forest(g, parent); err != nil {
-				t.Fatalf("%v p=%d: %v", g, p, err)
-			}
-			wantEdges := g.NumVertices() - graph.NumComponents(g)
-			if st.MatingHooks+st.SV.Grafts != wantEdges {
-				t.Fatalf("%v p=%d: %d+%d tree edges, want %d", g, p,
-					st.MatingHooks, st.SV.Grafts, wantEdges)
-			}
-		}
-	}
-}
-
-func TestHybridMatingActuallyContracts(t *testing.T) {
-	g := gen.RandomConnected(2000, 3000, 4)
-	_, st, err := HybridSpanningForest(g, HybridOptions{NumProcs: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three mating rounds should resolve a large majority of the merges,
-	// leaving SV a much smaller residue.
-	if st.MatingHooks < st.SV.Grafts {
-		t.Fatalf("mating hooked %d, SV grafted %d: mating phase ineffective",
-			st.MatingHooks, st.SV.Grafts)
-	}
-}
-
-func TestHybridProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16, pRaw uint8) bool {
-		n := int(nRaw%150) + 1
-		m := int(mRaw % 300)
-		p := int(pRaw%4) + 1
-		g := gen.Random(n, m, seed)
-		parent, _, err := HybridSpanningForest(g, HybridOptions{NumProcs: p, Seed: seed})
-		return err == nil && verify.Forest(g, parent) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHybridRejectsBadOptions(t *testing.T) {
-	if _, _, err := HybridSpanningForest(gen.Chain(4), HybridOptions{NumProcs: 0}); err == nil {
-		t.Fatal("p=0 accepted")
-	}
-}

@@ -56,11 +56,6 @@ type Options struct {
 	// which always suffices (every productive iteration removes at least
 	// one root). Tests use small caps to exercise early termination.
 	MaxIterations int
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) that runs the election, graft, and shortcut
-	// sweeps — the same -chunk knob as the work-stealing traversal. 0
-	// means par.DefaultChunkSize.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips); the
 	// team polls it at every barrier entry and ForDynamic chunk
 	// boundary, and a tripped run returns the flag's typed error.
@@ -149,7 +144,6 @@ func GraftFrom(g *graph.Graph, d []int32, opt Options) ([]graph.Edge, Stats, err
 	}
 
 	team := par.NewTeam(opt.NumProcs, opt.Model).Observe(opt.Obs).
-		Chunk(opt.ChunkSize).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	edgeBufs := make([][]graph.Edge, opt.NumProcs)
 	iterations, rounds := 0, 0

@@ -63,10 +63,6 @@ type Options struct {
 	// HooksWon/HooksLost, UFFinds, CompressionWrites, the chunk-drain
 	// set) and barrier waits from the team.
 	Obs *obs.Recorder
-	// ChunkSize is the drain chunk of the shared dynamic scheduler
-	// (par.ForDynamic) that runs the edge sweep — the same -chunk knob
-	// as every other parallel algorithm in the tree.
-	ChunkSize int
 	// Cancel is the run's cooperative stop flag (nil never trips). The
 	// sweep polls it at every ForDynamic chunk boundary, so cancellation
 	// latency is bounded by one chunk per worker (see par.ForDynamic).
@@ -207,7 +203,6 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		}
 	} else {
 		team := par.NewTeam(opt.NumProcs, nil).Observe(opt.Obs).
-			Chunk(opt.ChunkSize).
 			Cancel(opt.Cancel).Chaos(opt.Chaos)
 		if err := team.RunErr(func(c *par.Ctx) {
 			hookSweep(c, g, uf, hooks, cells)
@@ -283,10 +278,7 @@ func hookSweep(c *par.Ctx, g *graph.Graph, uf []int32, hooks []int64, cells []co
 func lockstepSweep(g *graph.Graph, uf []int32, hooks []int64, cells []counts, opt Options) error {
 	n := g.NumVertices()
 	p := opt.NumProcs
-	chunk := opt.ChunkSize
-	if chunk <= 0 {
-		chunk = par.DefaultChunkSize
-	}
+	const chunk = par.DefaultChunkSize
 
 	probes := make([]*smpmodel.Probe, p)
 	hookers := make([]hooker, p)

@@ -19,18 +19,10 @@ var ErrSessionClosed = errors.New("spantree: session closed")
 type SessionOptions struct {
 	// NumProcs is the number of virtual processors; 0 means 1.
 	NumProcs int
-	// ChunkSize is the drain chunk, exactly as in Options.
-	ChunkSize int
 	// FallbackThreshold enables the pathological-case detection (see
 	// Options.FallbackThreshold). A triggered fallback allocates — only
 	// the traversal itself is pooled.
 	FallbackThreshold int
-	// QueueCapacity is the per-queue frontier provision, in vertices;
-	// 0 means the graph's vertex count, which guarantees no run ever
-	// grows a queue (see core.WorkspaceOptions.QueueCapacity). Lowering
-	// it saves memory at the cost of reallocation if a frontier outgrows
-	// the provision.
-	QueueCapacity int
 	// Warmups is the number of throwaway runs executed at construction
 	// to absorb one-time costs (per-goroutine sleep timers, buffer
 	// growth on non-provisioned paths) so the first real request already
@@ -92,14 +84,13 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	}
 	co := core.Options{
 		NumProcs:          o.NumProcs,
-		ChunkSize:         o.ChunkSize,
 		FallbackThreshold: o.FallbackThreshold,
 		StallBudget:       o.StallBudget,
 	}
 	if o.testHook != nil {
 		co = core.WithTestHook(co, o.testHook)
 	}
-	w, err := core.NewWorkspace(g, co, core.WorkspaceOptions{QueueCapacity: o.QueueCapacity})
+	w, err := core.NewWorkspace(g, co)
 	if err != nil {
 		return nil, err
 	}

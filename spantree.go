@@ -230,13 +230,6 @@ type Options struct {
 	// processors are simultaneously idle with nothing stealable, the run
 	// finishes with a Shiloach-Vishkin pass. 0 disables detection.
 	FallbackThreshold int
-	// ChunkSize is the most vertices a worker drains from its queue (or
-	// claims from its index range) per lock acquisition, and the flush
-	// cadence of its batched child pushes and progress counts, for every
-	// parallel algorithm (they all run on the shared dynamic scheduler).
-	// 0 means the default (256); 1 reproduces the unbatched per-vertex
-	// hot path.
-	ChunkSize int
 	// Model, when non-nil, accumulates Helman-JáJá cost-model counters
 	// for the run (see the smpmodel package via Result.ModeledTime).
 	Model *smpmodel.Model
@@ -360,7 +353,6 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			Obs:               opt.Obs,
 			Deg2Eliminate:     opt.Deg2Eliminate,
 			FallbackThreshold: opt.FallbackThreshold,
-			ChunkSize:         opt.ChunkSize,
 			Cancel:            cancel,
 			Chaos:             inj,
 		})
@@ -384,13 +376,12 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		}
 	case AlgSV, AlgSVLocks:
 		parent, stats, err := spansv.SpanningForest(g, spansv.Options{
-			NumProcs:  p,
-			UseLocks:  opt.Algorithm == AlgSVLocks,
-			Model:     opt.Model,
-			Obs:       opt.Obs,
-			ChunkSize: opt.ChunkSize,
-			Cancel:    cancel,
-			Chaos:     inj,
+			NumProcs: p,
+			UseLocks: opt.Algorithm == AlgSVLocks,
+			Model:    opt.Model,
+			Obs:      opt.Obs,
+			Cancel:   cancel,
+			Chaos:    inj,
 		})
 		if err != nil {
 			return nil, err
@@ -398,11 +389,10 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.Parent, res.SV = parent, &stats
 	case AlgHCS:
 		parent, stats, err := spanhcs.SpanningForest(g, spanhcs.Options{
-			NumProcs:  p,
-			Model:     opt.Model,
-			ChunkSize: opt.ChunkSize,
-			Cancel:    cancel,
-			Chaos:     inj,
+			NumProcs: p,
+			Model:    opt.Model,
+			Cancel:   cancel,
+			Chaos:    inj,
 		})
 		if err != nil {
 			return nil, err
@@ -411,11 +401,10 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.HCS = &stats
 	case AlgAwerbuchShiloach:
 		parent, stats, err := spanas.SpanningForest(g, spanas.Options{
-			NumProcs:  p,
-			Model:     opt.Model,
-			ChunkSize: opt.ChunkSize,
-			Cancel:    cancel,
-			Chaos:     inj,
+			NumProcs: p,
+			Model:    opt.Model,
+			Cancel:   cancel,
+			Chaos:    inj,
 		})
 		if err != nil {
 			return nil, err
@@ -424,11 +413,10 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.AS = &stats
 	case AlgLevelBFS:
 		parent, stats, err := spanlevel.SpanningForest(g, spanlevel.Options{
-			NumProcs:  p,
-			Model:     opt.Model,
-			ChunkSize: opt.ChunkSize,
-			Cancel:    cancel,
-			Chaos:     inj,
+			NumProcs: p,
+			Model:    opt.Model,
+			Cancel:   cancel,
+			Chaos:    inj,
 		})
 		if err != nil {
 			return nil, err
@@ -437,12 +425,11 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		res.LevelBFS = &stats
 	case AlgSpanUF:
 		parent, stats, err := spanuf.SpanningForest(g, spanuf.Options{
-			NumProcs:  p,
-			Model:     opt.Model,
-			Obs:       opt.Obs,
-			ChunkSize: opt.ChunkSize,
-			Cancel:    cancel,
-			Chaos:     inj,
+			NumProcs: p,
+			Model:    opt.Model,
+			Obs:      opt.Obs,
+			Cancel:   cancel,
+			Chaos:    inj,
 		})
 		if err != nil {
 			return nil, err
