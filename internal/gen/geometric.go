@@ -1,8 +1,9 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spantree/internal/graph"
 )
@@ -35,6 +36,7 @@ func Geometric(n, k int, seed uint64) *graph.Graph {
 		ys[i] = r.Float64()
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n * k)
 	if n > 1 && k >= 1 {
 		grid := newPointGrid(xs, ys, k)
 		nn := make([]graph.VID, 0, k)
@@ -64,6 +66,7 @@ type pointGrid struct {
 	xs, ys []float64
 	side   int
 	cells  [][]graph.VID
+	cands  []nnCand // kNearest's candidate buffer, reused across queries
 }
 
 func newPointGrid(xs, ys []float64, k int) *pointGrid {
@@ -98,6 +101,8 @@ type nnCand struct {
 	v  graph.VID
 }
 
+func byDist(a, b nnCand) int { return cmp.Compare(a.d2, b.d2) }
+
 // kNearest returns the k nearest neighbors of point v (excluding v),
 // appending into out.
 func (g *pointGrid) kNearest(v graph.VID, k int, out []graph.VID) []graph.VID {
@@ -111,7 +116,7 @@ func (g *pointGrid) kNearest(v graph.VID, k int, out []graph.VID) []graph.VID {
 		cy = g.side - 1
 	}
 	cell := 1.0 / float64(g.side)
-	var cands []nnCand
+	cands := g.cands[:0]
 	for ring := 0; ; ring++ {
 		// Scan the cells whose Chebyshev distance from (cx,cy) equals ring.
 		for dy := -ring; dy <= ring; dy++ {
@@ -142,7 +147,7 @@ func (g *pointGrid) kNearest(v graph.VID, k int, out []graph.VID) []graph.VID {
 		// scanning rings 0..ring is (ring)*cell.
 		safe := float64(ring) * cell
 		if len(cands) >= k {
-			sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
+			slices.SortFunc(cands, byDist)
 			kth := cands[k-1].d2
 			if kth <= safe*safe {
 				break
@@ -150,10 +155,11 @@ func (g *pointGrid) kNearest(v graph.VID, k int, out []graph.VID) []graph.VID {
 		}
 		// The whole square is covered once ring spans the grid.
 		if ring >= 2*g.side {
-			sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
+			slices.SortFunc(cands, byDist)
 			break
 		}
 	}
+	g.cands = cands
 	if len(cands) > k {
 		cands = cands[:k]
 	}

@@ -16,6 +16,7 @@ func Torus2D(rows, cols int) *graph.Graph {
 	}
 	n := rows * cols
 	b := graph.NewBuilder(n)
+	b.Reserve(2 * n)
 	id := func(r, c int) graph.VID { return graph.VID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -40,6 +41,7 @@ func Grid2D(rows, cols int) *graph.Graph {
 	}
 	n := rows * cols
 	b := graph.NewBuilder(n)
+	b.Reserve(2 * n)
 	id := func(r, c int) graph.VID { return graph.VID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -22,23 +22,15 @@ func Random(n, m int, seed uint64) *graph.Graph {
 	}
 	r := rng(seed, 'R')
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, m)
+	b.Reserve(m)
+	seen := newEdgeSet(m)
 	for added := 0; added < m; {
 		u := r.Int31n(int32(n))
 		v := r.Int31n(int32(n))
-		if u == v {
-			continue
+		if u != v && seen.add(u, v) {
+			b.AddEdge(u, v)
+			added++
 		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(uint32(v))
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v)
-		added++
 	}
 	g := b.Build()
 	g.Name = fmt.Sprintf("random-n%d-m%d", n, m)
@@ -67,19 +59,12 @@ func RandomConnected(n, m int, seed uint64) *graph.Graph {
 	}
 	r := rng(seed, 'C')
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, m)
+	b.Reserve(m)
+	seen := newEdgeSet(m)
 	add := func(u, v graph.VID) bool {
-		if u == v {
+		if u == v || !seen.add(u, v) {
 			return false
 		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(uint32(v))
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
 		b.AddEdge(u, v)
 		return true
 	}
@@ -96,4 +81,39 @@ func RandomConnected(n, m int, seed uint64) *graph.Graph {
 	g := b.Build()
 	g.Name = fmt.Sprintf("randconn-n%d-m%d", n, m)
 	return g
+}
+
+// edgeSet is an open-addressing set of undirected edges for the unique
+// edge draws above. An edge {u, v} is stored as its canonical key
+// u<<32 | v with u < v, which is never 0, so 0 marks an empty slot. The
+// table is sized for m edges at most half full and never grows.
+type edgeSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots)), for Fibonacci hashing
+}
+
+func newEdgeSet(m int) edgeSet {
+	bits := uint(1)
+	for 1<<bits < 2*m {
+		bits++
+	}
+	return edgeSet{slots: make([]uint64, 1<<bits), shift: 64 - bits}
+}
+
+// add inserts {u, v} (u != v) and reports whether it was absent.
+func (s edgeSet) add(u, v graph.VID) bool {
+	if u > v {
+		u, v = v, u
+	}
+	key := uint64(u)<<32 | uint64(v)
+	mask := uint64(len(s.slots) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }

@@ -15,6 +15,7 @@ func Chain(n int) *graph.Graph {
 		panic(fmt.Sprintf("gen: Chain(%d) with negative n", n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n)
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.VID(i-1), graph.VID(i))
 	}
@@ -29,6 +30,7 @@ func Cycle(n int) *graph.Graph {
 		panic(fmt.Sprintf("gen: Cycle(%d) with negative n", n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n)
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.VID(i-1), graph.VID(i))
 	}
@@ -47,6 +49,7 @@ func Star(n int) *graph.Graph {
 		panic(fmt.Sprintf("gen: Star(%d) with negative n", n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n)
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, graph.VID(i))
 	}
@@ -78,6 +81,7 @@ func BinaryTree(n int) *graph.Graph {
 		panic(fmt.Sprintf("gen: BinaryTree(%d) with negative n", n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n)
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.VID((i-1)/2), graph.VID(i))
 	}
@@ -95,6 +99,7 @@ func Caterpillar(n int) *graph.Graph {
 		panic(fmt.Sprintf("gen: Caterpillar(%d) with negative n", n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(n)
 	spine := (n + 1) / 2
 	for i := 1; i < spine; i++ {
 		b.AddEdge(graph.VID(i-1), graph.VID(i))

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a canonical CSR
@@ -47,6 +47,12 @@ func (b *Builder) AddEdge(u, v VID) {
 	b.edges = append(b.edges, Edge{u, v}.Canon())
 }
 
+// Reserve makes room for m more edges, so a generator that knows its
+// edge count fills the builder without regrowing it.
+func (b *Builder) Reserve(m int) {
+	b.edges = slices.Grow(b.edges, m)
+}
+
 // Grow appends extra vertices, returning the id of the first new vertex.
 func (b *Builder) Grow(extra int) VID {
 	if extra < 0 {
@@ -57,55 +63,81 @@ func (b *Builder) Grow(extra int) VID {
 	return first
 }
 
-// Build produces the canonical CSR graph and resets nothing: the builder
-// may continue to accumulate edges for a later Build.
+// Build produces the canonical CSR graph in O(n + m) time with a
+// constant number of allocations, and resets nothing: the builder may
+// continue to accumulate edges for a later Build.
+//
+// The canonical (U < V) edges are counting-sorted into one bucket per U,
+// and each bucket, which holds only U's larger neighbours, is sorted and
+// deduplicated in place. Emitting the buckets in increasing U, appending
+// V to U's list and U to V's, then fills every list in sorted order: a
+// vertex's smaller neighbours arrive first, in the increasing order of
+// the buckets that hold them, and its own bucket's larger ones after.
 func (b *Builder) Build() *Graph {
-	// Sort canonical edges to dedup.
-	es := make([]Edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	uniq := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			uniq = append(uniq, e)
-		}
+	n := b.n
+	// Counting sort by U. After the placement loop, bucket u is
+	// vs[end[u-1]:end[u]] (end[-1] read as 0).
+	end := make([]int, n+1)
+	for _, e := range b.edges {
+		end[e.U+1]++
 	}
-	return fromCanonicalEdges(b.n, uniq)
-}
+	for u := 0; u < n; u++ {
+		end[u+1] += end[u]
+	}
+	vs := make([]VID, len(b.edges))
+	for _, e := range b.edges {
+		vs[end[e.U]] = e.V
+		end[e.U]++
+	}
 
-// fromCanonicalEdges builds CSR from deduplicated canonical (U<V) edges.
-func fromCanonicalEdges(n int, es []Edge) *Graph {
+	// Sort and deduplicate each bucket, compacting the unique edges to the
+	// front of vs, and count degrees into offs[v+1].
 	offs := make([]int64, n+1)
-	for _, e := range es {
-		offs[e.U+1]++
-		offs[e.V+1]++
+	m, lo := 0, 0
+	for u := 0; u < n; u++ {
+		bucket := vs[lo:end[u]]
+		lo = end[u]
+		if len(bucket) > 1 {
+			slices.Sort(bucket)
+		}
+		first, prev := m, None
+		for _, v := range bucket {
+			if v != prev {
+				vs[m] = v
+				m++
+				offs[v+1]++
+				prev = v
+			}
+		}
+		offs[u+1] += int64(m - first)
+		end[u] = m
 	}
-	for i := 0; i < n; i++ {
-		offs[i+1] += offs[i]
+
+	// Turn the degrees into start offsets, one slot to the right:
+	// offs[v+1] is v's append cursor, and ends at v's end, which is where
+	// v+1's list starts.
+	var run int64
+	for v := 1; v <= n; v++ {
+		d := offs[v]
+		offs[v] = run
+		run += d
 	}
-	adj := make([]VID, offs[n])
-	next := make([]int64, n)
-	copy(next, offs[:n])
-	for _, e := range es {
-		adj[next[e.U]] = e.V
-		next[e.U]++
-		adj[next[e.V]] = e.U
-		next[e.V]++
+	adj := make([]VID, 2*m)
+	lo = 0
+	for u := 0; u < n; u++ {
+		bucket := vs[lo:end[u]]
+		lo = end[u]
+		// Every smaller neighbour of u came from an earlier bucket, so u's
+		// own larger neighbours go after them in one copy.
+		c := offs[u+1]
+		copy(adj[c:], bucket)
+		offs[u+1] = c + int64(len(bucket))
+		for _, v := range bucket {
+			adj[offs[v+1]] = VID(u)
+			offs[v+1]++
+		}
 	}
-	g := &Graph{Offs: offs, Adj: adj}
-	// Neighbor lists need sorting: edges arrive in (U,V)-sorted order, so
-	// each U's list of larger neighbors is sorted, but smaller neighbors
-	// are appended afterward in U order — merge by a per-vertex sort.
-	for v := 0; v < n; v++ {
-		nb := adj[offs[v]:offs[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-	return g
+	return &Graph{Offs: offs, Adj: adj}
 }
 
 // FromEdges builds a canonical graph with n vertices from an arbitrary
@@ -117,6 +149,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
 	b := NewBuilder(n)
+	b.Reserve(len(edges))
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
@@ -130,11 +163,13 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 // graph i are shifted by the total vertex count of graphs 0..i-1. Useful
 // for constructing disconnected test inputs.
 func Union(gs ...*Graph) *Graph {
-	total := 0
+	total, edges := 0, 0
 	for _, g := range gs {
 		total += g.NumVertices()
+		edges += g.NumEdges()
 	}
 	b := NewBuilder(total)
+	b.Reserve(edges)
 	base := VID(0)
 	for _, g := range gs {
 		for v := 0; v < g.NumVertices(); v++ {

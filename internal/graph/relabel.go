@@ -28,6 +28,7 @@ func Relabel(g *Graph, perm []VID) *Graph {
 		seen[p] = true
 	}
 	b := NewBuilder(n)
+	b.Reserve(g.NumEdges())
 	for v := 0; v < n; v++ {
 		for _, w := range g.Neighbors(VID(v)) {
 			if VID(v) < w {

@@ -50,6 +50,16 @@ type Stats struct {
 // SpanningForest runs level-synchronous BFS from vertex 0 onward,
 // restarting at the next unvisited vertex per component, and returns the
 // forest as a parent array plus statistics.
+//
+// The team runs once for the whole forest and meets at exactly one
+// barrier per level. Each processor appends its discoveries to its own
+// buffer, double-buffered by level parity, and after the barrier every
+// processor reads the level's buffers as one frontier, so no processor
+// gathers them. When a component runs dry, every processor scans for the
+// next root on its own and all find the same one: a vertex's color is
+// the 1-based index of its component, and the first vertex whose color
+// is 0 or the new component's index stays the same while faster
+// processors already color the new component.
 func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	if opt.NumProcs < 1 {
 		return nil, Stats{}, fmt.Errorf("spanlevel: NumProcs = %d, need >= 1", opt.NumProcs)
@@ -68,61 +78,105 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	p := opt.NumProcs
 	team := par.NewTeam(p, opt.Model).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
-	frontier := make([]graph.VID, 0, 1024)
-	// next collects each processor's discoveries; they are concatenated
-	// after the level barrier.
-	nextBufs := make([][]graph.VID, p)
-	for i := range nextBufs {
-		nextBufs[i] = make([]graph.VID, 0, 1024)
+	// bufs[l%2][t] holds processor t's discoveries at level l.
+	var bufs [2][][]graph.VID
+	for i := range bufs {
+		bufs[i] = make([][]graph.VID, p)
+		for t := range bufs[i] {
+			bufs[i][t] = make([]graph.VID, 0, 1024)
+		}
 	}
 
-	for start := 0; start < n; start++ {
-		if color[start] != 0 {
-			continue
-		}
-		color[start] = 1
-		stats.Components++
-		frontier = append(frontier[:0], graph.VID(start))
-		for len(frontier) > 0 {
-			stats.Levels++
-			if len(frontier) > stats.MaxFrontier {
-				stats.MaxFrontier = len(frontier)
+	err := team.RunErr(func(c *par.Ctx) {
+		tid, probe := c.TID(), c.Probe()
+		var (
+			f         frontier
+			mine      []graph.VID
+			comp      int32 // components started so far
+			start     int   // every vertex below start is colored
+			cur       int   // parity of the level being expanded
+			root      = []graph.VID{0}
+			rootParts = [][]graph.VID{root}
+		)
+		expand := func(i int) {
+			v := f.at(i)
+			probe.NonContig(1)
+			nb := g.Neighbors(v)
+			probe.Contig(int64(len(nb)))
+			for _, w := range nb {
+				probe.NonContig(2)
+				if atomic.LoadInt32(&color[w]) != 0 {
+					continue
+				}
+				if atomic.CompareAndSwapInt32(&color[w], 0, comp) {
+					probe.NonContig(2)
+					parent[w] = v
+					mine = append(mine, w)
+				}
 			}
-			err := team.RunErr(func(c *par.Ctx) {
-				probe := c.Probe()
-				mine := nextBufs[c.TID()][:0]
-				c.ForDynamic(len(frontier), func(i int) {
-					v := frontier[i]
-					probe.NonContig(1)
-					nb := g.Neighbors(v)
-					probe.Contig(int64(len(nb)))
-					for _, w := range nb {
-						probe.NonContig(2)
-						if atomic.LoadInt32(&color[w]) != 0 {
-							continue
-						}
-						if atomic.CompareAndSwapInt32(&color[w], 0, 1) {
-							probe.NonContig(2)
-							parent[w] = v
-							mine = append(mine, w)
-						}
+		}
+		for {
+			for start < n {
+				if col := atomic.LoadInt32(&color[start]); col == 0 || col == comp+1 {
+					break
+				}
+				start++
+			}
+			if start == n {
+				return
+			}
+			comp++
+			atomic.StoreInt32(&color[start], comp)
+			root[0] = graph.VID(start)
+			f = frontier{parts: rootParts, n: 1}
+			for f.n > 0 {
+				if tid == 0 {
+					stats.Levels++
+					stats.MaxFrontier = max(stats.MaxFrontier, f.n)
+				}
+				mine = bufs[cur][tid][:0]
+				c.ForDynamic(f.n, expand)
+				bufs[cur][tid] = mine
+				// The level barrier, the defining cost of this algorithm:
+				// one per level.
+				c.Barrier()
+				f = frontier{parts: bufs[cur]}
+				for _, b := range f.parts {
+					f.n += len(b)
+					if tid == 0 {
+						probe.Contig(int64(len(b))) // the frontier concatenation
 					}
-				})
-				nextBufs[c.TID()] = mine
-			})
-			if err != nil {
-				return nil, stats, err
+				}
+				cur ^= 1
 			}
-			// Level barrier: the team join is the synchronization point;
-			// charge one barrier per level (the defining cost of this
-			// algorithm).
-			opt.Model.AddBarriers(1)
-			frontier = frontier[:0]
-			for i := range nextBufs {
-				frontier = append(frontier, nextBufs[i]...)
-				opt.Model.Probe(0).Contig(int64(len(nextBufs[i])))
+			if tid == 0 {
+				stats.Components++
 			}
 		}
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 	return parent, stats, nil
+}
+
+// frontier reads a level's per-processor buffers as one list of n
+// vertices. It caches the buffer that held the last index read, so the
+// ascending indices of a drained chunk cost no search.
+type frontier struct {
+	parts [][]graph.VID
+	n     int
+	seg   int // parts[seg] holds indices [lo, lo+len(parts[seg]))
+	lo    int
+}
+
+func (f *frontier) at(i int) graph.VID {
+	if i < f.lo {
+		f.seg, f.lo = 0, 0
+	}
+	for i >= f.lo+len(f.parts[f.seg]) {
+		f.lo += len(f.parts[f.seg])
+		f.seg++
+	}
+	return f.parts[f.seg][i-f.lo]
 }
