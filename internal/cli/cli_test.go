@@ -144,17 +144,24 @@ func TestGraphGenList(t *testing.T) {
 	}
 }
 
+// TestGraphGenErrors: every bad invocation fails, and none leaves an
+// output file behind.
 func TestGraphGenErrors(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "x.bin")
 	cases := [][]string{
-		{"-kind", "nope", "-out", "x.bin"},
+		{"-kind", "nope", "-out", out},
 		{"-kind", "random"}, // no -out, no -stats
-		{"-kind", "random", "-format", "xml", "-out", "x.bin"},
-		{"-kind", "random", "-out", "/nonexistent/dir/x.bin"},
+		{"-kind", "random", "-format", "xml", "-out", out},
+		{"-kind", "random", "-out", filepath.Join(dir, "nonexistent", "x.bin")},
 	}
 	for _, args := range cases {
-		var out bytes.Buffer
-		if err := RunGraphGen(args, &out, &out); err == nil {
+		var buf bytes.Buffer
+		if err := RunGraphGen(args, &buf, &buf); err == nil {
 			t.Fatalf("args %v: expected error", args)
+		}
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Fatalf("args %v: left %v behind (err %v)", args, left, err)
 		}
 	}
 }

@@ -38,6 +38,16 @@ func RunGraphGen(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
+	// The format is checked before anything is generated or created, so
+	// a bad -format leaves no file behind.
+	write := spantree.WriteGraph
+	switch *format {
+	case "binary":
+	case "text":
+		write = spantree.WriteGraphText
+	default:
+		return fmt.Errorf("graphgen: unknown -format %q (want binary or text)", *format)
+	}
 
 	g, err := gen.Generate(gen.Spec{Kind: *kind, N: *n, M: *m, K: *k, Seed: *seed, RandomLabel: *randlabel})
 	if err != nil {
@@ -57,16 +67,7 @@ func RunGraphGen(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "binary":
-		err = spantree.WriteGraph(f, g)
-	case "text":
-		err = spantree.WriteGraphText(f, g)
-	default:
-		f.Close()
-		return fmt.Errorf("graphgen: unknown -format %q (want binary or text)", *format)
-	}
-	if err != nil {
+	if err := write(f, g); err != nil {
 		f.Close()
 		return err
 	}

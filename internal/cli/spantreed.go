@@ -81,7 +81,7 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		inflight = fs.Int("inflight", 0, "max concurrent /v1/spantree requests (0 = 2*pool)")
 		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")
-		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default)")
+		warmups  = fs.Int("warmups", 0, "warmup runs per session at registration (0 = default: 1)")
 		stall    = fs.Duration("stall-budget", 0, "stuck-run watchdog: abort a run in which no worker advances for this long with a typed 503 (0 disables)")
 		journal  = fs.String("journal", "", "crash-safe registry journal file: replayed on boot, fsynced on every graph mutation (empty disables)")
 		coolDown = fs.Duration("cool-down", 0, "degradation ladder cool-down before a degraded graph climbs back a rung (0 = 30s)")

@@ -159,6 +159,12 @@ type Options struct {
 	// tests trip the cancel flag or panic at exact points without the
 	// chaos build tag.
 	testHook func(tid int)
+	// pendantTrim starts the run with the graph's pendant trees already
+	// claimed (graph.PendantTrees). NewWorkspace sets it, since a session
+	// peels its graph once and reuses the result in every run; a one-shot
+	// run gets it only through WithPendantTrim, the reference the pooled
+	// path is tested against.
+	pendantTrim bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -235,13 +241,19 @@ type Stats struct {
 	// holds its statistics when it did.
 	FallbackTriggered bool
 	SVStats           spansv.Stats
-	// VerticesPerProc[i] is the number of vertices processor i claimed —
-	// the load-balance evidence (expected ~n/p each with stealing).
+	// VerticesPerProc[i] is the number of vertices processor i traversed
+	// — the load-balance evidence (expected ~(n-Pendant)/p each with
+	// stealing). Pre-claimed pendant vertices are never traversed.
 	VerticesPerProc []int64
 	// EdgesPerProc[i] is the number of arcs processor i scanned.
 	EdgesPerProc []int64
 	// Deg2Eliminated is the number of vertices removed by preprocessing.
 	Deg2Eliminated int
+	// Pendant is the number of vertices the run started with already
+	// claimed: the pendant trees a Workspace computes once at
+	// construction, each vertex under its neighbour toward the 2-core.
+	// They add no root. 0 for one-shot runs.
+	Pendant int
 	// LockstepRounds is the number of simulation rounds executed when
 	// the deterministic lockstep driver ran (0 for concurrent runs).
 	LockstepRounds int64
@@ -408,6 +420,14 @@ type traversal struct {
 	// pooled runs.
 	stubRand xrand.Rand
 	seeds    []graph.VID
+
+	// image is the parent array every run starts from when the run
+	// pre-claims pendant trees and the graph has some: each pendant vertex
+	// under its neighbour toward the 2-core, unclaimed everywhere else.
+	// pendant counts its pre-claimed vertices. Both stay zero on a graph
+	// without pendant vertices, whose runs fill the sentinel instead.
+	image   []graph.VID
+	pendant int
 }
 
 // claim attempts to acquire w with parent p (graph.None for a root) by a
@@ -869,12 +889,17 @@ func (t *traversal) stealFrom(victim int, myQ *wsq.StealHalf, stealBuf *[]int32,
 //
 // Quiescence invariant: when all p processors are asleep, no processor
 // is processing a vertex, so no claims are in flight; every vertex
-// adjacent to a colored vertex is itself colored, hence the uncolored
-// vertices form whole components. The elected leader (the processor
-// that observes sleepers == p) may therefore sweep them: claim an
-// uncolored vertex as a fresh root, cover its component, repeat — that
-// is how disconnected inputs become spanning forests with exactly one
-// root per component.
+// adjacent to a processed vertex is itself colored, and every colored
+// vertex has been processed except the pre-claimed pendant ones, which
+// are never processed. A component's vertices outside its pendant trees
+// form a connected set (its 2-core, or the whole component when that is
+// a tree), so each such set is wholly colored or wholly uncolored, and
+// the uncolored vertices form whole components minus their pendant
+// trees. The elected leader (the processor that observes sleepers == p)
+// may therefore sweep them: claim an uncolored vertex as a fresh root,
+// cover its component, repeat — that is how disconnected inputs become
+// spanning forests with exactly one root per component, the pendant
+// trees hanging under their 2-core.
 func (t *traversal) idleOnce(tid int, myQ *wsq.StealHalf, fruitless int, ws *workerState) bool {
 	t.inj.Visit(tid, chaos.PointIdle)
 	t.sleepers.Add(1)
@@ -1062,8 +1087,11 @@ func (t *traversal) nextUncolored(probe *smpmodel.Probe) (graph.VID, bool) {
 // paper's remedy for pathological low-connectivity inputs: the grown
 // subtrees are contracted to super-vertices (their roots) and SV grafts
 // the rest. Vertices the aborted traversal never claimed become roots of
-// their own. It returns the completed forest's root count: the
-// contracted forest's roots minus one per graft.
+// their own. A pre-claimed pendant vertex resolves through its parents
+// to a 2-core vertex, which is either claimed or becomes such a root, so
+// pendant trees need no case of their own. It returns the completed
+// forest's root count: the contracted forest's roots minus one per
+// graft.
 func (t *traversal) fallback() (spansv.Stats, int, error) {
 	n := t.n
 	// Resolve every claimed vertex to the root of its subtree, path-

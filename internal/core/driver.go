@@ -19,6 +19,7 @@ import (
 	"spantree/internal/par"
 	"spantree/internal/spanseq"
 	"spantree/internal/wsq"
+	"spantree/internal/xrand"
 )
 
 // newTraversal builds the team for one run of g under o (withDefaults
@@ -60,9 +61,17 @@ func newTraversal(g *graph.Graph, o Options, qcap int) (*traversal, error) {
 		ows:         make([]*obs.Worker, p),
 		seeds:       make([]graph.VID, 0, o.StubSteps+1),
 	}
-	for i := range t.parent {
-		t.parent[i] = unclaimed
+	if o.pendantTrim {
+		if image, count := graph.PendantTrees(g); count > 0 {
+			for v, p := range image {
+				if p == graph.None {
+					image[v] = unclaimed
+				}
+			}
+			t.image, t.pendant = image, count
+		}
 	}
+	t.resetParent()
 	if o.Model != nil {
 		t.span = make([]int64, n)
 	}
@@ -136,6 +145,36 @@ func (t *traversal) run() ([]graph.VID, Stats, error) {
 	return parent, stats, err
 }
 
+// resetParent sets the parent array to its start-of-run state: the
+// pre-claimed pendant trees of the image, if there are any, and the
+// unclaimed sentinel everywhere else. The progress count starts at the
+// number of pre-claimed vertices.
+func (t *traversal) resetParent() {
+	if t.image != nil {
+		copy(t.parent, t.image)
+	} else {
+		for i := range t.parent {
+			t.parent[i] = unclaimed
+		}
+	}
+	t.visited.Store(int64(t.pendant))
+}
+
+// drawStart draws the run's first root, the stub walk's start or the
+// NoStub seed, from r. A draw that lands on a pre-claimed pendant vertex
+// is redrawn from the same stream: processing a pendant vertex would
+// claim its 2-core neighbour under it and close a cycle with its
+// pre-claimed edge. Without pendant trees every vertex is unclaimed at
+// this point, so the first draw stands and the stream is consumed
+// exactly as in an untrimmed run.
+func (t *traversal) drawStart(r *xrand.Rand) graph.VID {
+	for {
+		if v := graph.VID(r.Intn(t.n)); t.parent[v] == unclaimed {
+			return v
+		}
+	}
+}
+
 // stub runs step 1 for every driver and returns the stub's size: the
 // stub spanning tree, generated by a single processor (charged to
 // processor 0) into the preallocated seed buffer and distributed
@@ -147,7 +186,7 @@ func (t *traversal) stub() int {
 	t.stubRand.Reseed(t.o.Seed)
 	t.seeds = t.seeds[:0]
 	if t.o.NoStub {
-		s := graph.VID(t.stubRand.Intn(t.n))
+		s := t.drawStart(&t.stubRand)
 		t.claimSeq(s, graph.None)
 		t.seeds = append(t.seeds, s)
 	} else {
@@ -203,11 +242,12 @@ func (t *traversal) stop(stats *Stats) ([]graph.VID, error) {
 
 // settle records the forest's root count and, when the traversal
 // aborted, completes it. The stub walk (or the NoStub seed) claimed
-// exactly one root before the traversal and every quiescence seed
-// (Stats.CursorRoots, already derived) claimed one more, so the count
-// needs no scan of the forest. An aborted traversal is finished by
-// Shiloach-Vishkin over the contracted graph, which counts its own
-// roots. The fallback allocates; leaving a pooled run's zero-alloc
+// exactly one root before the traversal, every quiescence seed
+// (Stats.CursorRoots, already derived) claimed one more, and the
+// pre-claimed pendant trees hang under 2-core vertices and add none,
+// so the count needs no scan of the forest. An aborted traversal is
+// finished by Shiloach-Vishkin over the contracted graph, which counts
+// its own roots. The fallback allocates; leaving a pooled run's zero-alloc
 // steady state is the right trade on an input that defeated the
 // traversal.
 func (t *traversal) settle(stats *Stats) error {
@@ -247,6 +287,7 @@ func (t *traversal) finishStats(stats *Stats) {
 	stats.StolenVertices = t.rec.Total(obs.StolenVertices)
 	stats.FailedClaims = t.rec.Total(obs.FailedClaims)
 	stats.CursorRoots = t.rec.Total(obs.SeededComponents)
+	stats.Pendant = t.pendant
 	for i, ow := range t.ows {
 		stats.VerticesPerProc[i] = ow.Get(obs.VerticesClaimed)
 		stats.EdgesPerProc[i] = ow.Get(obs.EdgesScanned)
@@ -254,14 +295,12 @@ func (t *traversal) finishStats(stats *Stats) {
 }
 
 // rearm resets every run-scoped field of the traversal for the next
-// pooled Run: parent sentinels, cursors, the work queues, leftover wake
-// tokens, and the per-run seed. The recorder reset is the caller's.
+// pooled Run: the parent array and progress count (resetParent),
+// cursors, the work queues, leftover wake tokens, and the per-run seed.
+// The recorder reset is the caller's.
 func (t *traversal) rearm(seed uint64) {
-	for i := range t.parent {
-		t.parent[i] = unclaimed
-	}
+	t.resetParent()
 	t.o.Seed = seed
-	t.visited.Store(0)
 	t.cursor.Store(0)
 	t.sleepers.Store(0)
 	t.abort.Store(false)

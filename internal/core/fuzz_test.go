@@ -21,6 +21,12 @@ func FuzzFind(f *testing.F) {
 	f.Add(uint8(6), uint8(3), uint64(3), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3})                    // two triangles
 	f.Add(uint8(9), uint8(4), uint64(4), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8})        // star
 	f.Add(uint8(10), uint8(2), uint64(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9}) // path
+	// Pendant shapes, which pooled runs pre-claim: a triangle with a
+	// pendant path and a pendant star, a triangle with a long tail, and a
+	// leafy 4-cycle beside a star component.
+	f.Add(uint8(8), uint8(2), uint64(6), []byte{0, 1, 1, 2, 2, 0, 0, 3, 3, 4, 1, 5, 5, 6, 5, 7})
+	f.Add(uint8(12), uint8(3), uint64(7), []byte{0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11})
+	f.Add(uint8(9), uint8(4), uint64(8), []byte{0, 1, 1, 2, 2, 3, 3, 0, 0, 4, 5, 6, 6, 7, 6, 8})
 	f.Fuzz(func(t *testing.T, nb, pb uint8, seed uint64, edges []byte) {
 		n, p := int(nb%64), 1+int(pb%4)
 		b := graph.NewBuilder(n)

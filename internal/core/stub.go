@@ -24,7 +24,7 @@ import (
 // caller passes a buffer with capacity StubSteps+1 — the walk's maximum
 // yield — so the step stays allocation-free.
 func stubSpanningTree(t *traversal, r *xrand.Rand, probe *smpmodel.Probe, stub []graph.VID) []graph.VID {
-	start := graph.VID(r.Intn(t.n))
+	start := t.drawStart(r)
 	t.claimSeq(start, graph.None)
 	probe.NonContig(2)
 	stub = append(stub, start)

@@ -11,3 +11,13 @@ func WithTestHook(o Options, h func(tid int)) Options {
 	o.testHook = h
 	return o
 }
+
+// WithPendantTrim returns a copy of o that makes a one-shot run start as
+// every pooled Workspace run does: with the graph's pendant trees
+// already claimed. It exists so tests can pin the pooled path to a
+// one-shot reference; production one-shot runs stay untrimmed, because
+// one run does not amortize the peel.
+func WithPendantTrim(o Options) Options {
+	o.pendantTrim = true
+	return o
+}

@@ -38,6 +38,14 @@ var ErrWorkspaceClosed = errors.New("core: Run on a closed Workspace")
 // with zero steady-state heap allocations — the property the serving
 // layer's pooled sessions are built on.
 //
+// Construction also peels the graph's pendant trees once
+// (graph.PendantTrees): their edges are in every spanning forest, so
+// every Run starts with them already claimed, and the stub, the
+// traversal and the quiescence sweep never touch them (Stats.Pendant
+// counts them). Tree components are not peeled; they run as in a
+// one-shot run. A graph with pendant vertices costs one more n-entry
+// parent image; one without costs only the peel's degree scan.
+//
 // A Workspace is NOT safe for concurrent use: one Run at a time (the
 // session pool enforces this by handing each workspace to one request).
 // Close releases the parked team; it is the only way the goroutines
@@ -79,6 +87,7 @@ func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 		return nil, errors.New("core: Workspace does not support Deg2Eliminate")
 	}
 	o := opt.withDefaults()
+	o.pendantTrim = true
 
 	// Each queue is provisioned for the whole vertex count, the bound on
 	// a traversal's total frontier. The steal-half ring doubles when more

@@ -48,16 +48,17 @@ func TestWorkspaceAllShapes(t *testing.T) {
 	}
 }
 
-// TestWorkspaceMatchesOneShot pins the pooled path to the one-shot path:
-// at p=1 both are deterministic, so the forests must be byte-identical
-// run after run; at p>1 the pooled run must still be a valid forest with
-// the same component structure and stub (checked in TestWorkspaceAllShapes).
+// TestWorkspaceMatchesOneShot pins the pooled path to the one-shot path
+// with the same pendant trees pre-claimed (WithPendantTrim): at p=1 both
+// are deterministic, so the forests must be byte-identical run after
+// run; at p>1 the pooled run must still be a valid forest with the same
+// component structure and stub (checked in TestWorkspaceAllShapes).
 func TestWorkspaceMatchesOneShot(t *testing.T) {
-	for _, g := range shapes() {
+	for _, g := range append(shapes(), leafyShapes()...) {
 		if g.NumVertices() == 0 {
 			continue
 		}
-		fresh, freshStats, err := SpanningForest(g, Options{NumProcs: 1, Seed: 99})
+		fresh, freshStats, err := SpanningForest(g, WithPendantTrim(Options{NumProcs: 1, Seed: 99}))
 		if err != nil {
 			t.Fatalf("%v: one-shot: %v", g, err)
 		}
@@ -75,8 +76,9 @@ func TestWorkspaceMatchesOneShot(t *testing.T) {
 					t.Fatalf("%v run %d: parent[%d] = %d, one-shot %d", g, run, v, pooled[v], fresh[v])
 				}
 			}
-			if st.StubSize != freshStats.StubSize {
-				t.Fatalf("%v run %d: stub %d, one-shot %d", g, run, st.StubSize, freshStats.StubSize)
+			if st.StubSize != freshStats.StubSize || st.Roots != freshStats.Roots || st.Pendant != freshStats.Pendant {
+				t.Fatalf("%v run %d: stub/roots/pendant %d/%d/%d, one-shot %d/%d/%d", g, run,
+					st.StubSize, st.Roots, st.Pendant, freshStats.StubSize, freshStats.Roots, freshStats.Pendant)
 			}
 		}
 		w.Close()
@@ -85,12 +87,15 @@ func TestWorkspaceMatchesOneShot(t *testing.T) {
 
 // TestWorkspaceZeroAlloc is the tentpole guarantee: a warmed workspace
 // runs the full two-step algorithm without a single steady-state heap
-// allocation — on a connected torus, and on a random graph of ~1,200
-// components, where the quiescence sweep covers most of them.
+// allocation — on a connected torus, on a random graph of ~1,200
+// components, where the quiescence sweep covers most of them, and on
+// the Fig. 3 ratio m = 1.5n, whose pendant trees every run copies in
+// pre-claimed from the workspace's image.
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"torus":      gen.Torus2D(32, 32),
 		"components": gen.Random(4096, 3072, 1),
+		"leafy":      gen.Random(4096, 6144, 1),
 	}
 	for name, g := range graphs {
 		for _, p := range []int{1, 4} {

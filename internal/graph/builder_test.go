@@ -55,9 +55,23 @@ func referenceBuild(n int, edges []Edge) *Graph {
 	return &Graph{Offs: offs, Adj: adj}
 }
 
-// FuzzBuild holds Build to the reference construction. The first byte
-// picks n ≤ 64 and each following byte pair is an edge taken mod n, so
-// inputs carry self-loops, duplicates and both orientations of an edge.
+// fuzzEdges decodes a fuzz input into a vertex count and an edge list:
+// the first byte picks n ≤ 64 and each following byte pair is an edge
+// taken mod n, so inputs carry self-loops, duplicates and both
+// orientations of an edge. ok is false for the empty input.
+func fuzzEdges(data []byte) (n int, edges []Edge, ok bool) {
+	if len(data) == 0 {
+		return 0, nil, false
+	}
+	n = int(data[0]) % 65
+	for i := 1; n > 0 && i+1 < len(data); i += 2 {
+		edges = append(edges, Edge{VID(int(data[i]) % n), VID(int(data[i+1]) % n)})
+	}
+	return n, edges, true
+}
+
+// FuzzBuild holds Build to the reference construction, on inputs
+// decoded by fuzzEdges.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{0})                                // n = 0
 	f.Add([]byte{1, 0, 0})                          // n = 1, one self-loop
@@ -67,15 +81,12 @@ func FuzzBuild(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 2, 0})                    // both orientations
 	f.Add([]byte{64, 63, 0, 7, 3, 3, 7, 40, 40, 1}) // mixed, n = 64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		n, edges, ok := fuzzEdges(data)
+		if !ok {
 			return
 		}
-		n := int(data[0]) % 65
 		b := NewBuilder(n)
-		var edges []Edge
-		for i := 1; n > 0 && i+1 < len(data); i += 2 {
-			e := Edge{VID(int(data[i]) % n), VID(int(data[i+1]) % n)}
-			edges = append(edges, e)
+		for _, e := range edges {
 			b.AddEdge(e.U, e.V)
 		}
 		g := b.Build()

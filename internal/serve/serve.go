@@ -95,7 +95,7 @@ type Config struct {
 	// 0 means 10s.
 	MaxTimeout time.Duration
 	// Warmups is the per-session warmup run count (0 means the session
-	// default).
+	// default, spantree.SessionOptions.Warmups: one run).
 	Warmups int
 	// StallBudget arms the per-session stuck-run watchdog: a run in
 	// which no worker advances for this long is aborted with the typed

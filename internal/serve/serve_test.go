@@ -358,6 +358,41 @@ func TestServe200PathZeroAlloc(t *testing.T) {
 	}
 }
 
+// handler200Allocs is the allocation count of one 200 POST /v1/spantree
+// through Server.ServeHTTP, the test's own request and recorder
+// included, as measured when this ceiling was set. The zero-allocation
+// guarantee covers Session.FindContext, not the handler: JSON decoding
+// and encoding, the request's deadline context and its fault watcher
+// allocate per request. The count may fall, never rise.
+const handler200Allocs = 41
+
+// TestServeHandler200Allocs pins the allocation count of the whole 200
+// path, envelope included, at handler200Allocs. The race detector's
+// pools drop objects at random, so the count holds only without it.
+func TestServeHandler200Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s := New(Config{NumProcs: 2, PoolSize: 1})
+	defer s.Close()
+	if err := s.Register("g", gen.Spec{Kind: "torus2d", N: 1024, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"graph":"g","seed":42}`)
+	avg := testing.AllocsPerRun(20, func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/spantree", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+	t.Logf("one 200 through ServeHTTP: %v allocations", avg)
+	if avg > handler200Allocs {
+		t.Errorf("AllocsPerRun = %v, ceiling %d", avg, handler200Allocs)
+	}
+}
+
 // TestServeStats: the stats endpoint reports host shape and counters.
 func TestServeStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{NumProcs: 1, PoolSize: 1})

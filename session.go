@@ -24,10 +24,12 @@ type SessionOptions struct {
 	// the traversal itself is pooled.
 	FallbackThreshold int
 	// Warmups is the number of throwaway runs executed at construction
-	// to absorb one-time costs (per-goroutine sleep timers, buffer
-	// growth on non-provisioned paths) so the first real request already
-	// runs allocation-free. They run with the stall watchdog disarmed.
-	// 0 means 2.
+	// to absorb one-time costs (buffer growth on non-provisioned paths,
+	// the runtime's first-use allocations behind the parked team's
+	// channel and barrier waits) so the first real request already runs
+	// allocation-free. They run with the stall watchdog disarmed. 0
+	// means 1: a second warmup left no fewer first requests allocating,
+	// and only lengthened construction.
 	Warmups int
 	// StallBudget, if > 0, arms the stuck-run watchdog exactly as in
 	// core.Options.StallBudget: a run in which no worker advances for a
@@ -46,7 +48,7 @@ func (o SessionOptions) withDefaults() SessionOptions {
 		o.NumProcs = 1
 	}
 	if o.Warmups == 0 {
-		o.Warmups = 2
+		o.Warmups = 1
 	}
 	return o
 }
@@ -73,7 +75,8 @@ type Session struct {
 
 // NewSession builds and warms a session for g. Like Find, it needs
 // fewer than 2^32 adjacency slots and returns an error on a larger
-// graph.
+// graph. Construction also peels g's pendant trees once, so that every
+// run starts with them already claimed (core.Workspace).
 func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("spantree: nil graph")

@@ -22,17 +22,28 @@ func sessionFamilies() map[string]*Graph {
 		"random":       gen.RandomConnected(500, 1200, 7),
 		"disconnected": graph.Union(gen.Chain(300), gen.Star(50), gen.Cycle(17)),
 		"star":         gen.Star(400),
+		"leafy":        gen.Random(600, 900, 3),
 	}
 }
 
 // TestSessionMatchesFind pins the pooled public API to the one-shot
-// public API across graph families: identical forests at p=1 (both
-// deterministic), valid forests with equal root counts at p=4.
+// path across graph families. At p=1 both are deterministic: the forest
+// is identical to a one-shot run that pre-claims the same pendant trees
+// (findTrimmed), and the root and tree-edge counts equal Find's. At p=4
+// the forests are valid with equal root counts.
 func TestSessionMatchesFind(t *testing.T) {
 	for name, g := range sessionFamilies() {
-		fresh, err := Find(g, Options{NumProcs: 1, Seed: 11})
+		found, err := Find(g, Options{NumProcs: 1, Seed: 11})
 		if err != nil {
 			t.Fatalf("%s: Find: %v", name, err)
+		}
+		fresh, err := findTrimmed(g, 11)
+		if err != nil {
+			t.Fatalf("%s: trimmed one-shot: %v", name, err)
+		}
+		if fresh.Roots != found.Roots || fresh.TreeEdges != found.TreeEdges {
+			t.Fatalf("%s: trimmed one-shot roots/edges %d/%d, Find got %d/%d",
+				name, fresh.Roots, fresh.TreeEdges, found.Roots, found.TreeEdges)
 		}
 		s, err := NewSession(g, SessionOptions{NumProcs: 1})
 		if err != nil {
@@ -45,13 +56,15 @@ func TestSessionMatchesFind(t *testing.T) {
 			}
 			for v := range fresh.Parent {
 				if res.Parent[v] != fresh.Parent[v] {
-					t.Fatalf("%s run %d: parent[%d] = %d, Find got %d",
+					t.Fatalf("%s run %d: parent[%d] = %d, trimmed one-shot got %d",
 						name, run, v, res.Parent[v], fresh.Parent[v])
 				}
 			}
-			if res.Roots != fresh.Roots || res.TreeEdges != fresh.TreeEdges {
-				t.Fatalf("%s run %d: roots/edges %d/%d, Find got %d/%d",
-					name, run, res.Roots, res.TreeEdges, fresh.Roots, fresh.TreeEdges)
+			if res.Roots != fresh.Roots || res.TreeEdges != fresh.TreeEdges ||
+				res.WorkStealing.Pendant != fresh.WorkStealing.Pendant {
+				t.Fatalf("%s run %d: roots/edges/pendant %d/%d/%d, trimmed one-shot got %d/%d/%d",
+					name, run, res.Roots, res.TreeEdges, res.WorkStealing.Pendant,
+					fresh.Roots, fresh.TreeEdges, fresh.WorkStealing.Pendant)
 			}
 		}
 		s.Close()
