@@ -4,6 +4,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -168,5 +169,88 @@ func TestChaosWithCancellation(t *testing.T) {
 			}
 			leakcheck.Settle(t, before)
 		}
+	}
+}
+
+// TestChaosStressServingWorkspace drives the serving driver through the
+// stress schedules: one provisioned workspace per graph with its pendant
+// trees pre-claimed, as NewWorkspace builds it, but with an injector,
+// reused for stressSeeds runs. Every run draws its own seeded schedule
+// of stalls and steal vetoes; one run also aims a panic at worker 0's
+// first drain, and one is canceled at the first chunk boundary. The
+// flag is reset after every run, as Session.FindContext does. Every
+// forest and root count must verify, and the clean run after the last
+// schedule must be correct.
+func TestChaosStressServingWorkspace(t *testing.T) {
+	const panicSeed, cancelSeed = 17, 33
+	for gi, g := range stressGraphs() {
+		wantComps := graph.NumComponents(g)
+		p := 2 + gi
+		before := runtime.NumGoroutine()
+		o := Options{NumProcs: p, Chaos: chaos.New(chaos.DefaultConfig(0, p), nil), pendantTrim: true}
+		w, err := newWorkspace(g, o.withDefaults(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label string, parent []graph.VID, st *Stats, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if err := verify.Forest(g, parent); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if roots := countRoots(parent); roots != wantComps || st.Roots != wantComps {
+				t.Fatalf("%s: %d roots, Stats.Roots %d, want %d", label, roots, st.Roots, wantComps)
+			}
+		}
+		var injections int64
+		for seed := uint64(1); seed <= stressSeeds; seed++ {
+			label := fmt.Sprintf("g%d seed=%d p=%d", gi, seed, p)
+			cfg := chaos.DefaultConfig(seed, p)
+			if seed == panicSeed {
+				cfg.PanicPoint, cfg.PanicWorker = chaos.PointDrain, 0
+			}
+			w.t.inj = chaos.New(cfg, nil)
+			if seed == cancelSeed {
+				var once atomic.Bool
+				w.t.o.testHook = func(int) {
+					if once.CompareAndSwap(false, true) {
+						w.Flag().Trip(fault.CauseCanceled)
+					}
+				}
+			}
+			parent, st, err := w.Run(seed)
+			injections += w.t.inj.Injections()
+			w.t.o.testHook = nil
+			w.Flag().Reset()
+			switch {
+			case seed == cancelSeed:
+				if !errors.Is(err, fault.ErrCanceled) || parent != nil {
+					t.Fatalf("%s: canceled run: err = %v, parent returned %v", label, err, parent != nil)
+				}
+			case st.Panic != nil:
+				// Worker 0 panics on its first drain unless its teammates
+				// finished the graph before it got there.
+				ip, ok := st.Panic.Value.(chaos.InjectedPanic)
+				if seed != panicSeed || !ok || ip.Worker != 0 || !st.DegradedToSeq {
+					t.Fatalf("%s: unexpected panic %v (degraded %v)", label, st.Panic.Value, st.DegradedToSeq)
+				}
+				check(label+" degraded", parent, st, err)
+			default:
+				check(label, parent, st, err)
+			}
+		}
+		if injections == 0 {
+			t.Fatalf("g%d: chaos injected nothing (layer not wired?)", gi)
+		}
+		w.t.inj = nil
+		parent, st, err := w.Run(stressSeeds + 1)
+		check(fmt.Sprintf("g%d clean run", gi), parent, st, err)
+		if st.DegradedToSeq {
+			t.Fatalf("g%d: clean run degraded", gi)
+		}
+		w.Close()
+		leakcheck.Settle(t, before)
 	}
 }

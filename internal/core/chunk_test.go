@@ -24,7 +24,7 @@ func TestMinStealLenScaling(t *testing.T) {
 
 // TestControllerWiring pins the drain-chunk wiring: zero Options
 // resolve to par.DefaultChunkSize, and a worker's drain buffer is
-// exactly the run's chunk, in one-shot state and in a pooled Workspace.
+// exactly the run's chunk, in a one-shot and in a pooled Workspace.
 func TestControllerWiring(t *testing.T) {
 	var zero Options
 	if o := zero.withDefaults(); o.ChunkSize != par.DefaultChunkSize {
@@ -34,20 +34,20 @@ func TestControllerWiring(t *testing.T) {
 	for _, chunk := range []int{0, 1, 4} {
 		topt := Options{NumProcs: 8, ChunkSize: chunk}
 		want := topt.withDefaults().ChunkSize
-		tr, _ := newTeam(g, topt)
-		var ws workerState
-		tr.resetWorkerState(0, &ws)
-		if len(ws.chunk) != want {
-			t.Fatalf("ChunkSize %d: drain buffer %d, want %d", chunk, len(ws.chunk), want)
-		}
-		w, err := NewWorkspace(g, topt)
+		single, err := newWorkspace(g, topt.withDefaults(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := len(w.wss[7].chunk)
-		w.Close()
-		if got != want {
-			t.Fatalf("ChunkSize %d: pooled drain buffer %d, want %d", chunk, got, want)
+		pooled, err := NewWorkspace(g, topt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, w := range map[string]*Workspace{"one-shot": single, "pooled": pooled} {
+			got := len(w.wss[7].chunk)
+			w.Close()
+			if got != want {
+				t.Fatalf("ChunkSize %d: %s drain buffer %d, want %d", chunk, name, got, want)
+			}
 		}
 	}
 }

@@ -46,6 +46,13 @@
 // 4-byte offsets where the graph.Graph it mirrors has 8-byte ones (the
 // adjacency stream is 4 bytes wide in both), in one allocation.
 //
+// Every concurrent run is a Workspace run: the team's goroutines are
+// spawned when a workspace is built, woken per run and joined through
+// one barrier. A pooled workspace (NewWorkspace) parks its team between
+// runs; SpanningForest builds a workspace sized for one run, runs it
+// once and closes it. LockstepForest drives the same traversal in
+// round-robin lockstep on the calling goroutine, for the cost model.
+//
 // The traversal hot path is batched: the owner drains its queue in
 // chunks per lock acquisition, accumulates newly claimed children in a
 // private buffer that it flushes with one PushBatch per chunk, and
@@ -95,11 +102,13 @@ type Options struct {
 	Seed uint64
 	// Model, when non-nil, accumulates Helman-JáJá cost counters.
 	Model *smpmodel.Model
-	// Obs, when non-nil, is the observability recorder the run reports
-	// into (per-worker counters, optional event trace). It must have at
-	// least NumProcs worker slots and should be fresh for each run —
-	// Stats is derived from its totals. When nil, the run uses a private
-	// recorder so Stats stays available either way.
+	// Obs, when non-nil, is the observability recorder a one-shot run
+	// reports into (per-worker counters, optional event trace). It must
+	// have at least NumProcs worker slots and should be fresh for each
+	// run: the run never resets it, and Stats is derived from its totals.
+	// When nil, the run uses a private recorder so Stats stays available
+	// either way. NewWorkspace rejects it: a pooled workspace resets its
+	// private recorder before every run after the first.
 	Obs *obs.Recorder
 
 	// StubSteps is the length of the stub random walk; 0 means 2*p
@@ -250,7 +259,7 @@ type Stats struct {
 	// Deg2Eliminated is the number of vertices removed by preprocessing.
 	Deg2Eliminated int
 	// Pendant is the number of vertices the run started with already
-	// claimed: the pendant trees a Workspace computes once at
+	// claimed: the pendant trees NewWorkspace computes once at
 	// construction, each vertex under its neighbour toward the 2-core.
 	// They add no root. 0 for one-shot runs.
 	Pendant int
@@ -449,14 +458,16 @@ func (t *traversal) claimSeq(w, p graph.VID) bool {
 }
 
 // run executes both steps of the algorithm on g with concurrent
-// workers (see driver.go).
+// workers: a Workspace sized for one run, run once with o's seed and
+// closed, so its team has exited when run returns.
 func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
-	t, err := newTraversal(g, o, 0)
+	w, err := newWorkspace(g, o, false)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer t.wd.Close() // one-shot run: the run owns the watchdog
-	return t.run()
+	defer w.Close()
+	parent, st, err := w.run(o.Seed, true)
+	return parent, *st, err
 }
 
 // recoverWorker records an isolated worker panic: per-worker counter and
@@ -491,18 +502,14 @@ func (t *traversal) wakeAll() {
 
 // park blocks an idle worker until a wake token arrives or the park
 // timeout runs out. The timer is the worker's own and reused across
-// parks and pooled runs. go.mod's go 1.22 keeps the buffered timer
+// parks and runs. go.mod's go 1.22 keeps the buffered timer
 // channel, so a Stop that loses the race to the timer leaves a stale
 // tick behind; the non-blocking drain removes it (and is a no-op under
 // the synchronous timers of later language versions). A tick that
 // still slips past the drain only ends the next park early, which the
 // caller treats like any other wake: it rescans and parks again.
 func (t *traversal) park(ws *workerState) {
-	if ws.timer == nil {
-		ws.timer = time.NewTimer(t.parkTimeout)
-	} else {
-		ws.timer.Reset(t.parkTimeout)
-	}
+	ws.timer.Reset(t.parkTimeout)
 	select {
 	case <-t.wake:
 		if !ws.timer.Stop() {
@@ -517,11 +524,10 @@ func (t *traversal) park(ws *workerState) {
 
 // workerState is one worker's reusable hot-loop state: the per-stream
 // RNG, the drain/child/steal buffers, the cached observability handles,
-// and the unpublished progress batch. A one-shot run builds one per
-// worker goroutine on the stack; a Workspace keeps p of them (padded,
-// see workerSlot) for the life of a session and rearms them with
-// resetWorkerState, which is what makes a warmed session's steady state
-// allocation-free.
+// and the unpublished progress batch. A Workspace keeps p of them
+// (padded, see workerSlot), built by newWorkerState and rearmed per run
+// by resetWorkerState, which is what makes a warmed session's steady
+// state allocation-free.
 type workerState struct {
 	r     xrand.Rand // per-stream RNG, reseeded per run
 	probe *smpmodel.Probe
@@ -534,8 +540,9 @@ type workerState struct {
 	// run's ChunkSize); out accumulates the children claimed while
 	// processing the chunk, flushed with a single PushBatch; stealBuf
 	// receives steal loot. Together chunk and out turn ~2 lock
-	// operations per vertex into ~2 per chunk. All three grow only when
-	// undersized, so a pre-provisioned session never reallocates.
+	// operations per vertex into ~2 per chunk. Appends grow out and
+	// stealBuf past one-shot sizes; pooled ones never outgrow their
+	// provision (newWorkerState).
 	chunk    []int32
 	out      []int32
 	stealBuf []int32
@@ -549,30 +556,34 @@ type workerState struct {
 	// sink accumulates the values touch loads, so they are not dead
 	// loads; nothing reads it.
 	sink uint32
-	// timer times out this worker's idle parks. Created on the first
-	// park of a one-shot run, up front for a Workspace, and reused.
+	// timer times out this worker's idle parks. Created stopped by
+	// newWorkerState and reused.
 	timer *time.Timer
 }
 
-// resetWorkerState (re)arms ws for one run of t's traversal: buffers
-// are grown only when too small for the run's chunk, the RNG is
+// newWorkerState allocates one worker's buffers and its park timer,
+// created stopped so that no run allocates one. qcap is the team's queue
+// capacity (newTraversal's): 0 gives one-shot sizes, which the hot
+// loop's appends grow on demand; NewWorkspace's provision of twice the
+// vertex count sizes the child buffer for the team's whole frontier and
+// the steal buffer for half a victim's live queue, so no run grows them.
+func newWorkerState(chunk, qcap int) workerState {
+	ws := workerState{
+		chunk:    make([]int32, chunk),
+		out:      make([]int32, 0, max(4*chunk, qcap/2)),
+		stealBuf: make([]int32, 0, max(qcap/4+1, 256)),
+		timer:    time.NewTimer(time.Hour),
+	}
+	ws.timer.Stop()
+	return ws
+}
+
+// resetWorkerState rearms ws for one run of t's traversal: the RNG is
 // reseeded to the exact stream a fresh xrand.New(seed).Split(tid+1)
-// would produce, and the counter batch is zeroed. The recorder handle is the traversal's
-// cached one, which lives as long as the recorder.
+// would produce, and the counter and progress batches are zeroed. The
+// recorder handle is the traversal's cached one, which lives as long as
+// the recorder. Every user of the buffers truncates them first.
 func (t *traversal) resetWorkerState(tid int, ws *workerState) {
-	chunk := t.o.ChunkSize
-	if cap(ws.chunk) < chunk {
-		ws.chunk = make([]int32, chunk)
-	}
-	ws.chunk = ws.chunk[:chunk]
-	if cap(ws.out) < 4*chunk {
-		ws.out = make([]int32, 0, 4*chunk)
-	}
-	ws.out = ws.out[:0]
-	if cap(ws.stealBuf) < 256 {
-		ws.stealBuf = make([]int32, 0, 256)
-	}
-	ws.stealBuf = ws.stealBuf[:0]
 	var base xrand.Rand
 	base.Reseed(t.o.Seed)
 	ws.r.ReseedSplit(&base, uint64(tid)+1)
@@ -599,14 +610,6 @@ func (t *traversal) flushVisited(ws *workerState) {
 func (t *traversal) finishWorker(ws *workerState) {
 	t.flushVisited(ws)
 	ws.lc.FlushTo(ws.ow)
-}
-
-// worker is the per-processor traversal entry point of a one-shot run:
-// fresh state, then the shared loop.
-func (t *traversal) worker(tid int) {
-	var ws workerState
-	t.resetWorkerState(tid, &ws)
-	t.workerLoop(tid, &ws)
 }
 
 // workerLoop is the per-processor traversal loop: drain own queue in

@@ -225,7 +225,8 @@ func TestCursorRootsOnDisconnected(t *testing.T) {
 // so the test hook holds every worker that still has frontier after its
 // first drain until the fallback fires. Only empty-handed workers keep
 // cycling through the idle protocol, and they reach the threshold
-// whatever the scheduler does.
+// whatever the scheduler does. The concurrent run is SpanningForest's
+// one-run workspace, opened up so the hook can reach its queues.
 func TestFallbackTriggersOnChain(t *testing.T) {
 	g := gen.Chain(1 << 14)
 	opt := Options{NumProcs: 6, Seed: 3, FallbackThreshold: 3}
@@ -247,10 +248,12 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 	parent, st, err := LockstepForest(g, opt)
 	check("lockstep", parent, st, err)
 
-	tr, err := newTeam(g, opt)
+	w, err := newWorkspace(g, opt.withDefaults(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	tr := w.t
 	calls := make([]int, opt.NumProcs) // calls[tid] is touched only by worker tid
 	// The deadline turns a broken trigger into a test failure, not a hang.
 	deadline := time.Now().Add(10 * time.Second)
@@ -262,8 +265,8 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	parent, st, err = tr.run()
-	check("concurrent", parent, st, err)
+	parent, pst, err := w.run(opt.Seed, true)
+	check("concurrent", parent, *pst, err)
 }
 
 func TestFallbackNeverTriggersOnDenseGraph(t *testing.T) {

@@ -2,13 +2,13 @@ package core
 
 // The drivers' shared steps. SpanningForest, LockstepForest and the
 // pooled Workspace all run one team of NumProcs workers over the whole
-// graph's compact graph.CSR32 mirror, and differ only in how they
-// execute step 2, the work-stealing traversal: concurrent goroutines
-// spawned per run, round-robin lockstep on the calling goroutine, or a
-// parked team woken per run. Everything around it is one code path:
-// construction (newTraversal), the stub step (stub), and the run's
-// resolution (finish: stop outcome, stats derivation, root count and
-// the SV fallback).
+// graph's compact graph.CSR32 mirror. There are two drivers of step 2,
+// the work-stealing traversal: concurrent goroutines, always a
+// Workspace's parked team (SpanningForest runs a workspace sized for one
+// run, once), or round-robin lockstep on the calling goroutine.
+// Everything around it is one code path: construction (newTraversal),
+// the stub step (stub), and the run's resolution (finish: stop outcome,
+// stats derivation, root count and the SV fallback).
 
 import (
 	"fmt"
@@ -22,10 +22,10 @@ import (
 	"spantree/internal/xrand"
 )
 
-// newTraversal builds the team for one run of g under o (withDefaults
-// already applied). qcap, when positive, is the capacity of pooled work
-// queues (the Workspace path); 0 sizes one-shot queues for the team's
-// share of the graph.
+// newTraversal builds the team's state for g under o (withDefaults
+// already applied), armed for its first run. qcap, when positive, is the
+// capacity of pooled work queues (NewWorkspace); 0 sizes one-shot queues
+// for the team's share of the graph, growing on demand.
 func newTraversal(g *graph.Graph, o Options, qcap int) (*traversal, error) {
 	cg, err := graph.CompactOf(g)
 	if err != nil {
@@ -90,59 +90,12 @@ func newTraversal(g *graph.Graph, o Options, qcap int) (*traversal, error) {
 		q.TrackHighWater(o.Obs != nil)
 		t.queues[i] = q
 	}
-	// The stuck-run watchdog. One-shot drivers arm it around their
-	// traversal step and close it when the run ends; a Workspace keeps
-	// it parked for its lifetime and rearms it per Run.
+	// The stuck-run watchdog, armed around each run's traversal step and
+	// closed with the team.
 	if o.StallBudget > 0 {
 		t.wd = fault.NewWatchdog(p)
 	}
 	return t, nil
-}
-
-// run executes both steps of the algorithm with concurrent workers
-// spawned for this run.
-func (t *traversal) run() ([]graph.VID, Stats, error) {
-	p := t.o.NumProcs
-	stats := Stats{VerticesPerProc: make([]int64, p), EdgesPerProc: make([]int64, p)}
-	if t.n == 0 {
-		return t.parent, stats, nil
-	}
-	stats.StubSize = t.stub()
-	// A trip before the traversal (e.g. an already-expired deadline)
-	// spawns no workers. The stuck-run watchdog is armed only around the
-	// traversal: the stub walk runs on the calling goroutine and never
-	// beats.
-	if !t.cancel.Tripped() {
-		if t.wd != nil {
-			t.wd.Arm(t.cancel, t.o.StallBudget)
-			defer t.wd.Disarm()
-		}
-		// The team joins through one barrier episode (the coordinator is
-		// the extra participant), which gives the work-stealing path
-		// per-worker barrier_waits just like the SV family, and the
-		// paper's B = 2 with the stub step's barrier.
-		bar := par.NewBarrier(p + 1)
-		bar.Observe(t.rec)
-		for tid := 0; tid < p; tid++ {
-			go func(tid int) {
-				// Every worker reaches the join barrier whatever happens in
-				// its body: a panic is isolated here (recorded, the run's flag
-				// tripped so the teammates drain at their next poll) and the
-				// coordinator below never waits on a dead goroutine.
-				defer bar.Wait(tid)
-				defer func() {
-					if r := recover(); r != nil {
-						t.recoverWorker(tid, r)
-					}
-				}()
-				t.worker(tid)
-			}(tid)
-		}
-		bar.Wait(p)
-		t.o.Model.AddBarriers(1)
-	}
-	parent, err := t.finish(&stats)
-	return parent, stats, err
 }
 
 // resetParent sets the parent array to its start-of-run state: the
@@ -294,13 +247,12 @@ func (t *traversal) finishStats(stats *Stats) {
 	}
 }
 
-// rearm resets every run-scoped field of the traversal for the next
-// pooled Run: the parent array and progress count (resetParent),
-// cursors, the work queues, leftover wake tokens, and the per-run seed.
-// The recorder reset is the caller's.
-func (t *traversal) rearm(seed uint64) {
+// rearm resets every run-scoped field that a run dirtied, for the next
+// run of a Workspace: the parent array and progress count
+// (resetParent), cursors, the work queues, leftover wake tokens and the
+// recorder. The seed is the caller's.
+func (t *traversal) rearm() {
 	t.resetParent()
-	t.o.Seed = seed
 	t.cursor.Store(0)
 	t.sleepers.Store(0)
 	t.abort.Store(false)
@@ -310,4 +262,5 @@ func (t *traversal) rearm(seed uint64) {
 	for len(t.wake) > 0 {
 		<-t.wake
 	}
+	t.rec.Reset()
 }

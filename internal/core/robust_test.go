@@ -101,7 +101,8 @@ func TestCancelMidRun(t *testing.T) {
 }
 
 // TestCancelBeforeStart covers the pre-tripped flag (an already-expired
-// deadline): no team is spun up and the typed error comes straight back.
+// deadline): the team is never woken, the typed error comes straight
+// back, and no goroutine outlives the run.
 func TestCancelBeforeStart(t *testing.T) {
 	g := gen.Chain(100)
 	for name, run := range drivers() {

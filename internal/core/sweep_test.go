@@ -98,7 +98,7 @@ func TestSweepSpillsBigComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ws workerState
+		ws := newWorkerState(tr.o.ChunkSize, 0)
 		tr.resetWorkerState(0, &ws)
 		tr.sweep(0, tr.queues[0], &ws)
 
@@ -188,49 +188,33 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestSweepPanicMidSweep panics from inside a sweep, through both
-// concurrent entry points: the run degrades to the sequential BFS with
-// the panic recorded and still returns a valid forest.
+// TestSweepPanicMidSweep panics from inside a sweep of the concurrent
+// driver, which SpanningForest runs too: the run degrades to the
+// sequential BFS with the panic recorded and still returns a valid
+// forest, and the workspace serves the next run.
 func TestSweepPanicMidSweep(t *testing.T) {
 	g := sweepGraph()
 	for _, p := range []int{1, 2, 4} {
-		// The one-shot path of SpanningForest, opened up so the hook can
-		// reach the traversal's seeding mutex.
-		var fired atomic.Int64
-		tr, err := newTeam(g, Options{NumProcs: p, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.o.testHook = sweepHook(tr, 3, &fired, func() { panic("injected mid-sweep") })
-		parent, st, err := tr.run()
-		if err != nil {
-			t.Fatalf("one-shot p=%d: err = %v", p, err)
-		}
-		if !st.DegradedToSeq || st.Panic == nil {
-			t.Fatalf("one-shot p=%d: DegradedToSeq=%v Panic=%v", p, st.DegradedToSeq, st.Panic)
-		}
-		checkForest(t, "one-shot degraded", g, parent)
-
 		w, err := NewWorkspace(g, Options{NumProcs: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fired.Store(0)
-		tr = w.t
+		var fired atomic.Int64
+		tr := w.t
 		tr.o.testHook = sweepHook(tr, 3, &fired, func() { panic("injected mid-sweep") })
-		parent, wst, err := w.Run(1)
+		parent, st, err := w.Run(1)
 		if err != nil {
 			t.Fatalf("workspace p=%d: err = %v", p, err)
 		}
-		if !wst.DegradedToSeq || wst.Panic == nil {
-			t.Fatalf("workspace p=%d: DegradedToSeq=%v Panic=%v", p, wst.DegradedToSeq, wst.Panic)
+		if !st.DegradedToSeq || st.Panic == nil {
+			t.Fatalf("workspace p=%d: DegradedToSeq=%v Panic=%v", p, st.DegradedToSeq, st.Panic)
 		}
 		checkForest(t, "workspace degraded", g, parent)
 		tr.o.testHook = nil
 		w.Flag().Reset()
-		parent, wst, err = w.Run(2)
-		if err != nil || wst.DegradedToSeq {
-			t.Fatalf("workspace p=%d after panic: err=%v degraded=%v", p, err, wst.DegradedToSeq)
+		parent, st, err = w.Run(2)
+		if err != nil || st.DegradedToSeq {
+			t.Fatalf("workspace p=%d after panic: err=%v degraded=%v", p, err, st.DegradedToSeq)
 		}
 		checkForest(t, "workspace after panic", g, parent)
 		w.Close()

@@ -33,7 +33,7 @@ func parkedTeam(t *testing.T, g *graph.Graph, p int) *traversal {
 
 // goWorker starts worker tid's loop on its own goroutine.
 func goWorker(tr *traversal, tid int, wg *sync.WaitGroup) {
-	var ws workerState
+	ws := newWorkerState(tr.o.ChunkSize, 0)
 	tr.resetWorkerState(tid, &ws)
 	wg.Add(1)
 	go func() {

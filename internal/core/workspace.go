@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 	"unsafe"
 
 	"spantree/internal/fault"
@@ -12,33 +11,38 @@ import (
 	"spantree/internal/par"
 )
 
-// workerSlot pads one pooled worker's state to a multiple of two cache
-// lines, so that neighboring workers in Workspace.wss never share a line
-// or an adjacent-line prefetch pair (obs pads its counter slots the same
-// way). Unpadded, whether two workers' hot fields collide depends on
-// workerState's size: on a 2-vCPU x86 host, pooled p = 2 runs on a
-// 2^20 torus took 1.7 times as long with a 400-byte workerState as with
-// 408 or 512 bytes. One-shot runs keep their workerState on each worker
-// goroutine's own stack.
+// workerSlot pads one worker's state to a multiple of two cache lines,
+// so that neighboring workers in Workspace.wss never share a line or an
+// adjacent-line prefetch pair (obs pads its counter slots the same way).
+// Unpadded, whether two workers' hot fields collide depends on
+// workerState's size: on a 2-vCPU x86 host, pooled p = 2 runs on a 2^20
+// torus took 1.7 times as long with a 400-byte workerState as with 408
+// or 512 bytes. The pad leads: Go gives a struct that ends in a
+// zero-length field one more word, so a trailing pad would break the
+// multiple whenever workerState is one already.
 type workerSlot struct {
-	workerState
 	_ [(128 - unsafe.Sizeof(workerState{})%128) % 128]byte
+	workerState
 }
 
 // ErrWorkspaceClosed is returned by Run after Close.
 var ErrWorkspaceClosed = errors.New("core: Run on a closed Workspace")
 
-// Workspace is a reusable runtime for SpanningForest on one fixed graph:
-// every buffer the algorithm needs (the parent array, the work-stealing
-// queues, the per-worker drain/child/steal buffers, the observability
-// recorder, the seed list) is allocated once at construction, and the
-// worker goroutines are spawned once and parked between runs on their
-// run-start channels, synchronizing each run's end through one reused
-// sense-reversing barrier. A warmed workspace therefore executes Run
-// with zero steady-state heap allocations — the property the serving
-// layer's pooled sessions are built on.
+// Workspace is the one concurrent driver of the algorithm: a team of
+// worker goroutines spawned once at construction, parked between runs
+// on their run-start channels, and joined at the end of each run
+// through one reused sense-reversing barrier. Every buffer the algorithm
+// needs (the parent array, the work-stealing queues, the per-worker
+// drain/child/steal buffers, the observability recorder, the seed list)
+// is allocated at construction too.
 //
-// Construction also peels the graph's pendant trees once
+// A Workspace from NewWorkspace is the serving fast path: its buffers
+// are provisioned for the worst case, so a warmed workspace executes Run
+// with zero steady-state heap allocations — the property the serving
+// layer's pooled sessions are built on. SpanningForest runs the same
+// driver once on a workspace sized for one run and closes it.
+//
+// NewWorkspace also peels the graph's pendant trees once
 // (graph.PendantTrees): their edges are in every spanning forest, so
 // every Run starts with them already claimed, and the stub, the
 // traversal and the quiescence sweep never touch them (Stats.Pendant
@@ -60,15 +64,18 @@ type Workspace struct {
 	wss   []workerSlot
 	wg    sync.WaitGroup
 
-	stats  Stats
+	stats Stats
+	// dirty reports that a run has used the traversal since
+	// construction, which leaves it armed for its first run only.
+	dirty  bool
 	closed bool
 }
 
-// NewWorkspace builds a workspace for g with the given run options.
-// opt.Seed is ignored (each Run takes its own); opt.Cancel must be nil —
-// the workspace owns its cancel flag, exposed through Flag. Options that
-// allocate per run or change the memory shape (Model, Obs, Chaos,
-// Deg2Eliminate) are rejected: a workspace is the serving
+// NewWorkspace builds a pooled workspace for g with the given run
+// options. opt.Seed is ignored (each Run takes its own); opt.Cancel must
+// be nil — the workspace owns its cancel flag, exposed through Flag.
+// Options that allocate per run or change the memory shape (Model, Obs,
+// Chaos, Deg2Eliminate) are rejected: a pooled workspace is the serving
 // fast path, not the experiment harness.
 func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 	if opt.NumProcs < 1 {
@@ -88,42 +95,37 @@ func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 	}
 	o := opt.withDefaults()
 	o.pendantTrim = true
+	return newWorkspace(g, o, true)
+}
 
-	// Each queue is provisioned for the whole vertex count, the bound on
-	// a traversal's total frontier. The steal-half ring doubles when more
-	// than half its buffer is live, so it is allocated at twice that, and
-	// no run ever grows a queue.
-	qcap := max(g.NumVertices(), 16)
-	t, err := newTraversal(g, o, 2*qcap)
+// newWorkspace builds a workspace for g under o (withDefaults already
+// applied), accepting every option. pooled provisions the queues and
+// worker buffers so that no run grows them; otherwise they take a
+// one-shot run's growable sizes (newTraversal, newWorkerState).
+func newWorkspace(g *graph.Graph, o Options, pooled bool) (*Workspace, error) {
+	qcap := 0
+	if pooled {
+		// Each queue is provisioned for the whole vertex count, the bound
+		// on a traversal's total frontier. The steal-half ring doubles when
+		// more than half its buffer is live, so it is allocated at twice
+		// that, and no run ever grows a queue.
+		qcap = 2 * max(g.NumVertices(), 16)
+	}
+	t, err := newTraversal(g, o, qcap)
 	if err != nil {
 		return nil, err
 	}
-	w := &Workspace{t: t}
-
-	// Per-worker buffers, provisioned for the worst case so the hot loop
-	// never grows them: the child buffer can receive every not-yet-claimed
-	// vertex of a chunk's neighborhoods (bounded by the team's frontier),
-	// a steal takes at most half a victim's live queue.
 	p := o.NumProcs
-	outCap := max(4*o.ChunkSize, qcap)
-	stealCap := max(qcap/2+1, 256)
-	w.wss = make([]workerSlot, p)
+	w := &Workspace{t: t, wss: make([]workerSlot, p)}
 	for tid := range w.wss {
-		ws := &w.wss[tid].workerState
-		ws.chunk = make([]int32, o.ChunkSize)
-		ws.out = make([]int32, 0, outCap)
-		ws.stealBuf = make([]int32, 0, stealCap)
-		// The park timer, created stopped so that no run ever allocates
-		// one.
-		ws.timer = time.NewTimer(time.Hour)
-		ws.timer.Stop()
+		w.wss[tid].workerState = newWorkerState(o.ChunkSize, qcap)
 	}
 	w.stats.VerticesPerProc = make([]int64, p)
 	w.stats.EdgesPerProc = make([]int64, p)
 
 	// The parked team: one goroutine per worker, created once, woken per
 	// run and joined through the reused barrier. They exit only when
-	// Close retires the wake channels.
+	// Close closes the wake channels.
 	w.bar = par.NewBarrier(p + 1)
 	w.bar.Observe(t.rec)
 	w.wakes = make([]chan struct{}, p)
@@ -141,10 +143,10 @@ func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 	return w, nil
 }
 
-// runOne executes one parked worker's share of one run, with the same
-// isolation contract as a one-shot run: the worker reaches the join
-// barrier whatever happens in its body, and a panic trips the run flag
-// so the teammates drain at their next poll.
+// runOne executes one parked worker's share of one run. The worker
+// reaches the join barrier whatever happens in its body: a panic is
+// isolated here (recorded, the run's flag tripped so the teammates drain
+// at their next poll), and the coordinator never waits on a dead worker.
 func (w *Workspace) runOne(tid int) {
 	defer w.bar.Wait(tid)
 	defer func() {
@@ -190,18 +192,23 @@ func (w *Workspace) Warmup(seed uint64) error {
 	return err
 }
 
-// run executes one pooled run, arming the watchdog when watch is set.
+// run executes one run with the given seed, arming the watchdog when
+// watch is set. It never resets the cancel flag: the flag's owner does.
 func (w *Workspace) run(seed uint64, watch bool) ([]graph.VID, *Stats, error) {
 	if w.closed {
 		return nil, nil, ErrWorkspaceClosed
 	}
 	t := w.t
 
-	// Rearm the shared state. Everything below is written by this
+	// Arm the shared state. Everything below is written by this
 	// goroutine before the wake sends, which happen-before the workers'
-	// reads.
-	t.rearm(seed)
-	t.rec.Reset()
+	// reads. A fresh traversal is armed already, so a one-shot run fills
+	// its parent array once and leaves a caller's recorder as it was.
+	if w.dirty {
+		t.rearm()
+	}
+	w.dirty = true
+	t.o.Seed = seed
 	vp, ep := w.stats.VerticesPerProc, w.stats.EdgesPerProc
 	clear(vp)
 	clear(ep)
@@ -214,10 +221,11 @@ func (w *Workspace) run(seed uint64, watch bool) ([]graph.VID, *Stats, error) {
 
 	// Step 2: wake the parked team and join it through the reused
 	// barrier, unless the flag tripped before the traversal started
-	// (e.g. an already-expired deadline). The parked watchdog rearms
-	// here and disarms synchronously on every exit path, so the next
-	// Run's flag Reset can never race a late stall trip; Arm/Disarm only
-	// write the armed run under the watchdog's mutex, so the steady
+	// (e.g. an already-expired deadline). The watchdog is armed only
+	// around the traversal: the stub walk runs on this goroutine and
+	// never beats. It disarms synchronously on every exit path, so the
+	// next Run's flag Reset can never race a late stall trip; Arm/Disarm
+	// only write the armed run under the watchdog's mutex, so the steady
 	// state stays allocation-free and sends the monitor nothing.
 	if !t.cancel.Tripped() {
 		if watch && t.wd != nil {
@@ -230,7 +238,12 @@ func (w *Workspace) run(seed uint64, watch bool) ([]graph.VID, *Stats, error) {
 		for _, wake := range w.wakes {
 			wake <- struct{}{}
 		}
-		w.bar.Wait(len(w.wakes)) // the coordinator is the extra participant
+		// The coordinator is the extra participant. The join is the run's
+		// second barrier after the stub's, the paper's B = 2, and gives
+		// the work-stealing path per-worker barrier_waits like the SV
+		// family.
+		w.bar.Wait(len(w.wakes))
+		t.o.Model.AddBarriers(1)
 	}
 	parent, err := t.finish(&w.stats)
 	return parent, &w.stats, err

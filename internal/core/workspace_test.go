@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"spantree/internal/fault"
 	"spantree/internal/gen"
@@ -48,11 +49,13 @@ func TestWorkspaceAllShapes(t *testing.T) {
 	}
 }
 
-// TestWorkspaceMatchesOneShot pins the pooled path to the one-shot path
-// with the same pendant trees pre-claimed (WithPendantTrim): at p=1 both
-// are deterministic, so the forests must be byte-identical run after
-// run; at p>1 the pooled run must still be a valid forest with the same
-// component structure and stub (checked in TestWorkspaceAllShapes).
+// TestWorkspaceMatchesOneShot pins reuse: a pooled workspace must match
+// a one-shot run with the same pendant trees pre-claimed
+// (WithPendantTrim), a fresh workspace run once, byte for byte run after
+// run at p=1, where both are deterministic. At p>1 the pooled run must
+// still be a valid forest with the same component structure and stub
+// (checked in TestWorkspaceAllShapes). TestOneShotGolden pins the
+// one-shot side itself.
 func TestWorkspaceMatchesOneShot(t *testing.T) {
 	for _, g := range append(shapes(), leafyShapes()...) {
 		if g.NumVertices() == 0 {
@@ -219,6 +222,14 @@ func TestWorkspaceTeamDoesNotGrow(t *testing.T) {
 	}
 }
 
+// TestWorkerSlotPadding: worker states sit in slots of whole 128-byte
+// line pairs, whatever workerState's size.
+func TestWorkerSlotPadding(t *testing.T) {
+	if size := unsafe.Sizeof(workerSlot{}); size%128 != 0 {
+		t.Fatalf("workerSlot is %d bytes, want a multiple of 128", size)
+	}
+}
+
 func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 	g := gen.Chain(10)
 	bad := []Options{
@@ -233,18 +244,21 @@ func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 	}
 }
 
-// BenchmarkWorkspaceRun times a warmed pooled Run at p = 2: the drain
-// loop's wall-clock cost, measured without the bench/ harness. random is
-// the Fig. 3 input G(n, 1.5n) at 2^18 vertices, memory-bound with many
+// benchInputs are the wall-clock benchmarks' graphs: random is the
+// Fig. 3 input G(n, 1.5n) at 2^18 vertices, memory-bound with many
 // components; torus is a 512 x 512 mesh.
+var benchInputs = []struct {
+	name string
+	mk   func() *graph.Graph
+}{
+	{"random", func() *graph.Graph { return gen.Random(1<<18, 3<<17, 1) }},
+	{"torus", func() *graph.Graph { return gen.Torus2D(512, 512) }},
+}
+
+// BenchmarkWorkspaceRun times a warmed pooled Run at p = 2: the drain
+// loop's wall-clock cost, measured without the bench/ harness.
 func BenchmarkWorkspaceRun(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		mk   func() *graph.Graph
-	}{
-		{"random", func() *graph.Graph { return gen.Random(1<<18, 3<<17, 1) }},
-		{"torus", func() *graph.Graph { return gen.Torus2D(512, 512) }},
-	} {
+	for _, c := range benchInputs {
 		b.Run(c.name, func(b *testing.B) {
 			w, err := NewWorkspace(c.mk(), Options{NumProcs: 2})
 			if err != nil {
@@ -258,6 +272,23 @@ func BenchmarkWorkspaceRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := w.Run(uint64(i) + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpanningForest times a one-shot run at p = 2, team start and
+// stop and every allocation included.
+func BenchmarkSpanningForest(b *testing.B) {
+	for _, c := range benchInputs {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := SpanningForest(g, Options{NumProcs: 2, Seed: uint64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}

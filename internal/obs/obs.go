@@ -118,19 +118,11 @@ const (
 	// compression during those finds.
 	CompressionWrites
 
-	// The resilience counters were added with the serving-grade
-	// hardening. All three stay 0 for runs that never stall, degrade, or
-	// pass through adaptive admission.
-	//
 	// StallTrips counts runs the stuck-run watchdog aborted (recorded by
-	// the coordinator slot when a run ends with fault.CauseStalled).
+	// the coordinator slot when a run ends with fault.CauseStalled). It
+	// was added with the serving-grade hardening and stays 0 for runs
+	// that never stall.
 	StallTrips
-	// DegradeSteps counts downward transitions of the serving layer's
-	// degradation ladder.
-	DegradeSteps
-	// AdmitLimit is the high-water mark of the AIMD admission limit
-	// (a gauge recorded with Max, not a sum).
-	AdmitLimit
 
 	numCounters
 )
@@ -432,8 +424,8 @@ func (r *Recorder) Reset() {
 }
 
 // Total aggregates counter c across all workers without allocating: a
-// sum for flow counters, a maximum for the high-water marks
-// (QueueHighWater, AdmitLimit), matching Snapshot's totals rule.
+// sum for flow counters, a maximum for the high-water mark
+// QueueHighWater, matching Snapshot's totals rule.
 // Pooled sessions derive their per-run statistics through Total instead
 // of Snapshot, whose slice-of-workers view allocates.
 func (r *Recorder) Total(c Counter) int64 {
@@ -443,7 +435,7 @@ func (r *Recorder) Total(c Counter) int64 {
 	var tot int64
 	for i := range r.workers {
 		v := r.workers[i].c[c].Load()
-		if c == QueueHighWater || c == AdmitLimit {
+		if c == QueueHighWater {
 			if v > tot {
 				tot = v
 			}

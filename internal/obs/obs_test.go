@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterAggregationAcrossWorkers(t *testing.T) {
@@ -58,6 +59,14 @@ func TestCounterAggregationAcrossWorkers(t *testing.T) {
 		if w.VerticesClaimed != 100 || w.QueueHighWater != int64(10*(tid+1)) {
 			t.Errorf("workers[%d] = %+v", tid, w.Counters)
 		}
+	}
+}
+
+// TestWorkerSlotPadding: counter slots are whole 128-byte line pairs,
+// so neighbouring workers never share one.
+func TestWorkerSlotPadding(t *testing.T) {
+	if size := unsafe.Sizeof(workerSlot{}); size%128 != 0 {
+		t.Fatalf("workerSlot is %d bytes, want a multiple of 128", size)
 	}
 }
 

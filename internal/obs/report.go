@@ -58,13 +58,10 @@ type Counters struct {
 	HooksLost         int64 `json:"hooks_lost,omitempty"`
 	UFFinds           int64 `json:"uf_finds,omitempty"`
 	CompressionWrites int64 `json:"compression_writes,omitempty"`
-	// The resilience counters were added with the serving-grade
-	// hardening (schema grows additively); all three stay omitted for
-	// runs that never stall, degrade, or pass through adaptive
-	// admission, so earlier artifacts compare unchanged.
-	StallTrips   int64 `json:"stall_trips,omitempty"`
-	DegradeSteps int64 `json:"degrade_steps,omitempty"`
-	AdmitLimit   int64 `json:"admit_limit,omitempty"`
+	// StallTrips was added with the serving-grade hardening (schema
+	// grows additively); it stays omitted for runs that never stall, so
+	// earlier artifacts compare unchanged.
+	StallTrips int64 `json:"stall_trips,omitempty"`
 }
 
 // countersFrom maps the counter array into the named JSON fields.
@@ -92,8 +89,6 @@ func countersFrom(c *[numCounters]int64) Counters {
 		UFFinds:           c[UFFinds],
 		CompressionWrites: c[CompressionWrites],
 		StallTrips:        c[StallTrips],
-		DegradeSteps:      c[DegradeSteps],
-		AdmitLimit:        c[AdmitLimit],
 	}
 	for b := 0; b < DrainHistBuckets; b++ {
 		if c[DrainHist0+Counter(b)] != 0 {
@@ -114,9 +109,9 @@ type WorkerCounters struct {
 }
 
 // Snapshot is a point-in-time aggregation of a Recorder. Totals sums
-// every counter across workers except the high-water marks
-// (QueueHighWater, AdmitLimit), which take the maximum (a sum of
-// high-water marks has no meaning).
+// every counter across workers except the high-water mark
+// QueueHighWater, which takes the maximum (a sum of high-water marks
+// has no meaning).
 type Snapshot struct {
 	NumWorkers      int              `json:"num_workers"`
 	BarrierEpisodes int64            `json:"barrier_episodes"`
@@ -142,7 +137,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		var vals [numCounters]int64
 		for c := Counter(0); c < numCounters; c++ {
 			vals[c] = r.workers[tid].c[c].Load()
-			if c == QueueHighWater || c == AdmitLimit {
+			if c == QueueHighWater {
 				// A sum of high-water marks has no meaning; aggregate by max.
 				if vals[c] > totals[c] {
 					totals[c] = vals[c]

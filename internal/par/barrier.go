@@ -18,8 +18,8 @@ import (
 // barrier correct and fair when the host has fewer cores than
 // participants.
 //
-// Team synchronizes through one, and so do the work-stealing
-// traversal's one-shot join and its pooled Workspace's parked team in
+// Team synchronizes through one, and so does the work-stealing
+// traversal's one concurrent driver, the Workspace team in
 // internal/core.
 type Barrier struct {
 	mu       sync.Mutex
