@@ -8,7 +8,7 @@ import (
 	"spantree/internal/boruvka"
 	"spantree/internal/ears"
 	"spantree/internal/graph"
-	"spantree/internal/spanrm"
+	"spantree/internal/spansv"
 	"spantree/internal/treeops"
 	"spantree/internal/verify"
 )
@@ -28,7 +28,7 @@ func FindRandomMating(g *Graph, p int, seed uint64) (*Result, error) {
 		p = 1
 	}
 	start := time.Now()
-	parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: seed})
+	parent, st, err := spansv.RandomMating(g, spansv.Options{NumProcs: p}, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,9 @@ type MSTResult struct {
 
 // FindMST computes a minimum spanning forest of g with parallel Borůvka
 // on p virtual processors. A nil weight function selects deterministic
-// pseudo-random weights (a reproducible random spanning forest).
+// pseudo-random weights (a reproducible random spanning forest). A
+// weight function that returns NaN for any edge is rejected with a
+// *ValidationError of code NaNWeight.
 func FindMST(g *Graph, p int, weight WeightFunc) (*MSTResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("spantree: nil graph")

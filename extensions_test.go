@@ -52,6 +52,24 @@ func TestFindMSTCustomWeights(t *testing.T) {
 	}
 }
 
+func TestFindMSTRejectsNaNWeights(t *testing.T) {
+	g := NewTorus2D(6, 6)
+	w := func(u, v VID) float64 {
+		if e := (Edge{U: u, V: v}).Canon(); e == (Edge{U: 0, V: 1}) {
+			return math.NaN()
+		}
+		return 1
+	}
+	_, err := FindMST(g, 2, w)
+	ve, ok := AsValidationError(err)
+	if !ok {
+		t.Fatalf("FindMST with a NaN weight: %v, want a *ValidationError", err)
+	}
+	if ve.Code != graph.NaNWeight {
+		t.Fatalf("code %v, want %v", ve.Code, graph.NaNWeight)
+	}
+}
+
 func TestFindRandomMating(t *testing.T) {
 	g := graph.Union(gen.Chain(40), gen.Cycle(30), gen.Star(20))
 	res, err := FindRandomMating(g, 3, 5)

@@ -9,8 +9,10 @@
 // Each round every component selects its minimum-weight outgoing edge
 // (by atomic min-election, the same technique as the SV adaptation's
 // grafts), components merge along the selected edges, and labels are
-// flattened by pointer jumping. For distinct edge weights the result is
-// the unique MSF; ties are broken by edge id, so the result is always a
+// flattened by the graft-and-shortcut family's pointer jump
+// (spansv.Shortcut); the selected edges are rooted by its rooting pass
+// (spansv.Root). For distinct edge weights the result is the unique
+// MSF; ties are broken by edge id, so the result is always a
 // well-defined minimum spanning forest.
 package boruvka
 
@@ -26,7 +28,7 @@ import (
 	"spantree/internal/graph"
 	"spantree/internal/par"
 	"spantree/internal/smpmodel"
-	"spantree/internal/spanseq"
+	"spantree/internal/spansv"
 )
 
 // WeightFunc assigns a weight to the undirected edge {u,v}. It must be
@@ -39,7 +41,10 @@ type Options struct {
 	NumProcs int
 	// Weight assigns edge weights; nil means a deterministic pseudo-
 	// random weight derived from the endpoint pair, giving a random
-	// (but reproducible) MSF.
+	// (but reproducible) MSF. A caller's function is checked over every
+	// edge first: a NaN weight poisons every min-election it meets, so
+	// it is rejected with a typed error instead of silently producing an
+	// arbitrary forest.
 	Weight WeightFunc
 	// Model, when non-nil, accumulates Helman-JáJá cost counters.
 	Model *smpmodel.Model
@@ -47,11 +52,6 @@ type Options struct {
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
 	Chaos  *chaos.Injector
-	// ValidateWeights pre-checks Weight over every edge and rejects NaN
-	// weights with a typed error before the parallel phase starts (a NaN
-	// poisons every min-election it meets, silently producing an
-	// arbitrary forest).
-	ValidateWeights bool
 }
 
 // Stats reports what a run did.
@@ -114,12 +114,9 @@ func MinimumSpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, err
 	}
 	weight := opt.Weight
 	if weight == nil {
-		weight = hashWeight
-	}
-	if opt.ValidateWeights {
-		if err := g.ValidateWeights(func(u, v graph.VID) float64 { return weight(u, v) }); err != nil {
-			return nil, Stats{}, fmt.Errorf("boruvka: %w", err)
-		}
+		weight = hashWeight // finite everywhere
+	} else if err := g.ValidateWeights(weight); err != nil {
+		return nil, Stats{}, fmt.Errorf("boruvka: %w", err)
 	}
 	n := g.NumVertices()
 	d := make([]int32, n) // component label, maintained as rooted stars
@@ -216,22 +213,7 @@ func MinimumSpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, err
 			}
 
 			// Phase C: flatten to stars and reset elections.
-			for {
-				changed := false
-				c.ForDynamic(n, func(vi int) {
-					v := graph.VID(vi)
-					probe.NonContig(2)
-					dv := atomic.LoadInt32(&d[v])
-					ddv := atomic.LoadInt32(&d[dv])
-					if dv != ddv {
-						atomic.StoreInt32(&d[v], ddv)
-						changed = true
-					}
-				})
-				if !c.ReduceOr(changed) {
-					break
-				}
-			}
+			spansv.Shortcut(c, d)
 			c.ForDynamic(n, func(i int) {
 				best[i].weight = math.Inf(1)
 			})
@@ -252,14 +234,8 @@ func MinimumSpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, err
 		stats.TotalWeight += weightBufs[i]
 	}
 	stats.TreeEdges = len(edges)
-
-	treeAdj := make([][]graph.VID, n)
-	for _, e := range edges {
-		treeAdj[e.U] = append(treeAdj[e.U], e.V)
-		treeAdj[e.V] = append(treeAdj[e.V], e.U)
-	}
-	parent := spanseq.RootForest(n, treeAdj)
-	return parent, stats, nil
+	// The rooting pass is not charged to the model.
+	return spansv.Root(n, edges, nil), stats, nil
 }
 
 // SequentialMSF computes the reference minimum spanning forest with

@@ -73,6 +73,11 @@ func RunLoadGen(args []string, stdout, stderr io.Writer) error {
 	// before responding — minutes of work for big graphs on a loaded
 	// host, so it gets its own generous budget.
 	regClient := &http.Client{Timeout: 5 * time.Minute}
+	// A connection the transport dialed but never used counts as busy to
+	// the server's graceful shutdown for its first 5 s; close every idle
+	// one on return so a daemon shut down right after a run stops at once.
+	defer client.CloseIdleConnections()
+	defer regClient.CloseIdleConnections()
 
 	if *register != "" {
 		if err := registerGraph(regClient, base, *graphName, *register); err != nil {

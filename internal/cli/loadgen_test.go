@@ -2,8 +2,13 @@ package cli
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,5 +110,46 @@ func TestRunLoadGen(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not stop")
+	}
+}
+
+// TestRunLoadGenClosesIdleConnections: RunLoadGen leaves no keep-alive
+// connection open behind it. A server's graceful shutdown waits on an
+// idle connection until its idle timeout, and on one the client dialed
+// but never used for net/http's 5 s grace, so a daemon stopped right
+// after a run would stall on either.
+func TestRunLoadGenClosesIdleConnections(t *testing.T) {
+	var mu sync.Mutex
+	open := map[net.Conn]bool{}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "{}")
+	}))
+	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		if s == http.StateClosed || s == http.StateHijacked {
+			delete(open, c)
+		} else {
+			open[c] = true
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	var out strings.Builder
+	if err := RunLoadGen([]string{"-url", srv.URL, "-graph", "g",
+		"-mode", "closed", "-c", "2", "-n", "8", "-warmup", "1"}, &out, &out); err != nil {
+		t.Fatalf("loadgen: %v\noutput:\n%s", err, out.String())
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open 2 s after RunLoadGen returned", n)
+		}
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
-	"spantree/internal/spanas"
-	"spantree/internal/spanhcs"
 	"spantree/internal/spanlevel"
-	"spantree/internal/spanrm"
 	"spantree/internal/spanseq"
 	"spantree/internal/spansv"
 	"spantree/internal/spanuf"
@@ -90,25 +87,21 @@ type wsConfig struct {
 func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (measurement, error) {
 	m := measurement{algo: kind.label(), p: p}
 	runOnce := func(model *smpmodel.Model, rec *obs.Recorder) ([]graph.VID, string, error) {
+		family := spansv.Options{NumProcs: p, Model: model, Obs: rec}
 		switch kind {
 		case kindSeqBFS:
 			return spanseq.BFS(g, model.Probe(0)), "", nil
 		case kindSV, kindSVLocks:
-			parent, st, err := spansv.SpanningForest(g, spansv.Options{
-				NumProcs: p,
-				UseLocks: kind == kindSVLocks,
-				Model:    model,
-				Obs:      rec,
-			})
+			parent, st, err := spansv.SpanningForest(g, family, kind == kindSVLocks)
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindHCS:
-			parent, st, err := spanhcs.SpanningForest(g, spanhcs.Options{NumProcs: p, Model: model})
+			parent, st, err := spansv.HCS(g, family)
 			return parent, fmt.Sprintf("iters=%d shortcuts=%d", st.Iterations, st.ShortcutRounds), err
 		case kindAS:
-			parent, st, err := spanas.SpanningForest(g, spanas.Options{NumProcs: p, Model: model})
+			parent, st, err := spansv.AwerbuchShiloach(g, family)
 			return parent, fmt.Sprintf("iters=%d hooks=%d+%d", st.Iterations, st.ConditionalHooks, st.UnconditionalHooks), err
 		case kindRM:
-			parent, st, err := spanrm.SpanningForest(g, spanrm.Options{NumProcs: p, Seed: cfg.Seed, Model: model})
+			parent, st, err := spansv.RandomMating(g, family, cfg.Seed)
 			return parent, fmt.Sprintf("rounds=%d", st.Rounds), err
 		case kindLevelBFS:
 			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model})

@@ -94,9 +94,6 @@ type Config struct {
 	// it is also the default when a request carries no timeout_ms.
 	// 0 means 10s.
 	MaxTimeout time.Duration
-	// Warmups is the per-session warmup run count (0 means the session
-	// default, spantree.SessionOptions.Warmups: one run).
-	Warmups int
 	// StallBudget arms the per-session stuck-run watchdog: a run in
 	// which no worker advances for this long is aborted with the typed
 	// 503 (stalled) instead of burning its whole deadline. 0 disables.
@@ -293,7 +290,6 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	}
 	base := spantree.SessionOptions{
 		NumProcs:    s.cfg.NumProcs,
-		Warmups:     s.cfg.Warmups,
 		StallBudget: s.cfg.StallBudget,
 	}
 	pool, err := spantree.NewSessionPool(g, base, s.cfg.PoolSize)

@@ -1,13 +1,12 @@
-// Package spanas implements the textbook Awerbuch-Shiloach connectivity
-// algorithm adapted to spanning trees — the second member of the
-// graft-and-shortcut family the paper surveys ("Shiloach and Vishkin and
-// Awerbuch and Shiloach developed algorithms that run in O(log n) time
-// with O((m+n) log n) work").
+package spansv
+
+// Awerbuch-Shiloach (AS), the textbook member of the family the paper
+// surveys ("Shiloach and Vishkin and Awerbuch and Shiloach developed
+// algorithms that run in O(log n) time with O((m+n) log n) work").
 //
-// Where the paper's SV adaptation (package spansv) shortcuts every tree
-// to a rooted star after each graft round, Awerbuch-Shiloach performs
-// exactly one pointer-jump per iteration and instead maintains explicit
-// star flags, with two hook sub-steps per iteration:
+// Where SV shortcuts every tree to a rooted star after each graft
+// round, AS performs exactly one pointer jump per iteration and instead
+// maintains explicit star flags, with two hook sub-steps per iteration:
 //
 //  1. conditional star hook: a star root hooks onto a smaller-labeled
 //     neighboring component;
@@ -22,37 +21,17 @@
 //
 // The priority-CRCW writes of the PRAM original become CAS elections per
 // root, the same SMP adaptation the paper applies to SV.
-package spanas
 
 import (
-	"fmt"
 	"sync/atomic"
 
-	"spantree/internal/chaos"
-	"spantree/internal/fault"
 	"spantree/internal/graph"
 	"spantree/internal/par"
 	"spantree/internal/smpmodel"
-	"spantree/internal/spanseq"
 )
 
-// Options configures a run.
-type Options struct {
-	// NumProcs is the number of virtual processors (>= 1).
-	NumProcs int
-	// Model, when non-nil, accumulates Helman-JáJá cost counters.
-	Model *smpmodel.Model
-	// MaxIterations caps iterations; 0 means 2n+4 (always sufficient:
-	// every iteration either hooks or halves some tree height).
-	MaxIterations int
-	// Cancel is the run's cooperative stop flag (nil never trips);
-	// Chaos the fault injector (nil injects nothing).
-	Cancel *fault.Flag
-	Chaos  *chaos.Injector
-}
-
-// Stats reports what a run did.
-type Stats struct {
+// ASStats reports what an Awerbuch-Shiloach run did.
+type ASStats struct {
 	// Iterations counts hook-and-jump iterations.
 	Iterations int
 	// ConditionalHooks and UnconditionalHooks split the grafts by the
@@ -61,32 +40,11 @@ type Stats struct {
 	UnconditionalHooks int
 }
 
-const nobody = int64(-1)
-
-func packArc(v, w graph.VID) int64 {
-	return int64(uint64(uint32(v))<<32 | uint64(uint32(w)))
-}
-
-func unpackArc(x int64) (v, w graph.VID) {
-	return graph.VID(uint32(uint64(x) >> 32)), graph.VID(uint32(uint64(x)))
-}
-
-// SpanningForest runs Awerbuch-Shiloach and returns the forest as a
-// parent array plus statistics.
-func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
-	if opt.NumProcs < 1 {
-		return nil, Stats{}, fmt.Errorf("spanas: NumProcs = %d, need >= 1", opt.NumProcs)
-	}
+// AwerbuchShiloach runs AS and returns the forest as a parent array plus
+// statistics.
+func AwerbuchShiloach(g *graph.Graph, opt Options) ([]graph.VID, ASStats, error) {
 	n := g.NumVertices()
-	maxIter := opt.MaxIterations
-	if maxIter == 0 {
-		maxIter = 2*n + 4
-	}
-
-	d := make([]int32, n)
-	for i := range d {
-		d[i] = int32(i)
-	}
+	d := singletons(n)
 	star := make([]int32, n) // 1 = vertex is in a star
 	// changed[r] marks roots whose component hooked or was hooked into
 	// during sub-step 1 of the current iteration. The unconditional
@@ -99,13 +57,8 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	// that do not hook this sub-step, keeping the hook digraph acyclic.
 	changed := make([]int32, n)
 	winner := make([]int64, n)
-
-	team := par.NewTeam(opt.NumProcs, opt.Model).
-		Cancel(opt.Cancel).Chaos(opt.Chaos)
-	edgeBufs := make([][]graph.Edge, opt.NumProcs)
-	condBufs := make([]int, opt.NumProcs)
-	uncondBufs := make([]int, opt.NumProcs)
-	iterations := 0
+	var stats ASStats
+	var condHooks atomic.Int64
 
 	// detectStars recomputes star[v] for all v: v is in a star iff its
 	// root's whole tree has depth <= 1. Classic three-pass detection.
@@ -139,10 +92,10 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		c.Barrier()
 	}
 
-	// hookStep runs one election + apply pass. unconditional selects the
-	// sub-step rule.
+	// hookStep runs one election + apply pass, appending the grafts it
+	// applies. unconditional selects the sub-step rule.
 	hookStep := func(c *par.Ctx, probe *smpmodel.Probe, unconditional bool,
-		myEdges *[]graph.Edge, hooks *int) bool {
+		grafts *[]graph.Edge) bool {
 		c.ForDynamic(n, func(vi int) {
 			v := graph.VID(vi)
 			probe.NonContig(2)
@@ -166,7 +119,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 					continue
 				}
 				probe.NonContig(1)
-				if atomic.CompareAndSwapInt64(&winner[rv], nobody, packArc(v, w)) {
+				if atomic.CompareAndSwapInt64(&winner[rv], NoArc, PackArc(v, w)) {
 					break
 				}
 			}
@@ -177,10 +130,10 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 			r := graph.VID(ri)
 			probe.NonContig(1)
 			arc := winner[r]
-			if arc == nobody {
+			if arc == NoArc {
 				return
 			}
-			v, w := unpackArc(arc)
+			v, w := UnpackArc(arc)
 			probe.NonContig(2)
 			target := atomic.LoadInt32(&d[w])
 			atomic.StoreInt32(&d[r], target)
@@ -189,24 +142,18 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 			// by the star recomputation instead.
 			atomic.StoreInt32(&changed[r], 1)
 			atomic.StoreInt32(&changed[target], 1)
-			*myEdges = append(*myEdges, graph.Edge{U: v, V: w})
-			*hooks++
+			*grafts = append(*grafts, graph.Edge{U: v, V: w})
 			hooked = true
-			winner[r] = nobody
+			winner[r] = NoArc
 		})
 		return c.ReduceOr(hooked)
 	}
 
-	err := team.RunErr(func(c *par.Ctx) {
+	edges, err := run(opt, 2*n+4, func(c *par.Ctx, maxIter int) []graph.Edge {
 		probe := c.Probe()
-		var myEdges []graph.Edge
-		cond, uncond := 0, 0
-		defer func() {
-			edgeBufs[c.TID()] = myEdges
-			condBufs[c.TID()] = cond
-			uncondBufs[c.TID()] = uncond
-		}()
-		c.ForDynamic(n, func(i int) { winner[i] = nobody })
+		var grafts []graph.Edge
+		cond := 0
+		c.ForDynamic(n, func(i int) { winner[i] = NoArc })
 		c.Barrier()
 
 		for iter := 0; iter < maxIter; iter++ {
@@ -215,55 +162,34 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 				probe.NonContig(1)
 			})
 			detectStars(c, probe)
-			hooked1 := hookStep(c, probe, false, &myEdges, &cond)
+			before := len(grafts)
+			hooked1 := hookStep(c, probe, false, &grafts)
+			cond += len(grafts) - before
 
 			// Stars must be recomputed before the unconditional sub-step:
 			// a star that received hooks in sub-step 1 is no longer a
 			// star, which is exactly what prevents mutual hooks.
 			detectStars(c, probe)
-			hooked2 := hookStep(c, probe, true, &myEdges, &uncond)
+			hooked2 := hookStep(c, probe, true, &grafts)
 
-			// One pointer-jump per iteration.
-			changed := false
-			c.ForDynamic(n, func(vi int) {
-				v := graph.VID(vi)
-				probe.NonContig(2)
-				dv := atomic.LoadInt32(&d[v])
-				ddv := atomic.LoadInt32(&d[dv])
-				if dv != ddv {
-					atomic.StoreInt32(&d[v], ddv)
-					changed = true
-				}
-			})
-			anyChange := c.ReduceOr(changed)
+			// One pointer jump per iteration.
+			anyChange := jump(c, d)
 			if c.TID() == 0 {
-				iterations = iter + 1
+				stats.Iterations = iter + 1
 			}
 			if !hooked1 && !hooked2 && !anyChange {
 				// All trees are stars and no star has a cross edge (the
 				// unconditional hook would have taken it): converged.
-				return
+				break
 			}
 		}
+		condHooks.Add(int64(cond))
+		return grafts
 	})
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, ASStats{}, err
 	}
-
-	var stats Stats
-	stats.Iterations = iterations
-	var edges []graph.Edge
-	for i := range edgeBufs {
-		edges = append(edges, edgeBufs[i]...)
-		stats.ConditionalHooks += condBufs[i]
-		stats.UnconditionalHooks += uncondBufs[i]
-	}
-	treeAdj := make([][]graph.VID, n)
-	for _, e := range edges {
-		treeAdj[e.U] = append(treeAdj[e.U], e.V)
-		treeAdj[e.V] = append(treeAdj[e.V], e.U)
-	}
-	opt.Model.Probe(0).NonContig(int64(2 * len(edges)))
-	parent := spanseq.RootForest(n, treeAdj)
-	return parent, stats, nil
+	stats.ConditionalHooks = int(condHooks.Load())
+	stats.UnconditionalHooks = len(edges) - stats.ConditionalHooks
+	return Root(n, edges, opt.Model.Probe(0)), stats, nil
 }

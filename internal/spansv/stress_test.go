@@ -33,7 +33,7 @@ func TestSVDynamicSchedulerStress(t *testing.T) {
 			t.Fatalf("p=%d: %d vertices give a worker fewer than two chunks", p, n)
 		}
 		for rep := 0; rep < 12; rep++ {
-			parent, _, err := SpanningForest(g, Options{NumProcs: p})
+			parent, _, err := SpanningForest(g, Options{NumProcs: p}, false)
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
 			}
@@ -64,7 +64,7 @@ func TestSVLabelsModelCheck(t *testing.T) {
 		n := 4*par.DefaultChunkSize*p + int(nRaw%300)
 		m := int(mRaw) % (2 * n)
 		g := gen.Random(n, m, seed)
-		label, comps, err := ConnectedComponents(g, Options{NumProcs: p})
+		label, comps, err := components(g, Options{NumProcs: p})
 		if err != nil {
 			return false
 		}

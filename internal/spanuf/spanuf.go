@@ -49,6 +49,7 @@ import (
 	"spantree/internal/obs"
 	"spantree/internal/par"
 	"spantree/internal/smpmodel"
+	"spantree/internal/spansv"
 )
 
 // Options configures a run.
@@ -87,17 +88,6 @@ type Stats struct {
 	CompressionWrites int64
 }
 
-const nobody = int64(-1)
-
-// packArc packs an arc (v,w) into an int64 for the hook slots.
-func packArc(v, w graph.VID) int64 {
-	return int64(uint64(uint32(v))<<32 | uint64(uint32(w)))
-}
-
-func unpackArc(x int64) (v, w graph.VID) {
-	return graph.VID(uint32(uint64(x) >> 32)), graph.VID(uint32(uint64(x)))
-}
-
 // counts is one worker's private tally, padded so neighboring workers'
 // cells never share a cache line. Stats are derived from these instead
 // of the obs recorder so un-instrumented runs still report.
@@ -107,7 +97,9 @@ type counts struct {
 }
 
 // hooker is one worker's handle on the shared union-find state: the
-// parent array, the hook slots, and the worker's probe and tally.
+// parent array, the hook slots, and the worker's probe and tally. A
+// hook slot holds the arc that hooked its root in the graft family's
+// packed encoding (spansv.PackArc), or spansv.NoArc.
 type hooker struct {
 	uf    []int32
 	hooks []int64
@@ -160,7 +152,7 @@ func (h *hooker) hook(v, w graph.VID) bool {
 			ru, rw = rw, ru
 		}
 		h.probe.CAS(1)
-		if atomic.CompareAndSwapInt64(&h.hooks[ru], nobody, packArc(v, w)) {
+		if atomic.CompareAndSwapInt64(&h.hooks[ru], spansv.NoArc, spansv.PackArc(v, w)) {
 			// The election is the linearization point; the link itself is
 			// a plain store (only the CAS winner writes a root's parent,
 			// and compression never touches roots).
@@ -234,7 +226,7 @@ func hookSweep(c *par.Ctx, g *graph.Graph, uf []int32, hooks []int64, cells []co
 
 	c.ForDynamic(n, func(i int) {
 		uf[i] = int32(i)
-		hooks[i] = nobody
+		hooks[i] = spansv.NoArc
 	})
 	c.Barrier()
 
@@ -306,7 +298,7 @@ func lockstepSweep(g *graph.Graph, uf []int32, hooks []int64, cells []counts, op
 			probes[tid].NonContig(2)
 			for i := initPos[tid]; i < initPos[tid]+k; i++ {
 				uf[i] = int32(i)
-				hooks[i] = nobody
+				hooks[i] = spansv.NoArc
 			}
 			initPos[tid] += k
 		}
@@ -378,7 +370,7 @@ func statsFromCells(cells []counts) Stats {
 // rootForest rewrites the hook slots into a rooted parent array:
 // counting-sort the hooked arcs into a CSR over tree edges, then BFS
 // from every union-find root. A vertex stops being a root only by
-// winning exactly one hook, so hooks[r] == nobody marks exactly the
+// winning exactly one hook, so hooks[r] == spansv.NoArc marks exactly the
 // final roots — one per component — and the hooked arcs form a spanning
 // tree of each component (every hook merged two disjoint sets along a
 // graph edge). Returns the tree-edge count. Deterministic given hooks.
@@ -387,10 +379,10 @@ func rootForest(hooks []int64, parent []graph.VID, probe *smpmodel.Probe) int {
 	offs := make([]int32, n+1)
 	treeEdges := 0
 	for _, hk := range hooks {
-		if hk == nobody {
+		if hk == spansv.NoArc {
 			continue
 		}
-		v, w := unpackArc(hk)
+		v, w := spansv.UnpackArc(hk)
 		offs[v+1]++
 		offs[w+1]++
 		treeEdges++
@@ -401,10 +393,10 @@ func rootForest(hooks []int64, parent []graph.VID, probe *smpmodel.Probe) int {
 	cur := make([]int32, n)
 	adj := make([]int32, 2*treeEdges)
 	for _, hk := range hooks {
-		if hk == nobody {
+		if hk == spansv.NoArc {
 			continue
 		}
-		v, w := unpackArc(hk)
+		v, w := spansv.UnpackArc(hk)
 		adj[offs[v]+cur[v]] = int32(w)
 		cur[v]++
 		adj[offs[w]+cur[w]] = int32(v)
@@ -421,7 +413,7 @@ func rootForest(hooks []int64, parent []graph.VID, probe *smpmodel.Probe) int {
 	q := make([]int32, n)
 	head, tail := 0, 0
 	for r := 0; r < n; r++ {
-		if hooks[r] != nobody {
+		if hooks[r] != spansv.NoArc {
 			continue // not a final union-find root
 		}
 		parent[r] = graph.VID(r) // self-parent sentinel; normalized below

@@ -12,6 +12,7 @@ import (
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spanseq"
+	"spantree/internal/spansv"
 	"spantree/internal/verify"
 )
 
@@ -156,7 +157,7 @@ func TestHookingRuleModel(t *testing.T) {
 		hooks := make([]int64, n)
 		for i := range uf {
 			uf[i] = int32(i)
-			hooks[i] = nobody
+			hooks[i] = spansv.NoArc
 		}
 		var ct counts
 		h := hooker{uf: uf, hooks: hooks, ct: &ct}
@@ -176,7 +177,7 @@ func TestHookingRuleModel(t *testing.T) {
 				t.Logf("seed %d: uf[%d] = %d violates the strictly-larger rule", seed, i, uf[i])
 				return false
 			}
-			if (uf[i] == int32(i)) != (hooks[i] == nobody) {
+			if (uf[i] == int32(i)) != (hooks[i] == spansv.NoArc) {
 				t.Logf("seed %d: uf[%d] = %d but hooks[%d] = %d", seed, i, uf[i], i, hooks[i])
 				return false
 			}
@@ -189,7 +190,7 @@ func TestHookingRuleModel(t *testing.T) {
 		// Hook wins and roots partition the vertices.
 		roots := 0
 		for i := range hooks {
-			if hooks[i] == nobody {
+			if hooks[i] == spansv.NoArc {
 				roots++
 			}
 		}
@@ -272,14 +273,5 @@ func TestCancelPreTripped(t *testing.T) {
 func TestRejectsBadProcs(t *testing.T) {
 	if _, _, err := SpanningForest(gen.Chain(4), Options{}); err == nil {
 		t.Fatal("NumProcs = 0 accepted")
-	}
-}
-
-func TestPackArcRoundTrip(t *testing.T) {
-	for _, c := range [][2]graph.VID{{0, 1}, {5, 99999}, {1<<31 - 2, 1<<31 - 1}} {
-		v, w := unpackArc(packArc(c[0], c[1]))
-		if v != c[0] || w != c[1] {
-			t.Fatalf("packArc(%d,%d) round-trips to (%d,%d)", c[0], c[1], v, w)
-		}
 	}
 }

@@ -23,14 +23,6 @@ type SessionOptions struct {
 	// Options.FallbackThreshold). A triggered fallback allocates — only
 	// the traversal itself is pooled.
 	FallbackThreshold int
-	// Warmups is the number of throwaway runs executed at construction
-	// to absorb one-time costs (buffer growth on non-provisioned paths,
-	// the runtime's first-use allocations behind the parked team's
-	// channel and barrier waits) so the first real request already runs
-	// allocation-free. They run with the stall watchdog disarmed. 0
-	// means 1: a second warmup left no fewer first requests allocating,
-	// and only lengthened construction.
-	Warmups int
 	// StallBudget, if > 0, arms the stuck-run watchdog exactly as in
 	// core.Options.StallBudget: a run in which no worker advances for a
 	// full budget returns ErrStalled with the session left reusable.
@@ -46,9 +38,6 @@ type SessionOptions struct {
 func (o SessionOptions) withDefaults() SessionOptions {
 	if o.NumProcs == 0 {
 		o.NumProcs = 1
-	}
-	if o.Warmups == 0 {
-		o.Warmups = 1
 	}
 	return o
 }
@@ -97,16 +86,17 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{w: w}
-	// Warmups run with the stall watchdog disarmed: they are construction
-	// runs, not requests the budget is sized for.
-	for i := 0; i < o.Warmups; i++ {
-		if err := w.Warmup(uint64(i) + 1); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("spantree: session warmup: %w", err)
-		}
+	// One throwaway run absorbs the one-time costs (the runtime's
+	// first-use allocations behind the parked team's channel and barrier
+	// waits), so the first real request already runs allocation-free; a
+	// second warmup left no fewer first requests allocating. It runs
+	// with the stall watchdog disarmed: it is a construction run, not a
+	// request the budget is sized for.
+	if err := w.Warmup(1); err != nil {
+		w.Close()
+		return nil, fmt.Errorf("spantree: session warmup: %w", err)
 	}
-	return s, nil
+	return &Session{w: w}, nil
 }
 
 // run executes one pooled run and fills the session-owned Result.
@@ -183,7 +173,7 @@ type SessionPool struct {
 }
 
 // NewSessionPool builds size warmed sessions for g. Construction cost is
-// paid once, up front (size teams spawned, size*Warmups throwaway runs).
+// paid once, up front (size teams spawned, size throwaway warmup runs).
 func NewSessionPool(g *Graph, opt SessionOptions, size int) (*SessionPool, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("spantree: session pool size = %d, need >= 1", size)

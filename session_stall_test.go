@@ -98,7 +98,6 @@ func TestSessionWarmupIgnoresStallBudget(t *testing.T) {
 	}
 	s, err := NewSession(gen.Complete(8), SessionOptions{
 		NumProcs:    1,
-		Warmups:     1,
 		StallBudget: budget,
 		testHook:    hook,
 	})

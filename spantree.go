@@ -37,10 +37,7 @@ import (
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
-	"spantree/internal/spanas"
-	"spantree/internal/spanhcs"
 	"spantree/internal/spanlevel"
-	"spantree/internal/spanrm"
 	"spantree/internal/spanseq"
 	"spantree/internal/spansv"
 	"spantree/internal/spanuf"
@@ -274,18 +271,18 @@ type Result struct {
 	// WorkStealing holds the work-stealing algorithm's statistics when
 	// it ran (nil otherwise).
 	WorkStealing *core.Stats
-	// SV holds graft-and-shortcut statistics for AlgSV/AlgSVLocks/AlgHCS
+	// SV holds Shiloach-Vishkin statistics when AlgSV or AlgSVLocks ran
 	// (nil otherwise).
 	SV *spansv.Stats
 	// HCS holds HCS statistics when AlgHCS ran (nil otherwise).
-	HCS *spanhcs.Stats
+	HCS *spansv.Stats
 	// AS holds Awerbuch-Shiloach statistics when AlgAwerbuchShiloach ran.
-	AS *spanas.Stats
+	AS *spansv.ASStats
 	// LevelBFS holds level-synchronous BFS statistics when AlgLevelBFS
 	// ran.
 	LevelBFS *spanlevel.Stats
 	// RandomMating holds statistics when FindRandomMating ran.
-	RandomMating *spanrm.Stats
+	RandomMating *spansv.MatingStats
 	// SpanUF holds CAS-hook union-find statistics when AlgSpanUF ran
 	// (nil otherwise).
 	SpanUF *spanuf.Stats
@@ -343,6 +340,7 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		return nil, cancel.Err()
 	}
 	res := &Result{Algorithm: opt.Algorithm}
+	family := spansv.Options{NumProcs: p, Model: opt.Model, Obs: opt.Obs, Cancel: cancel, Chaos: inj}
 	start := time.Now()
 	switch opt.Algorithm {
 	case AlgWorkStealing:
@@ -375,42 +373,23 @@ func FindContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 			res.Parent = spanseq.UnionFind(g, opt.Model.Probe(0))
 		}
 	case AlgSV, AlgSVLocks:
-		parent, stats, err := spansv.SpanningForest(g, spansv.Options{
-			NumProcs: p,
-			UseLocks: opt.Algorithm == AlgSVLocks,
-			Model:    opt.Model,
-			Obs:      opt.Obs,
-			Cancel:   cancel,
-			Chaos:    inj,
-		})
+		parent, stats, err := spansv.SpanningForest(g, family, opt.Algorithm == AlgSVLocks)
 		if err != nil {
 			return nil, err
 		}
 		res.Parent, res.SV = parent, &stats
 	case AlgHCS:
-		parent, stats, err := spanhcs.SpanningForest(g, spanhcs.Options{
-			NumProcs: p,
-			Model:    opt.Model,
-			Cancel:   cancel,
-			Chaos:    inj,
-		})
+		parent, stats, err := spansv.HCS(g, family)
 		if err != nil {
 			return nil, err
 		}
-		res.Parent = parent
-		res.HCS = &stats
+		res.Parent, res.HCS = parent, &stats
 	case AlgAwerbuchShiloach:
-		parent, stats, err := spanas.SpanningForest(g, spanas.Options{
-			NumProcs: p,
-			Model:    opt.Model,
-			Cancel:   cancel,
-			Chaos:    inj,
-		})
+		parent, stats, err := spansv.AwerbuchShiloach(g, family)
 		if err != nil {
 			return nil, err
 		}
-		res.Parent = parent
-		res.AS = &stats
+		res.Parent, res.AS = parent, &stats
 	case AlgLevelBFS:
 		parent, stats, err := spanlevel.SpanningForest(g, spanlevel.Options{
 			NumProcs: p,

@@ -47,26 +47,77 @@ func testGraphs(tb testing.TB) []*Graph {
 	return gs
 }
 
+// forestRow is one algorithm of TestAllAlgorithmsProduceValidForests:
+// it runs on p processors and reports the forest with its root and
+// tree-edge counts.
+type forestRow struct {
+	name       string
+	sequential bool
+	find       func(g *Graph, p int) (parent []VID, roots, treeEdges int, err error)
+}
+
+// forestRows is every Algorithm, plus random mating and Borůvka, which
+// share the graft-and-shortcut family's pointer jump and rooting pass.
+func forestRows() []forestRow {
+	var rows []forestRow
+	for _, alg := range Algorithms() {
+		rows = append(rows, forestRow{
+			name:       alg.String(),
+			sequential: alg == AlgSequentialBFS || alg == AlgSequentialDFS || alg == AlgSequentialUF,
+			find: func(g *Graph, p int) ([]VID, int, int, error) {
+				res, err := Find(g, Options{Algorithm: alg, NumProcs: p, Seed: 42, Verify: true})
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				return res.Parent, res.Roots, res.TreeEdges, nil
+			},
+		})
+	}
+	return append(rows,
+		forestRow{name: "randmate", find: func(g *Graph, p int) ([]VID, int, int, error) {
+			res, err := FindRandomMating(g, p, 42)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return res.Parent, res.Roots, res.TreeEdges, nil
+		}},
+		forestRow{name: "boruvka", find: func(g *Graph, p int) ([]VID, int, int, error) {
+			res, err := FindMST(g, p, nil)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			roots := 0
+			for _, pv := range res.Parent {
+				if pv == None {
+					roots++
+				}
+			}
+			return res.Parent, roots, res.TreeEdges, nil
+		}},
+	)
+}
+
 func TestAllAlgorithmsProduceValidForests(t *testing.T) {
 	for _, g := range testGraphs(t) {
-		for _, alg := range Algorithms() {
+		for _, row := range forestRows() {
 			for _, p := range []int{1, 2, 4, 7} {
-				if alg == AlgSequentialBFS || alg == AlgSequentialDFS || alg == AlgSequentialUF {
-					if p != 1 {
-						continue
-					}
+				if row.sequential && p != 1 {
+					continue
 				}
-				name := fmt.Sprintf("%v/%v/p=%d", g, alg, p)
-				res, err := Find(g, Options{Algorithm: alg, NumProcs: p, Seed: 42, Verify: true})
+				name := fmt.Sprintf("%v/%s/p=%d", g, row.name, p)
+				parent, roots, treeEdges, err := row.find(g, p)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				wantRoots := graph.NumComponents(g)
-				if res.Roots != wantRoots {
-					t.Errorf("%s: got %d roots, want %d components", name, res.Roots, wantRoots)
+				if err := Verify(g, parent); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				if res.TreeEdges != g.NumVertices()-wantRoots {
-					t.Errorf("%s: got %d tree edges, want %d", name, res.TreeEdges, g.NumVertices()-wantRoots)
+				wantRoots := graph.NumComponents(g)
+				if roots != wantRoots {
+					t.Errorf("%s: got %d roots, want %d components", name, roots, wantRoots)
+				}
+				if treeEdges != g.NumVertices()-wantRoots {
+					t.Errorf("%s: got %d tree edges, want %d", name, treeEdges, g.NumVertices()-wantRoots)
 				}
 			}
 		}
