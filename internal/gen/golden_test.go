@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"spantree/internal/graph"
@@ -324,4 +325,99 @@ var goldenHashes = map[string]uint64{
 	"torus2d/65536/1/true":     0x7b348f430c1a9a71,
 	"torus2d/65536/7/false":    0xc9166fbbb276d1b9,
 	"torus2d/65536/7/true":     0xa551f0c678ab03e5,
+}
+
+// drawSpecs is the sweep TestRandomDrawGolden pins, at seeds 1 and 7:
+// G(n, m) with an explicit m in the dense and clamped regimes (n = 64 up
+// to and past its 2016 possible edges; n = 2 and 3, whose graphs are
+// complete after one or three edges), where the unique-edge draw's
+// top-up is a large share of m, and RandomConnected, which builds the
+// Fig. 3 inputs, complete at (7, 21), dense at (64, 1000) and (64, 2000)
+// and at the paper's density at (4096, 6144). A complete graph's hash
+// does not depend on the draw, but its top-up is the longest.
+func drawSpecs() []string {
+	var keys []string
+	for _, seed := range []uint64{1, 7} {
+		for _, nm := range [][2]int{{64, 500}, {64, 1500}, {64, 2000}, {64, 2016}, {64, 5000},
+			{2, 1}, {2, 3}, {3, 1}, {3, 2}, {3, 3}, {3, 5}} {
+			keys = append(keys, fmt.Sprintf("random/%d/%d/%d", nm[0], nm[1], seed))
+		}
+		for _, nm := range [][2]int{{7, 21}, {64, 1000}, {64, 2000}, {4096, 6144}} {
+			keys = append(keys, fmt.Sprintf("randconn/%d/%d/%d", nm[0], nm[1], seed))
+		}
+	}
+	return keys
+}
+
+// drawGraph builds the graph a drawSpecs key names.
+func drawGraph(t *testing.T, key string) *graph.Graph {
+	t.Helper()
+	var kind string
+	var n, m int
+	var seed uint64
+	if _, err := fmt.Sscanf(strings.ReplaceAll(key, "/", " "), "%s %d %d %d", &kind, &n, &m, &seed); err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	if kind == "randconn" {
+		return RandomConnected(n, m, seed)
+	}
+	g, err := Generate(Spec{Kind: kind, N: n, M: m, Seed: seed})
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	return g
+}
+
+// TestRandomDrawGolden pins the unique-edge draw where TestGenerateGolden
+// does not reach: its m = 1.5n graphs need only a couple of top-up
+// draws. The hashes were recorded with the open-addressing edge set the
+// sort-based draw replaced.
+func TestRandomDrawGolden(t *testing.T) {
+	for _, key := range drawSpecs() {
+		got := csrHash(drawGraph(t, key))
+		want, ok := drawHashes[key]
+		if !ok {
+			t.Errorf("no golden hash for %q (got %#016x)", key, got)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s: hash %#016x, want %#016x", key, got, want)
+		}
+	}
+	if len(drawHashes) != len(drawSpecs()) {
+		t.Errorf("%d golden hashes for %d specs", len(drawHashes), len(drawSpecs()))
+	}
+}
+
+var drawHashes = map[string]uint64{
+	"random/64/500/1":      0xd04a03f7d5475d07,
+	"random/64/1500/1":     0xea57a13a4cc83ebd,
+	"random/64/2000/1":     0xe56231d4e7aaf47a,
+	"random/64/2016/1":     0x9f425ae4d9b41da5,
+	"random/64/5000/1":     0x9f425ae4d9b41da5,
+	"random/2/1/1":         0xa2d159d5c13a85e7,
+	"random/2/3/1":         0xa2d159d5c13a85e7,
+	"random/3/1/1":         0xc22c31e01bb5a265,
+	"random/3/2/1":         0x6cb20554eca52ac3,
+	"random/3/3/1":         0x001b2f014e6c3ff5,
+	"random/3/5/1":         0x001b2f014e6c3ff5,
+	"randconn/7/21/1":      0x72f41c550dca2ba5,
+	"randconn/64/1000/1":   0x5d459c497c70148e,
+	"randconn/64/2000/1":   0xd3c0a90db9413d93,
+	"randconn/4096/6144/1": 0x7e58d0a9e2b40373,
+	"random/64/500/7":      0xc310636360af35f5,
+	"random/64/1500/7":     0xaee1b4f892fb030d,
+	"random/64/2000/7":     0x33cc311934f41424,
+	"random/64/2016/7":     0x9f425ae4d9b41da5,
+	"random/64/5000/7":     0x9f425ae4d9b41da5,
+	"random/2/1/7":         0xa2d159d5c13a85e7,
+	"random/2/3/7":         0xa2d159d5c13a85e7,
+	"random/3/1/7":         0xc22c31e01bb5a265,
+	"random/3/2/7":         0x5e99d426dff31133,
+	"random/3/3/7":         0x001b2f014e6c3ff5,
+	"random/3/5/7":         0x001b2f014e6c3ff5,
+	"randconn/7/21/7":      0x72f41c550dca2ba5,
+	"randconn/64/1000/7":   0x483eca66eba6bd1c,
+	"randconn/64/2000/7":   0xd0b22b9209bdae4c,
+	"randconn/4096/6144/7": 0xb1bc9f88406351e1,
 }
