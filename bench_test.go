@@ -248,6 +248,24 @@ func BenchmarkGenerators(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSession times session construction at p = 2 on
+// G(2^20, 1.5·2^20), the serving set-up a graph registration pays per
+// pool member: the buffers, the pendant-tree peel and the parked team.
+func BenchmarkNewSession(b *testing.B) {
+	g := gen.Random(1<<20, 3<<19, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSession(g, SessionOptions{NumProcs: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkVerify measures the independent verifier, which tools run
 // after every algorithm.
 func BenchmarkVerify(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command spantreed serves spanning trees over HTTP: a registry of
-// named graphs, each backed by a pool of warmed zero-allocation
+// named graphs, each backed by a pool of pre-built zero-allocation
 // sessions, with bounded-in-flight admission control. See
 // internal/serve for the API.
 package main

@@ -12,6 +12,7 @@ import (
 	"spantree"
 	"spantree/internal/core"
 	"spantree/internal/gen"
+	"spantree/internal/obs"
 )
 
 // run executes one of the tools and returns stdout, for the common case
@@ -215,6 +216,41 @@ func TestBenchFigErrors(t *testing.T) {
 		if err := RunBenchFig(args, &out, &out); err == nil {
 			t.Fatalf("args %v: expected error", args)
 		}
+	}
+}
+
+// TestBenchFigMetricsEveryRow: every table row of a benchfig run has its
+// report in the -metrics artifact, the sequential baseline and the
+// graft-and-shortcut and level-synchronous rows included.
+func TestBenchFigMetricsEveryRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	out := run(t, benchFig, "-fig", "abl-family,abl-barriers,abl-hcs",
+		"-scale", "1024", "-csv", "-metrics", path)
+	rows := map[string]int{}
+	for _, block := range strings.Split(out, "\n\n") {
+		lines := strings.Split(strings.TrimSpace(block), "\n")
+		if len(lines) < 3 || !strings.HasPrefix(lines[0], "# ") {
+			continue
+		}
+		for _, line := range lines[2:] {
+			rows[strings.SplitN(line, ",", 2)[0]]++
+		}
+	}
+	art, err := obs.ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := map[string]int{}
+	for _, r := range art.Runs {
+		reports[r.Meta["algo"]]++
+	}
+	for _, algo := range []string{"Sequential", "SV", "HCS", "AS", "RandMate", "NewAlg", "LevelBFS"} {
+		if rows[algo] == 0 {
+			t.Errorf("no %s row in the output:\n%s", algo, out)
+		}
+	}
+	if fmt.Sprint(rows) != fmt.Sprint(reports) {
+		t.Fatalf("rows per algorithm %v, reports per algorithm %v\noutput:\n%s", rows, reports, out)
 	}
 }
 

@@ -77,7 +77,7 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		procs    = fs.Int("p", 0, "virtual processors per session (0 = min(NumCPU, 4))")
-		pool     = fs.Int("pool", 2, "warmed sessions per registered graph")
+		pool     = fs.Int("pool", 2, "sessions per registered graph")
 		inflight = fs.Int("inflight", 0, "max concurrent /v1/spantree requests (0 = 2*pool)")
 		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")

@@ -466,7 +466,7 @@ func run(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 		return nil, Stats{}, err
 	}
 	defer w.Close()
-	parent, st, err := w.run(o.Seed, true)
+	parent, st, err := w.Run(o.Seed)
 	return parent, *st, err
 }
 
@@ -526,7 +526,7 @@ func (t *traversal) park(ws *workerState) {
 // RNG, the drain/child/steal buffers, the cached observability handles,
 // and the unpublished progress batch. A Workspace keeps p of them
 // (padded, see workerSlot), built by newWorkerState and rearmed per run
-// by resetWorkerState, which is what makes a warmed session's steady
+// by resetWorkerState, which is what makes a pooled session's steady
 // state allocation-free.
 type workerState struct {
 	r     xrand.Rand // per-stream RNG, reseeded per run

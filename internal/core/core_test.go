@@ -265,7 +265,7 @@ func TestFallbackTriggersOnChain(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	parent, pst, err := w.run(opt.Seed, true)
+	parent, pst, err := w.Run(opt.Seed)
 	check("concurrent", parent, *pst, err)
 }
 

@@ -45,10 +45,15 @@ type Spec struct {
 }
 
 // Generate builds the graph described by s. It returns an error for an
-// unknown Kind or invalid parameters.
+// unknown Kind or invalid parameters: a negative N, M or K.
 func Generate(s Spec) (*graph.Graph, error) {
-	if s.N < 0 {
+	switch {
+	case s.N < 0:
 		return nil, fmt.Errorf("gen: negative vertex count %d", s.N)
+	case s.M < 0:
+		return nil, fmt.Errorf("gen: negative edge count %d", s.M)
+	case s.K < 0:
+		return nil, fmt.Errorf("gen: negative neighbor count %d", s.K)
 	}
 	var g *graph.Graph
 	switch s.Kind {

@@ -104,7 +104,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 			parent, st, err := spansv.RandomMating(g, family, cfg.Seed)
 			return parent, fmt.Sprintf("rounds=%d", st.Rounds), err
 		case kindLevelBFS:
-			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model})
+			parent, st, err := spanlevel.SpanningForest(g, spanlevel.Options{NumProcs: p, Model: model, Obs: rec})
 			return parent, fmt.Sprintf("levels=%d", st.Levels), err
 		case kindSpanUF:
 			parent, st, err := spanuf.SpanningForest(g, spanuf.Options{
@@ -154,9 +154,9 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 		return nil, "", fmt.Errorf("harness: unknown algorithm kind %d", kind)
 	}
 
-	// instrumented reports whether this algorithm kind feeds the
-	// observability layer (only those runs produce a meaningful Report).
-	instrumented := kind == kindWS || kind == kindSV || kind == kindSVLocks || kind == kindSpanUF
+	// Every row gets a recorder and so a report: the parallel rows record
+	// their team's counters, and the sequential BFS, which has no team,
+	// reports its time.
 	collect := func(rec *obs.Recorder, elapsed time.Duration, rep int) {
 		if rec == nil {
 			return
@@ -183,10 +183,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 
 	if cfg.Mode == Modeled {
 		model := smpmodel.New(p)
-		var rec *obs.Recorder
-		if instrumented {
-			rec = cfg.Collector.NewRecorder(p)
-		}
+		rec := cfg.Collector.NewRecorder(p)
 		parent, extra, err := runOnce(model, rec)
 		if err != nil {
 			return m, err
@@ -211,10 +208,7 @@ func measure(cfg Config, g *graph.Graph, kind algoKind, p int, ws wsConfig) (mea
 	best := time.Duration(0)
 	var extra string
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		var rec *obs.Recorder
-		if instrumented {
-			rec = cfg.Collector.NewRecorder(p)
-		}
+		rec := cfg.Collector.NewRecorder(p)
 		start := time.Now()
 		parent, e, err := runOnce(nil, rec)
 		elapsed := time.Since(start)

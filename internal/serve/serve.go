@@ -1,6 +1,6 @@
 // Package serve is the HTTP/JSON front end of the repository: spanning
 // trees as a service. A Server owns a registry of named CSR graphs,
-// each with a fixed-size pool of warmed spantree.Sessions (pre-spawned
+// each with a fixed-size pool of spantree.Sessions (pre-spawned
 // worker teams, pre-provisioned buffers), and executes concurrent
 // /v1/spantree requests on those pools with zero steady-state heap
 // allocations in the algorithm itself.
@@ -80,7 +80,7 @@ type Config struct {
 	// runtime.NumCPU capped at 4 (serving wants low per-request latency
 	// variance, not maximum single-request speedup).
 	NumProcs int
-	// PoolSize is the number of warmed sessions per registered graph;
+	// PoolSize is the number of sessions per registered graph;
 	// 0 means 2.
 	PoolSize int
 	// MaxInFlight bounds concurrently admitted /v1/spantree requests
@@ -501,6 +501,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
+	// A panic while building the graph or its pool surfaces as a typed
+	// 500, never a transport-level drop.
+	defer s.recoverPanic(w)
 	var req RegisterRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())

@@ -240,6 +240,24 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNegativeSizes: a negative edge or neighbor count is a
+// typed 400, not a generator panic that drops the connection.
+func TestServeRejectsNegativeSizes(t *testing.T) {
+	_, ts := newTestServer(t, Config{NumProcs: 1, PoolSize: 1})
+	for _, req := range []RegisterRequest{
+		{Name: "r", Kind: "random", N: 100, M: -1},
+		{Name: "g", Kind: "geometric", N: 100, K: -1},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/graphs", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d, body %s", req, resp.StatusCode, raw)
+		}
+		if e := decodeError(t, raw); e.Error != CodeBadRequest {
+			t.Fatalf("%+v: code %q", req, e.Error)
+		}
+	}
+}
+
 // TestServeConcurrent hammers one graph from many clients (run under
 // -race in CI): every response is either a valid 200 forest summary or
 // a typed 429, and the stats counters reconcile with what the clients

@@ -20,6 +20,7 @@ import (
 	"spantree/internal/chaos"
 	"spantree/internal/fault"
 	"spantree/internal/graph"
+	"spantree/internal/obs"
 	"spantree/internal/par"
 	"spantree/internal/smpmodel"
 )
@@ -30,6 +31,8 @@ type Options struct {
 	NumProcs int
 	// Model, when non-nil, accumulates Helman-JáJá cost counters.
 	Model *smpmodel.Model
+	// Obs, when non-nil, receives the team's barrier waits and episodes.
+	Obs *obs.Recorder
 	// Cancel is the run's cooperative stop flag (nil never trips);
 	// Chaos the fault injector (nil injects nothing).
 	Cancel *fault.Flag
@@ -76,7 +79,7 @@ func SpanningForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 	}
 
 	p := opt.NumProcs
-	team := par.NewTeam(p, opt.Model).
+	team := par.NewTeam(p, opt.Model).Observe(opt.Obs).
 		Cancel(opt.Cancel).Chaos(opt.Chaos)
 	// bufs[l%2][t] holds processor t's discoveries at level l.
 	var bufs [2][][]graph.VID
