@@ -210,27 +210,18 @@ func BenchmarkAblationDeg2(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensions covers the future-work algorithms: parallel
-// Borůvka MSF and random mating.
-func BenchmarkExtensions(b *testing.B) {
+// BenchmarkRandomMating measures FindRandomMating, the one forest
+// algorithm the package exports outside Find.
+func BenchmarkRandomMating(b *testing.B) {
 	g := benchGraph("fig3-random")
 	p := benchProcs()[len(benchProcs())-1]
-	b.Run("boruvka", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := FindMST(g, p, nil); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FindRandomMating(g, p, 1); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("randommating", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := FindRandomMating(g, p, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkGenerators measures the workload generators themselves.
@@ -267,18 +258,22 @@ func BenchmarkNewSession(b *testing.B) {
 }
 
 // BenchmarkVerify measures the independent verifier, which tools run
-// after every algorithm.
+// after every algorithm, on the Fig. 3 random graph and on geo-hier.
 func BenchmarkVerify(b *testing.B) {
-	g := benchGraph("fig3-random")
-	res, err := Find(g, Options{Algorithm: AlgSequentialBFS})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Verify(g, res.Parent); err != nil {
+	for _, name := range []string{"fig3-random", "geo-hier"} {
+		g := benchGraph(name)
+		res, err := Find(g, Options{Algorithm: AlgSequentialBFS})
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Verify(g, res.Parent); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -293,52 +288,5 @@ func BenchmarkBarrierLevelBFS(b *testing.B) {
 	})
 	b.Run("levelbfs", func(b *testing.B) {
 		runFindBench(b, g, Options{Algorithm: AlgLevelBFS, NumProcs: p})
-	})
-}
-
-// BenchmarkApplications measures the spanning-tree applications: the
-// biconnected and ear decompositions from the paper's motivation, plus
-// the tree-analysis toolkit.
-func BenchmarkApplications(b *testing.B) {
-	g := benchGraph("geo-hier")
-	b.Run("biconnected", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if BiconnectedComponents(g).NumComponents == 0 {
-				b.Fatal("no blocks")
-			}
-		}
-	})
-	b.Run("ears", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if Ears(g) == nil {
-				b.Fatal("nil decomposition")
-			}
-		}
-	})
-	res, err := Find(g, Options{Algorithm: AlgSequentialBFS})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("treeops-analyze", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f, err := AnalyzeForest(res.Parent)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if f.Height() == 0 {
-				b.Fatal("flat tree")
-			}
-		}
-	})
-	b.Run("verify", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := Verify(g, res.Parent); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }

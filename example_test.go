@@ -94,21 +94,3 @@ func ExampleEliminateDegree2() {
 	// reduced vertices: 2
 	// eliminated: 998
 }
-
-func ExampleBiconnectedComponents() {
-	// Two triangles sharing vertex 2 (a "bowtie"): vertex 2 is the
-	// single point of failure.
-	g, err := spantree.NewGraph(5, []spantree.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0},
-		{U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2},
-	})
-	if err != nil {
-		panic(err)
-	}
-	bc := spantree.BiconnectedComponents(g)
-	fmt.Println("blocks:", bc.NumComponents)
-	fmt.Println("articulation points:", bc.ArticulationPoints)
-	// Output:
-	// blocks: 2
-	// articulation points: [2]
-}

@@ -8,14 +8,13 @@ import (
 	"slices"
 	"testing"
 
-	"spantree/internal/boruvka"
 	"spantree/internal/smpmodel"
 	"spantree/internal/spansv"
 )
 
-// familyRunner runs one member of the graft-and-shortcut family (or
-// Borůvka, which shares its pointer jump and rooting pass) at p = 1
-// with model m (nil runs un-modeled) and returns its forest and Stats.
+// familyRunner runs one member of the graft-and-shortcut family at
+// p = 1 with model m (nil runs un-modeled) and returns its forest and
+// Stats.
 type familyRunner func(g *Graph, m *smpmodel.Model) ([]VID, any, error)
 
 func familyRunners() map[string]familyRunner {
@@ -35,9 +34,6 @@ func familyRunners() map[string]familyRunner {
 		"as":      find(AlgAwerbuchShiloach, func(r *Result) any { return *r.AS }),
 		"randmate": func(g *Graph, m *smpmodel.Model) ([]VID, any, error) {
 			return spansv.RandomMating(g, spansv.Options{NumProcs: 1, Model: m}, 42)
-		},
-		"boruvka": func(g *Graph, m *smpmodel.Model) ([]VID, any, error) {
-			return boruvka.MinimumSpanningForest(g, boruvka.Options{NumProcs: 1, Model: m})
 		},
 	}
 }
@@ -68,10 +64,10 @@ func familyOutcome(t *testing.T, g *Graph, run familyRunner) string {
 	return fmt.Sprintf("%s %+v %+v B=%d", hex.EncodeToString(sum[:8]), stats, m.Proc(0), m.Barriers())
 }
 
-// TestFamilyGolden pins every graft-and-shortcut algorithm and Borůvka
-// at p = 1, where a run is deterministic: forests, Stats and modeled
-// charges on every test graph. The values were recorded while each
-// algorithm still lived in a package of its own.
+// TestFamilyGolden pins every graft-and-shortcut algorithm at p = 1,
+// where a run is deterministic: forests, Stats and modeled charges on
+// every test graph. The values were recorded while each algorithm
+// still lived in a package of its own.
 func TestFamilyGolden(t *testing.T) {
 	got := map[string]string{}
 	for i, g := range testGraphs(t) {
@@ -115,30 +111,6 @@ var familyGoldens = map[string]string{
 	"as/21":       "a362a30a39b45621 {Iterations:3 ConditionalHooks:35 UnconditionalHooks:2} {NonContig:3212 Contig:445 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=43",
 	"as/22":       "4cd90aef345fc49a {Iterations:4 ConditionalHooks:61 UnconditionalHooks:2} {NonContig:7201 Contig:1288 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=57",
 	"as/23":       "bb3937364d6cf41b {Iterations:6 ConditionalHooks:95 UnconditionalHooks:4} {NonContig:13487 Contig:1217 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=85",
-	"boruvka/0":   "7f0e231a85544fb3 {Rounds:4 TreeEdges:63 TotalWeight:17.280782775203164} {NonContig:4918 Contig:1024 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=33",
-	"boruvka/1":   "ad95131bc0b799c0 {Rounds:1 TreeEdges:0 TotalWeight:0} {NonContig:6 Contig:0 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=3",
-	"boruvka/2":   "d3145c7fc490b564 {Rounds:4 TreeEdges:64 TotalWeight:18.795325519598094} {NonContig:4330 Contig:896 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=31",
-	"boruvka/3":   "61779307dae884da {Rounds:5 TreeEdges:137 TotalWeight:62.607288622044976} {NonContig:9026 Contig:1640 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=39",
-	"boruvka/4":   "5360c33ff61aa68a {Rounds:5 TreeEdges:113 TotalWeight:53.5599919970294} {NonContig:7424 Contig:1280 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=39",
-	"boruvka/5":   "432e5965b91b7ca7 {Rounds:5 TreeEdges:188 TotalWeight:63.4374271186936} {NonContig:15914 Contig:3000 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=43",
-	"boruvka/6":   "c323c96b39b5155a {Rounds:1 TreeEdges:0 TotalWeight:0} {NonContig:204 Contig:0 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=3",
-	"boruvka/7":   "c240945b43dfce75 {Rounds:4 TreeEdges:256 TotalWeight:89.96210712823958} {NonContig:16786 Contig:3200 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=33",
-	"boruvka/8":   "3647841ccd67cec5 {Rounds:5 TreeEdges:149 TotalWeight:33.3118002923818} {NonContig:15086 Contig:3620 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=41",
-	"boruvka/9":   "09f2f2962809d58f {Rounds:5 TreeEdges:119 TotalWeight:35.40655640426535} {NonContig:10686 Contig:2260 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=45",
-	"boruvka/10":  "b9d18336fdb65f07 {Rounds:5 TreeEdges:297 TotalWeight:55.23457636862553} {NonContig:42086 Contig:10160 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=47",
-	"boruvka/11":  "6082005b8725885f {Rounds:5 TreeEdges:299 TotalWeight:145.91425339085762} {NonContig:18036 Contig:3300 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=39",
-	"boruvka/12":  "5edbb410166d6aa0 {Rounds:5 TreeEdges:99 TotalWeight:50.0122848391071} {NonContig:6488 Contig:990 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=45",
-	"boruvka/13":  "ad95131bc0b799c0 {Rounds:1 TreeEdges:0 TotalWeight:0} {NonContig:6 Contig:0 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=3",
-	"boruvka/14":  "e3b0c44298fc1c14 {Rounds:1 TreeEdges:0 TotalWeight:0} {NonContig:0 Contig:0 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=3",
-	"boruvka/15":  "72a4fa3544e43a83 {Rounds:2 TreeEdges:1 TotalWeight:0.7044485202539007} {NonContig:40 Contig:4 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=9",
-	"boruvka/16":  "dfe654f482254e47 {Rounds:2 TreeEdges:63 TotalWeight:36.18421789678564} {NonContig:1280 Contig:252 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=9",
-	"boruvka/17":  "7aee6e51b3743c71 {Rounds:5 TreeEdges:49 TotalWeight:24.867694706610326} {NonContig:2980 Contig:500 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=39",
-	"boruvka/18":  "83bc9a1a6f20a35e {Rounds:3 TreeEdges:19 TotalWeight:1.6660907333923844} {NonContig:4032 Contig:1140 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=21",
-	"boruvka/19":  "86d41063a42852ba {Rounds:4 TreeEdges:62 TotalWeight:31.99873872678163} {NonContig:2894 Contig:496 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=29",
-	"boruvka/20":  "802c0fbbf052e861 {Rounds:5 TreeEdges:40 TotalWeight:21.1042979078176} {NonContig:2248 Contig:400 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=35",
-	"boruvka/21":  "9aa3f64487c03fa0 {Rounds:3 TreeEdges:37 TotalWeight:15.604718717656215} {NonContig:1652 Contig:300 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=21",
-	"boruvka/22":  "8ddb3f10d525f80e {Rounds:5 TreeEdges:63 TotalWeight:15.095049988383103} {NonContig:5708 Contig:1280 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=37",
-	"boruvka/23":  "bb3937364d6cf41b {Rounds:5 TreeEdges:99 TotalWeight:47.57178703383353} {NonContig:6066 Contig:990 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=41",
 	"hcs/0":       "cdbf305ad28ca700 {Iterations:2 ShortcutRounds:1 Grafts:63} {NonContig:1735 Contig:512 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=9",
 	"hcs/1":       "ad95131bc0b799c0 {Iterations:1 ShortcutRounds:0 Grafts:0} {NonContig:8 Contig:0 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=4",
 	"hcs/2":       "cd3c2041ddae7170 {Iterations:2 ShortcutRounds:1 Grafts:64} {NonContig:1618 Contig:448 Ops:0 NonContigCompact:0 ContigCompact:0 BottomUpScans:0 CASOps:0 PointerChases:0} B=9",

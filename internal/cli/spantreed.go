@@ -79,7 +79,7 @@ func runSpanTreeD(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		procs    = fs.Int("p", 0, "virtual processors per session (0 = min(NumCPU, 4))")
 		pool     = fs.Int("pool", 2, "sessions per registered graph")
 		inflight = fs.Int("inflight", 0, "max concurrent /v1/spantree requests (0 = 2*pool)")
-		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations larger than this (0 = 1<<22)")
+		maxVerts = fs.Int("max-vertices", 0, "reject graph registrations with more vertices than this, or with more than 20 times as many edges (0 = 1<<22)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request deadline cap (also the default deadline)")
 		stall    = fs.Duration("stall-budget", 0, "stuck-run watchdog: abort a run in which no worker advances for this long with a typed 503 (0 disables)")
 		journal  = fs.String("journal", "", "crash-safe registry journal file: replayed on boot, fsynced on every graph mutation (empty disables)")

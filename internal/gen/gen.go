@@ -19,6 +19,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"spantree/internal/graph"
@@ -65,17 +66,9 @@ func Generate(s Spec) (*graph.Graph, error) {
 		side := cubeLen(s.N)
 		g = Mesh3D(side, side, side, 0.40, s.Seed)
 	case "random":
-		m := s.M
-		if m == 0 {
-			m = 3 * s.N / 2 // the paper's Fig. 3 density m = 1.5n
-		}
-		g = Random(s.N, m, s.Seed)
+		g = Random(s.N, s.randomM(), s.Seed)
 	case "geometric":
-		k := s.K
-		if k == 0 {
-			k = 3
-		}
-		g = Geometric(s.N, k, s.Seed)
+		g = Geometric(s.N, s.geometricK(), s.Seed)
 	case "ad3":
 		g = AD3(s.N, s.Seed)
 	case "geoflat":
@@ -103,6 +96,63 @@ func Generate(s Spec) (*graph.Graph, error) {
 		g = graph.RandomRelabel(g, s.Seed^0xDEADBEEF)
 	}
 	return g, nil
+}
+
+// randomM is a random graph's edge count: M, or the paper's Fig. 3
+// density m = 1.5n when M is 0.
+func (s Spec) randomM() int {
+	if s.M == 0 {
+		return 3 * s.N / 2
+	}
+	return s.M
+}
+
+// geometricK is a geometric graph's neighbor count: K, or 3 when K is 0.
+func (s Spec) geometricK() int {
+	if s.K == 0 {
+		return 3
+	}
+	return s.K
+}
+
+// EdgeBound returns an upper bound on the number of edges of the graph
+// Generate(s) builds, computed from s alone, so that a caller can refuse
+// a spec before anything is allocated. For every kind but geoflat it is
+// the exact count or a worst case; geohier's worst case counts every
+// pair of backbone vertices, which its Waxman pass may join. A geoflat
+// graph's edges are coin flips over pairs of nearby points, with a mean
+// of about 3.8 per vertex at every size, and its bound is 4 per vertex.
+// An unknown kind has bound 0, and an N beyond the int32 vertex range
+// has the largest int64.
+func EdgeBound(s Spec) int64 {
+	if s.N > math.MaxInt32 {
+		return math.MaxInt64
+	}
+	n := int64(s.N)
+	switch s.Kind {
+	case "torus2d", "mesh2d60", "grid2d":
+		side := int64(sideLen(s.N))
+		return 2 * side * side
+	case "mesh3d40":
+		side := int64(cubeLen(s.N))
+		return 3 * side * side * side
+	case "random":
+		return min(int64(s.randomM()), n*(n-1)/2)
+	case "geometric":
+		return n * min(int64(s.geometricK()), n-1)
+	case "ad3":
+		return n * min(3, n-1)
+	case "geoflat":
+		return 4 * n
+	case "geohier":
+		bb := int64(DefaultGeoHierParams().backbone(s.N))
+		return 2*n + bb*(bb-1)/2
+	case "chain", "star", "cycle", "bintree", "caterpillar":
+		return n
+	case "complete":
+		return n * (n - 1) / 2
+	}
+	return 0
 }
 
 // Kinds lists the registry's generator names in sorted order.

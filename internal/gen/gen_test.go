@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,52 @@ func TestGenerateUnknownKind(t *testing.T) {
 	} {
 		if _, err := Generate(s); err == nil {
 			t.Errorf("%+v accepted", s)
+		}
+	}
+}
+
+// TestEdgeBound holds EdgeBound at or above the edge count of every
+// kind's graph, with M and K at their defaults and set, and pins the
+// bound where a spec's M, K or kind sets the edge count.
+func TestEdgeBound(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, n := range []int{0, 1, 2, 3, 17, 256, 1000} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for _, s := range []Spec{
+					{Kind: kind, N: n, Seed: seed},
+					{Kind: kind, N: n, M: 7 * n, K: 9, Seed: seed},
+				} {
+					g, err := Generate(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b := EdgeBound(s); b < int64(g.NumEdges()) {
+						t.Errorf("%+v: bound %d below its %d edges", s, b, g.NumEdges())
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		s    Spec
+		want int64
+	}{
+		{Spec{Kind: "random", N: 1000}, 1500},
+		{Spec{Kind: "random", N: 1000, M: 20001}, 20001},
+		{Spec{Kind: "random", N: 10, M: 1000}, 45},
+		{Spec{Kind: "complete", N: 1000}, 499500},
+		{Spec{Kind: "geometric", N: 1000, K: 21}, 21000},
+		{Spec{Kind: "geometric", N: 1 << 22, K: 1<<22 - 1}, (1 << 22) * (1<<22 - 1)},
+		{Spec{Kind: "nope", N: 10}, 0},
+	} {
+		if got := EdgeBound(c.s); got != c.want {
+			t.Errorf("EdgeBound(%+v) = %d, want %d", c.s, got, c.want)
+		}
+	}
+	if strconv.IntSize == 64 {
+		n := math.MaxInt32
+		if got := EdgeBound(Spec{Kind: "complete", N: n + 1}); got != math.MaxInt64 {
+			t.Errorf("EdgeBound beyond the int32 vertex range = %d, want the largest int64", got)
 		}
 	}
 }

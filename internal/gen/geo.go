@@ -187,17 +187,7 @@ func GeoHier(n int, p GeoHierParams, seed uint64) *graph.Graph {
 		return g
 	}
 	r := rng(seed, 'H')
-	// Scale the tier shape to the vertex budget. A backbone node accounts
-	// for itself plus its expected subtree.
-	perDomain := float64(p.NodesPerDomain) * (1 + p.SubdomainProb*float64(p.NodesPerSubdomain)/float64(max(1, p.NodesPerDomain)))
-	perBackbone := 1 + float64(p.DomainsPerBackbone)*perDomain
-	backbone := int(float64(n)/perBackbone + 0.5)
-	if backbone < 1 {
-		backbone = 1
-	}
-	if backbone > n {
-		backbone = n
-	}
+	backbone := p.backbone(n)
 
 	type point struct{ x, y float64 }
 	pts := make([]point, 0, n)
@@ -304,6 +294,15 @@ func GeoHier(n int, p GeoHierParams, seed uint64) *graph.Graph {
 	g := b.Build()
 	g.Name = fmt.Sprintf("geohier-n%d", n)
 	return g
+}
+
+// backbone returns the number of backbone vertices of an n-vertex
+// graph: the tier shape scaled to the vertex budget, where a backbone
+// node accounts for itself plus its expected subtree.
+func (p GeoHierParams) backbone(n int) int {
+	perDomain := float64(p.NodesPerDomain) * (1 + p.SubdomainProb*float64(p.NodesPerSubdomain)/float64(max(1, p.NodesPerDomain)))
+	perBackbone := 1 + float64(p.DomainsPerBackbone)*perDomain
+	return min(max(int(float64(n)/perBackbone+0.5), 1), n)
 }
 
 func clamp01(x float64) float64 {

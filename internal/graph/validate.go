@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ValidationCode classifies why a graph failed validation.
@@ -33,8 +32,6 @@ const (
 	Unsorted
 	// Asymmetric: arc v->w exists but w->v does not.
 	Asymmetric
-	// NaNWeight: a weight function returned NaN for an edge.
-	NaNWeight
 )
 
 // String returns the schema name of the code.
@@ -52,8 +49,6 @@ func (c ValidationCode) String() string {
 		return "unsorted"
 	case Asymmetric:
 		return "asymmetric"
-	case NaNWeight:
-		return "nan-weight"
 	}
 	return fmt.Sprintf("validation-code(%d)", int(c))
 }
@@ -166,27 +161,6 @@ func (g *Graph) ValidateWith(opt ValidateOpts) error {
 			if !g.HasEdge(w, VID(v)) {
 				return &ValidationError{Code: Asymmetric, Vertex: VID(v), Neighbor: w,
 					Detail: fmt.Sprintf("asymmetric edge %d->%d has no reverse", v, w)}
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateWeights evaluates w over every directed arc and rejects the
-// first NaN with a typed error. A NaN weight poisons atomic
-// min-elections (every comparison against NaN is false), so weighted
-// algorithms check it up front instead of silently producing an
-// arbitrary forest.
-func (g *Graph) ValidateWeights(w func(u, v VID) float64) error {
-	if w == nil {
-		return nil
-	}
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(VID(v)) {
-			if math.IsNaN(w(VID(v), u)) {
-				return &ValidationError{Code: NaNWeight, Vertex: VID(v), Neighbor: u,
-					Detail: fmt.Sprintf("weight of edge {%d,%d} is NaN", v, u)}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -81,21 +80,6 @@ func TestValidatePolicies(t *testing.T) {
 	bad := csr([]int64{0, 1, 2}, []VID{5, 0})
 	if err := bad.ValidateWith(ValidateOpts{AllowSelfLoops: true, AllowMultiEdges: true}); err == nil {
 		t.Fatal("relaxed policy accepted an out-of-range neighbor")
-	}
-}
-
-func TestValidateWeights(t *testing.T) {
-	g := csr([]int64{0, 1, 2}, []VID{1, 0})
-	if err := g.ValidateWeights(nil); err != nil {
-		t.Fatalf("nil weight function rejected: %v", err)
-	}
-	if err := g.ValidateWeights(func(u, v VID) float64 { return 1.5 }); err != nil {
-		t.Fatalf("finite weights rejected: %v", err)
-	}
-	err := g.ValidateWeights(func(u, v VID) float64 { return math.NaN() })
-	ve, ok := AsValidationError(err)
-	if !ok || ve.Code != NaNWeight {
-		t.Fatalf("NaN weight: err = %v, want NaNWeight ValidationError", err)
 	}
 }
 

@@ -87,8 +87,10 @@ type Config struct {
 	// across all graphs; excess load is rejected with a typed 429.
 	// 0 means 2*PoolSize.
 	MaxInFlight int
-	// MaxVertices rejects graph registrations larger than this with a
-	// typed 413 — the oversized-request guard. 0 means 1<<22.
+	// MaxVertices rejects graph registrations with more vertices than
+	// this, or with an edge bound (gen.EdgeBound) above
+	// edgesPerVertex*MaxVertices, with a typed 413 — the
+	// oversized-request guard. 0 means 1<<22.
 	MaxVertices int
 	// MaxTimeout caps the per-request deadline a client may ask for;
 	// it is also the default when a request carries no timeout_ms.
@@ -269,7 +271,10 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		return nil, fmt.Errorf("empty graph name")
 	}
 	if spec.N > s.cfg.MaxVertices {
-		return nil, errTooLarge{n: spec.N, max: s.cfg.MaxVertices}
+		return nil, errTooLarge{n: int64(spec.N), max: int64(s.cfg.MaxVertices)}
+	}
+	if m, budget := gen.EdgeBound(spec), edgesPerVertex*int64(s.cfg.MaxVertices); m > budget {
+		return nil, errTooLarge{n: m, max: budget, edges: true}
 	}
 	s.mu.RLock()
 	_, exists := s.graphs[name]
@@ -286,7 +291,7 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 		return nil, err
 	}
 	if g.NumVertices() > s.cfg.MaxVertices {
-		return nil, errTooLarge{n: g.NumVertices(), max: s.cfg.MaxVertices}
+		return nil, errTooLarge{n: int64(g.NumVertices()), max: int64(s.cfg.MaxVertices)}
 	}
 	base := spantree.SessionOptions{
 		NumProcs:    s.cfg.NumProcs,
@@ -324,9 +329,23 @@ func (s *Server) register(name string, spec gen.Spec, journaled bool) (*entry, e
 	return e, nil
 }
 
-type errTooLarge struct{ n, max int }
+// edgesPerVertex caps a registration's edge bound at this multiple of
+// MaxVertices: the density of the paper's densest input, 20M edges on
+// 1M vertices. Every generator that takes its edge count from the
+// request (random's M, geometric's N·K, complete's N(N-1)/2) is held
+// to it before it allocates; a runtime out-of-memory is fatal, not a
+// panic that recoverPanic could turn into a 500.
+const edgesPerVertex = 20
+
+type errTooLarge struct {
+	n, max int64
+	edges  bool
+}
 
 func (e errTooLarge) Error() string {
+	if e.edges {
+		return fmt.Sprintf("graph may have up to %d edges, server cap is %d", e.n, e.max)
+	}
 	return fmt.Sprintf("graph has %d vertices, server cap is %d", e.n, e.max)
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -139,17 +141,48 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeGraphTooLarge: registrations above the vertex cap are turned
-// away with the typed 413 before any memory is committed.
+// TestServeGraphTooLarge: registrations above the vertex cap, or whose
+// edge bound is above edgesPerVertex times it, are turned away with the
+// typed 413 before any memory is committed, over HTTP and in journal
+// replay.
 func TestServeGraphTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{NumProcs: 1, PoolSize: 1, MaxVertices: 1000})
-	resp, raw := postJSON(t, ts.URL+"/v1/graphs",
-		RegisterRequest{Name: "big", Kind: "chain", N: 100000})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+	for _, c := range []struct {
+		req  RegisterRequest
+		want int
+	}{
+		{RegisterRequest{Kind: "chain", N: 100000}, http.StatusRequestEntityTooLarge},
+		{RegisterRequest{Kind: "complete", N: 1000}, http.StatusRequestEntityTooLarge},
+		{RegisterRequest{Kind: "random", N: 1000, M: 20001}, http.StatusRequestEntityTooLarge},
+		{RegisterRequest{Kind: "geometric", N: 1000, K: 21}, http.StatusRequestEntityTooLarge},
+		{RegisterRequest{Kind: "random", N: 1000, M: 20000}, http.StatusCreated},
+	} {
+		c.req.Name = fmt.Sprintf("%s-%d-%d-%d", c.req.Kind, c.req.N, c.req.M, c.req.K)
+		resp, raw := postJSON(t, ts.URL+"/v1/graphs", c.req)
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d: %s", c.req.Name, resp.StatusCode, c.want, raw)
+		}
+		if c.want != http.StatusCreated {
+			if e := decodeError(t, raw); e.Error != CodeGraphTooLarge {
+				t.Fatalf("%s: code %q, want %q", c.req.Name, e.Error, CodeGraphTooLarge)
+			}
+		}
 	}
-	if e := decodeError(t, raw); e.Error != CodeGraphTooLarge {
-		t.Fatalf("code %q, want %q", e.Error, CodeGraphTooLarge)
+
+	path := filepath.Join(t.TempDir(), "registry.journal")
+	a := New(Config{NumProcs: 1, PoolSize: 1})
+	defer a.Close()
+	if err := a.OpenJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Register("dense", gen.Spec{Kind: "random", N: 1000, M: 20001}); err != nil {
+		t.Fatal(err)
+	}
+	b := New(Config{NumProcs: 1, PoolSize: 1, MaxVertices: 1000})
+	defer b.Close()
+	var tooLarge errTooLarge
+	if err := b.OpenJournal(path); !errors.As(err, &tooLarge) {
+		t.Fatalf("replay under a smaller cap: %v, want a too-large error", err)
 	}
 }
 

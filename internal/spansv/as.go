@@ -191,5 +191,5 @@ func AwerbuchShiloach(g *graph.Graph, opt Options) ([]graph.VID, ASStats, error)
 	}
 	stats.ConditionalHooks = int(condHooks.Load())
 	stats.UnconditionalHooks = len(edges) - stats.ConditionalHooks
-	return Root(n, edges, opt.Model.Probe(0)), stats, nil
+	return root(n, edges, opt.Model.Probe(0)), stats, nil
 }

@@ -103,7 +103,7 @@ func HCS(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 			}
 
 			// Phase C: full shortcut to stars.
-			rounds := Shortcut(c, d)
+			rounds := shortcut(c, d)
 			if c.TID() == 0 {
 				stats.ShortcutRounds += rounds
 			}
@@ -114,5 +114,5 @@ func HCS(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
 		return nil, Stats{}, err
 	}
 	stats.Grafts = len(edges)
-	return Root(n, edges, opt.Model.Probe(0)), stats, nil
+	return root(n, edges, opt.Model.Probe(0)), stats, nil
 }

@@ -108,7 +108,7 @@ func RandomMating(g *graph.Graph, opt Options, seed uint64) ([]graph.VID, Mating
 			}
 
 			// Phase 3: flatten to stars.
-			Shortcut(c, d)
+			shortcut(c, d)
 
 			// Termination: no hooks this round AND no cross-component arcs
 			// remain. A hookless round can be a coin-flip accident, so
@@ -139,7 +139,7 @@ func RandomMating(g *graph.Graph, opt Options, seed uint64) ([]graph.VID, Mating
 		return nil, MatingStats{}, err
 	}
 	stats.Hooks = len(edges)
-	parent := Root(n, edges, opt.Model.Probe(0))
+	parent := root(n, edges, opt.Model.Probe(0))
 	if stalled > 0 {
 		return parent, stats, fmt.Errorf("spansv: random mating did not converge in %d rounds", stalled)
 	}

@@ -109,12 +109,12 @@ func UnpackArc(x int64) (v, w graph.VID) {
 	return graph.VID(uint32(uint64(x) >> 32)), graph.VID(uint32(uint64(x)))
 }
 
-// Shortcut flattens every tree of d to a rooted star by pointer jumping
+// shortcut flattens every tree of d to a rooted star by pointer jumping
 // until a round changes nothing ("always shortcut the tree to rooted
 // star"), and returns the number of rounds. This is where SV's extra
 // log n factor of non-contiguous accesses lives. Every worker of the
 // team must call it.
-func Shortcut(c *par.Ctx, d []int32) int {
+func shortcut(c *par.Ctx, d []int32) int {
 	rounds := 1
 	for jump(c, d) {
 		rounds++
@@ -139,11 +139,11 @@ func jump(c *par.Ctx, d []int32) bool {
 	return c.ReduceOr(changed)
 }
 
-// Root roots the forest that the grafted edges span on n vertices and
+// root roots the forest that the grafted edges span on n vertices and
 // returns it as a parent array. It is O(n) work on top of the parallel
 // phase, charged to probe (processor 0's, or nil for no charge) as two
 // non-contiguous accesses per edge.
-func Root(n int, edges []graph.Edge, probe *smpmodel.Probe) []graph.VID {
+func root(n int, edges []graph.Edge, probe *smpmodel.Probe) []graph.VID {
 	treeAdj := make([][]graph.VID, n)
 	for _, e := range edges {
 		treeAdj[e.U] = append(treeAdj[e.U], e.V)

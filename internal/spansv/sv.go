@@ -49,7 +49,7 @@ func SpanningForest(g *graph.Graph, opt Options, locks bool) ([]graph.VID, Stats
 	if err != nil {
 		return nil, stats, err
 	}
-	return Root(g.NumVertices(), edges, opt.Model.Probe(0)), stats, nil
+	return root(g.NumVertices(), edges, opt.Model.Probe(0)), stats, nil
 }
 
 // GraftFrom runs the SV graft-and-shortcut loop, electing by CAS,
@@ -175,7 +175,7 @@ func runSV(c *par.Ctx, g *graph.Graph, d []int32, winner []int64, mus []sync.Mut
 		}
 
 		// Phase C: shortcut every tree to a rooted star.
-		rounds := Shortcut(c, d)
+		rounds := shortcut(c, d)
 		if c.TID() == 0 {
 			stats.ShortcutRounds += rounds
 		}

@@ -47,25 +47,25 @@ func testGraphs(tb testing.TB) []*Graph {
 	return gs
 }
 
-// forestRow is one algorithm of TestAllAlgorithmsProduceValidForests:
-// it runs on p processors and reports the forest with its root and
-// tree-edge counts.
+// forestRow is one algorithm of TestAllAlgorithmsProduceValidForests
+// and FuzzForests: it runs on p processors with the given seed and
+// reports the forest with its root and tree-edge counts.
 type forestRow struct {
 	name       string
 	sequential bool
-	find       func(g *Graph, p int) (parent []VID, roots, treeEdges int, err error)
+	find       func(g *Graph, p int, seed uint64) (parent []VID, roots, treeEdges int, err error)
 }
 
-// forestRows is every Algorithm, plus random mating and Borůvka, which
-// share the graft-and-shortcut family's pointer jump and rooting pass.
+// forestRows is every Algorithm plus random mating, the one forest
+// algorithm the package exports outside Find.
 func forestRows() []forestRow {
 	var rows []forestRow
 	for _, alg := range Algorithms() {
 		rows = append(rows, forestRow{
 			name:       alg.String(),
 			sequential: alg == AlgSequentialBFS || alg == AlgSequentialDFS || alg == AlgSequentialUF,
-			find: func(g *Graph, p int) ([]VID, int, int, error) {
-				res, err := Find(g, Options{Algorithm: alg, NumProcs: p, Seed: 42, Verify: true})
+			find: func(g *Graph, p int, seed uint64) ([]VID, int, int, error) {
+				res, err := Find(g, Options{Algorithm: alg, NumProcs: p, Seed: seed, Verify: true})
 				if err != nil {
 					return nil, 0, 0, err
 				}
@@ -73,28 +73,35 @@ func forestRows() []forestRow {
 			},
 		})
 	}
-	return append(rows,
-		forestRow{name: "randmate", find: func(g *Graph, p int) ([]VID, int, int, error) {
-			res, err := FindRandomMating(g, p, 42)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			return res.Parent, res.Roots, res.TreeEdges, nil
-		}},
-		forestRow{name: "boruvka", find: func(g *Graph, p int) ([]VID, int, int, error) {
-			res, err := FindMST(g, p, nil)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			roots := 0
-			for _, pv := range res.Parent {
-				if pv == None {
-					roots++
-				}
-			}
-			return res.Parent, roots, res.TreeEdges, nil
-		}},
-	)
+	return append(rows, forestRow{name: "randmate", find: func(g *Graph, p int, seed uint64) ([]VID, int, int, error) {
+		res, err := FindRandomMating(g, p, seed)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return res.Parent, res.Roots, res.TreeEdges, nil
+	}})
+}
+
+// checkForestRow runs row on g and holds its forest to the component
+// oracle: it verifies, it has one root per component, and it has
+// n - roots tree edges.
+func checkForestRow(t *testing.T, g *Graph, row forestRow, p int, seed uint64) {
+	t.Helper()
+	name := fmt.Sprintf("%v/%s/p=%d", g, row.name, p)
+	parent, roots, treeEdges, err := row.find(g, p, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := Verify(g, parent); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wantRoots := graph.NumComponents(g)
+	if roots != wantRoots {
+		t.Errorf("%s: got %d roots, want %d components", name, roots, wantRoots)
+	}
+	if treeEdges != g.NumVertices()-wantRoots {
+		t.Errorf("%s: got %d tree edges, want %d", name, treeEdges, g.NumVertices()-wantRoots)
+	}
 }
 
 func TestAllAlgorithmsProduceValidForests(t *testing.T) {
@@ -104,24 +111,39 @@ func TestAllAlgorithmsProduceValidForests(t *testing.T) {
 				if row.sequential && p != 1 {
 					continue
 				}
-				name := fmt.Sprintf("%v/%s/p=%d", g, row.name, p)
-				parent, roots, treeEdges, err := row.find(g, p)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := Verify(g, parent); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				wantRoots := graph.NumComponents(g)
-				if roots != wantRoots {
-					t.Errorf("%s: got %d roots, want %d components", name, roots, wantRoots)
-				}
-				if treeEdges != g.NumVertices()-wantRoots {
-					t.Errorf("%s: got %d tree edges, want %d", name, treeEdges, g.NumVertices()-wantRoots)
-				}
+				checkForestRow(t, g, row, p, 42)
 			}
 		}
 	}
+}
+
+// FuzzForests decodes bytes into a graph as FuzzFind (internal/core)
+// does, with n < 64, 1-4 processors and endpoint pairs taken mod n, and
+// holds every row of forestRows to the component oracle on it. `go
+// test` runs the seed corpus; `go test -run '^$' -fuzz FuzzForests .`
+// explores further.
+func FuzzForests(f *testing.F) {
+	// FuzzFind's eight seed shapes: edgeless, an isolated last vertex,
+	// two triangles, a star, a path, and the pendant shapes.
+	f.Add(uint8(5), uint8(1), uint64(1), []byte{})
+	f.Add(uint8(4), uint8(2), uint64(2), []byte{0, 1, 1, 2})
+	f.Add(uint8(6), uint8(3), uint64(3), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3})
+	f.Add(uint8(9), uint8(4), uint64(4), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8})
+	f.Add(uint8(10), uint8(2), uint64(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9})
+	f.Add(uint8(8), uint8(2), uint64(6), []byte{0, 1, 1, 2, 2, 0, 0, 3, 3, 4, 1, 5, 5, 6, 5, 7})
+	f.Add(uint8(12), uint8(3), uint64(7), []byte{0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11})
+	f.Add(uint8(9), uint8(4), uint64(8), []byte{0, 1, 1, 2, 2, 3, 3, 0, 0, 4, 5, 6, 6, 7, 6, 8})
+	f.Fuzz(func(t *testing.T, nb, pb uint8, seed uint64, edges []byte) {
+		n, p := int(nb%64), 1+int(pb%4)
+		b := graph.NewBuilder(n)
+		for i := 0; n > 0 && i+1 < len(edges); i += 2 {
+			b.AddEdge(VID(int(edges[i])%n), VID(int(edges[i+1])%n))
+		}
+		g := b.Build()
+		for _, row := range forestRows() {
+			checkForestRow(t, g, row, p, seed)
+		}
+	})
 }
 
 func TestWorkStealingWithDeg2AndFallback(t *testing.T) {
