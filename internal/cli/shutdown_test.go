@@ -41,8 +41,8 @@ func bootDaemon(t *testing.T, ctx context.Context, args []string, out *syncBuffe
 // TestSpanTreeDShutdownUnderLoadGoroutineFlat: SIGTERM (context cancel)
 // while concurrent clients are mid-request must drain cleanly — the
 // daemon exits nil within its shutdown budget and the process comes
-// back goroutine-flat, with no worker team, watchdog, or handler
-// goroutine left behind.
+// back goroutine-flat, with no worker team or handler goroutine left
+// behind.
 func TestSpanTreeDShutdownUnderLoadGoroutineFlat(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -48,7 +48,8 @@
 //
 // Every concurrent run is a Workspace run: the team's goroutines are
 // spawned when a workspace is built, woken per run and joined through
-// one barrier. A pooled workspace (NewWorkspace) parks its team between
+// one latch, where the waiting coordinator also watches the stall
+// budget. A pooled workspace (NewWorkspace) parks its team between
 // runs; SpanningForest builds a workspace sized for one run, runs it
 // once and closes it. LockstepForest drives the same traversal in
 // round-robin lockstep on the calling goroutine, for the cost model.
@@ -141,17 +142,19 @@ type Options struct {
 	// degenerate-chain experiment enables it).
 	FallbackThreshold int
 
-	// StallBudget, if > 0, arms the stuck-run watchdog: every worker
-	// bumps a padded heartbeat slot whenever it advances (drains a
-	// chunk, lands a steal, or sweeps uncovered components), and if no
-	// worker anywhere advances for a full budget the run's flag trips
-	// with fault.CauseStalled and the workers drain cooperatively,
-	// returning fault.ErrStalled with partial stats. The watchdog
-	// converts a silently wedged run (priority inversion, a straggler
-	// holding the whole team, injected stalls) into a typed error while
-	// the session stays reusable; workers must still reach a chunk
-	// boundary to observe the trip, so a hard OS-level deadlock is out
-	// of its scope. 0 disables the watchdog.
+	// StallBudget, if > 0, bounds how long a concurrent run may go
+	// without progress: every worker bumps a padded heartbeat slot
+	// whenever it advances (drains a chunk, lands a steal, or sweeps
+	// uncovered components), the coordinator waiting at the join samples
+	// their sum every quarter budget, and if it has not moved for a full
+	// budget the run's flag trips with fault.CauseStalled and the
+	// workers drain cooperatively, returning fault.ErrStalled with
+	// partial stats. This converts a silently wedged run (priority
+	// inversion, a straggler holding the whole team, injected stalls)
+	// into a typed error while the session stays reusable; workers must
+	// still reach a chunk boundary to observe the trip, so a hard
+	// OS-level deadlock is out of its scope. 0 disables it.
+	// LockstepForest rejects a budget: its driver is its own caller.
 	StallBudget time.Duration
 
 	// Cancel is the run's cooperative stop flag (nil never trips).
@@ -404,12 +407,12 @@ type traversal struct {
 	// cancel is the run's stop flag (never nil: newTraversal substitutes
 	// a private flag when the caller passed none, so panic isolation
 	// always has somewhere to record its cause). inj is the chaos fault
-	// injector (nil injects nothing). wd is the stuck-run watchdog (nil
-	// unless Options.StallBudget > 0); workers beat their slot whenever
-	// they advance.
+	// injector (nil injects nothing). beats holds one heartbeat slot per
+	// worker (nil unless Options.StallBudget > 0); workers beat their
+	// slot whenever they advance, and a Workspace's join sums them.
 	cancel *fault.Flag
 	inj    *chaos.Injector
-	wd     *fault.Watchdog
+	beats  []beatSlot
 	// seedMu serializes the quiescence-time seeding of new components so
 	// that exactly one root is created per uncovered component.
 	seedMu sync.Mutex
@@ -639,7 +642,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 			// The progress heartbeat rides the chunk boundary the loop
 			// already pays for, and only fires when the drain obtained
 			// work — a team spinning idle reads as stalled.
-			t.wd.Beat(tid)
+			t.beat(tid)
 			ws.probe.NonContig(2) // one locked chunk dequeue
 			ws.lc.Incr(obs.ChunkDrains)
 			ws.lc.Add(obs.DrainedVertices, int64(nPop))
@@ -681,7 +684,7 @@ func (t *traversal) workerLoop(tid int, ws *workerState) {
 		}
 		if !t.o.NoSteal {
 			if w, ok := t.trySteal(tid, &ws.r, myQ, &ws.stealBuf, ws.probe, ws.ow); ok {
-				t.wd.Beat(tid)
+				t.beat(tid)
 				// Process one stolen vertex immediately: a thief that only
 				// re-queued its loot could lose it to another thief before
 				// ever popping, livelocking a one-element frontier.
@@ -996,7 +999,7 @@ func (t *traversal) trySeedNextComponent(tid int, myQ *wsq.StealHalf, ws *worker
 // load, a local scan, one store; runs of claimed positions are skipped
 // in a tight inner loop. Every sweepChunk steps (cursor
 // positions plus processed vertices) it polls for a stop, runs the test
-// hook and the drain chaos point, and beats the watchdog: cancel latency
+// hook and the drain chaos point, and beats its heartbeat: cancel latency
 // stays at one chunk, a long sweep does not read as a stall, and the SV
 // fallback can take over mid-sweep (it completes any partial forest, so
 // the abandoned frontier needs no repair).
@@ -1013,7 +1016,7 @@ func (t *traversal) sweep(tid int, myQ *wsq.StealHalf, ws *workerState) {
 				h(tid)
 			}
 			t.inj.Visit(tid, chaos.PointDrain)
-			t.wd.Beat(tid)
+			t.beat(tid)
 		}
 		if head < len(fr) {
 			v := fr[head]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"spantree/internal/graph"
 	"spantree/internal/obs"
 	"spantree/internal/smpmodel"
@@ -29,7 +31,13 @@ import (
 // unfinished, the run aborts into the Shiloach-Vishkin completion — the
 // same condition the concurrent version detects with sleeping
 // processors.
+//
+// A StallBudget is rejected: the driver runs on the calling goroutine,
+// so no waiting coordinator is there to watch its progress.
 func LockstepForest(g *graph.Graph, opt Options) ([]graph.VID, Stats, error) {
+	if opt.StallBudget > 0 {
+		return nil, Stats{}, errors.New("core: LockstepForest does not support a StallBudget")
+	}
 	return oneShot(g, opt, runLockstep)
 }
 
@@ -45,16 +53,12 @@ func runLockstep(g *graph.Graph, o Options) ([]graph.VID, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer t.wd.Close() // one-shot run: the run owns the watchdog
 	return t.runLockstep()
 }
 
-// runLockstep is the deterministic driver: the same stub step and
-// resolution as the concurrent run, with the traversal driven in
-// round-robin lockstep on the calling goroutine. The watchdog arms
-// around the traversal exactly like the concurrent driver: the driver
-// beats per processed turn, so a wedged drive (a blocking test hook, a
-// stuck syscall) trips the same typed ErrStalled.
+// runLockstep is the deterministic driver: the same stub step, join
+// accounting and resolution as the concurrent run, with the traversal
+// driven in round-robin lockstep on the calling goroutine.
 func (t *traversal) runLockstep() ([]graph.VID, Stats, error) {
 	p := t.o.NumProcs
 	stats := Stats{VerticesPerProc: make([]int64, p), EdgesPerProc: make([]int64, p)}
@@ -62,14 +66,8 @@ func (t *traversal) runLockstep() ([]graph.VID, Stats, error) {
 		return t.parent, stats, nil
 	}
 	stats.StubSize = t.stub()
-	if t.wd != nil {
-		t.wd.Arm(t.cancel, t.o.StallBudget)
-		defer t.wd.Disarm()
-	}
 	stats.LockstepRounds = t.lockstepDrive()
-	t.o.Model.AddBarriers(1)
-	t.rec.AddBarrierEpisodes(1)
-	t.rec.Trace(-1, obs.EvBarrier, 2, 0)
+	t.joined()
 	parent, err := t.finish(&stats)
 	return parent, stats, err
 }
@@ -111,7 +109,6 @@ func (t *traversal) lockstepDrive() int64 {
 	// batch publishes immediately (the single-goroutine driver has no
 	// concurrent readers to batch against).
 	processOne := func(tid int, v graph.VID, probe *smpmodel.Probe, myQ *wsq.StealHalf) {
-		t.wd.Beat(tid)
 		out = out[:0]
 		var pend int64
 		t.process(tid, v, probe, &out, &locals[tid], &pend)

@@ -89,13 +89,6 @@ func TestReportedRootCountFallbackAndDegraded(t *testing.T) {
 	checkRoots(t, "lockstep fallback", chain, parent, &st, err)
 	parent, st, err = SpanningForest(chain, fb)
 	checkRoots(t, "concurrent fallback", chain, parent, &st, err)
-	w, err := NewWorkspace(chain, fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, wst, err := w.Run(3)
-	checkRoots(t, "workspace fallback", chain, wp, wst, err)
-	w.Close()
 
 	g := gen.Random(2000, 1500, 5) // many components
 	for name, run := range drivers() {
@@ -112,7 +105,7 @@ func TestReportedRootCountFallbackAndDegraded(t *testing.T) {
 		checkRoots(t, name+" degraded", g, parent, &st, err)
 	}
 	var hits atomic.Int64
-	w, err = NewWorkspace(g, WithTestHook(Options{NumProcs: 4}, func(int) {
+	w, err := NewWorkspace(g, WithTestHook(Options{NumProcs: 4}, func(int) {
 		if hits.Add(1) == 3 {
 			panic("injected test panic")
 		}

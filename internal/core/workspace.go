@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"spantree/internal/fault"
 	"spantree/internal/graph"
-	"spantree/internal/par"
+	"spantree/internal/obs"
 )
 
 // workerSlot pads one worker's state to a multiple of two cache lines,
@@ -31,7 +33,10 @@ var ErrWorkspaceClosed = errors.New("core: Run on a closed Workspace")
 // Workspace is the one concurrent driver of the algorithm: a team of
 // worker goroutines spawned once at construction, parked between runs
 // on their run-start channels, and joined at the end of each run
-// through one reused sense-reversing barrier. Every buffer the algorithm
+// through a latch: the last worker out sends on a one-slot channel that
+// the coordinator, Run's caller, waits on. With a stall budget the
+// coordinator watches the run's progress from that same wait, so a
+// workspace holds exactly its p workers. Every buffer the algorithm
 // needs (the parent array, the work-stealing queues, the per-worker
 // drain/child/steal buffers, the observability recorder, the seed list)
 // is allocated at construction too.
@@ -52,15 +57,21 @@ var ErrWorkspaceClosed = errors.New("core: Run on a closed Workspace")
 //
 // A Workspace is NOT safe for concurrent use: one Run at a time (the
 // session pool enforces this by handing each workspace to one request).
-// Close releases the parked team; it is the only way the goroutines
-// exit, so callers must Close workspaces they drop.
+// Close releases the parked team and returns once every worker has
+// exited; it is the only way the goroutines exit, so callers must Close
+// workspaces they drop.
 type Workspace struct {
 	t *traversal
 	// wakes[tid] carries worker tid's run-start signal; closing it
-	// retires the worker. bar joins the team (the coordinator is the
-	// extra participant).
+	// retires the worker.
 	wakes []chan struct{}
-	bar   *par.Barrier
+	// The join latch: left counts the workers still in the run, and the
+	// last one out sends on done (capacity 1), where the coordinator
+	// waits. timer paces the coordinator's progress samples; nil without
+	// a stall budget.
+	left  atomic.Int32
+	done  chan struct{}
+	timer *time.Timer
 	wss   []workerSlot
 	wg    sync.WaitGroup
 
@@ -78,8 +89,9 @@ type Workspace struct {
 // its own); opt.Cancel must be nil — the workspace owns its cancel flag,
 // exposed through Flag.
 // Options that allocate per run or change the memory shape (Model, Obs,
-// Chaos, Deg2Eliminate) are rejected: a pooled workspace is the serving
-// fast path, not the experiment harness.
+// Chaos, Deg2Eliminate, FallbackThreshold) are rejected: a pooled
+// workspace is the serving fast path, not the experiment harness, and a
+// triggered fallback allocates.
 func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 	if opt.NumProcs < 1 {
 		return nil, fmt.Errorf("core: NumProcs = %d, need >= 1", opt.NumProcs)
@@ -95,6 +107,8 @@ func NewWorkspace(g *graph.Graph, opt Options) (*Workspace, error) {
 		return nil, errors.New("core: Workspace owns its cancel flag; use Flag instead of Options.Cancel")
 	case opt.Deg2Eliminate:
 		return nil, errors.New("core: Workspace does not support Deg2Eliminate")
+	case opt.FallbackThreshold > 0:
+		return nil, errors.New("core: Workspace does not support a FallbackThreshold")
 	}
 	o := opt.withDefaults()
 	o.pendantTrim = true
@@ -119,25 +133,28 @@ func newWorkspace(g *graph.Graph, o Options, pooled bool) (*Workspace, error) {
 		return nil, err
 	}
 	p := o.NumProcs
-	w := &Workspace{t: t, wss: make([]workerSlot, p)}
+	w := &Workspace{t: t, wss: make([]workerSlot, p), done: make(chan struct{}, 1)}
 	for tid := range w.wss {
 		w.wss[tid].workerState = newWorkerState(o.ChunkSize, qcap)
 	}
 	w.stats.VerticesPerProc = make([]int64, p)
 	w.stats.EdgesPerProc = make([]int64, p)
+	if o.StallBudget > 0 {
+		w.timer = time.NewTimer(time.Hour)
+		w.timer.Stop()
+	}
 
 	// The parked team: one goroutine per worker, created once, woken per
-	// run and joined through the reused barrier. They exit only when
-	// Close closes the wake channels. A pooled team first cycles once
-	// with no run: each worker joins the coordinator at the barrier and
-	// then parks on its wake channel. That pays the runtime's one-time
-	// costs behind those waits at construction, so the first request is
-	// allocation-free as often as after a throwaway run, for a fraction
-	// of its cost. The recorder is reset after the cycle, so it counts
-	// only runs.
-	w.bar = par.NewBarrier(p + 1)
-	w.bar.Observe(t.rec)
+	// run and joined through the latch. They exit only when Close closes
+	// the wake channels. A pooled team first cycles once with no run:
+	// each worker leaves through the latch and then parks on its wake
+	// channel. That pays the runtime's one-time costs behind those waits
+	// at construction, so the first request is allocation-free about as
+	// often as after a throwaway run, for a fraction of its cost. The
+	// cycle samples no progress, and the recorder is reset after it, so
+	// it counts only runs.
 	w.wakes = make([]chan struct{}, p)
+	w.left.Store(int32(p))
 	for tid := range w.wakes {
 		wake := make(chan struct{})
 		w.wakes[tid] = wake
@@ -145,7 +162,7 @@ func newWorkspace(g *graph.Graph, o Options, pooled bool) (*Workspace, error) {
 		go func(tid int) {
 			defer w.wg.Done()
 			if pooled {
-				w.bar.Wait(tid)
+				w.leave(tid)
 			}
 			for range wake {
 				w.runOne(tid)
@@ -153,24 +170,106 @@ func newWorkspace(g *graph.Graph, o Options, pooled bool) (*Workspace, error) {
 		}(tid)
 	}
 	if pooled {
-		w.bar.Wait(p)
+		<-w.done
 		t.rec.Reset()
 	}
 	return w, nil
 }
 
 // runOne executes one parked worker's share of one run. The worker
-// reaches the join barrier whatever happens in its body: a panic is
+// leaves through the latch whatever happens in its body: a panic is
 // isolated here (recorded, the run's flag tripped so the teammates drain
 // at their next poll), and the coordinator never waits on a dead worker.
 func (w *Workspace) runOne(tid int) {
-	defer w.bar.Wait(tid)
+	defer w.leave(tid)
 	defer func() {
 		if r := recover(); r != nil {
 			w.t.recoverWorker(tid, r)
 		}
 	}()
 	w.t.workerLoop(tid, &w.wss[tid].workerState)
+}
+
+// leave is worker tid's arrival at the join: it counts the worker's
+// barrier wait, and the last worker out hands the run back to the
+// coordinator. The atomic count orders every worker's writes before the
+// last one's send, so the coordinator reads a finished run.
+func (w *Workspace) leave(tid int) {
+	w.t.ows[tid].Incr(obs.BarrierWaits)
+	if w.left.Add(-1) == 0 {
+		w.done <- struct{}{}
+	}
+}
+
+// join waits for the last worker to leave the run. With a stall budget
+// it samples the workers' heartbeat sum every quarter budget (at least
+// 1 ms) on the workspace's one timer, and once the sum has not moved
+// for a whole budget it trips the run's flag with fault.CauseStalled:
+// the workers drain as after a cancellation, and the join still waits
+// for the last of them, so no trip can land after Run returns. The
+// clock is read at each sample rather than taken from the tick, whose
+// value may be a stale one left by an earlier run.
+func (w *Workspace) join() {
+	if w.timer == nil {
+		<-w.done
+		return
+	}
+	budget := w.t.o.StallBudget
+	period := max(budget/4, time.Millisecond)
+	last, progress := w.t.beatSum(), time.Now()
+	w.timer.Reset(period)
+	for {
+		select {
+		case <-w.done:
+			// As in park: go.mod's go 1.22 keeps the buffered timer
+			// channel, so a Stop that loses the race leaves a tick to drain.
+			if !w.timer.Stop() {
+				select {
+				case <-w.timer.C:
+				default:
+				}
+			}
+			return
+		case <-w.timer.C:
+		}
+		now := time.Now()
+		if sum := w.t.beatSum(); sum != last {
+			last, progress = sum, now
+		} else if now.Sub(progress) >= budget {
+			w.t.cancel.Trip(fault.CauseStalled)
+			<-w.done
+			return
+		}
+		w.timer.Reset(period)
+	}
+}
+
+// beatSlot is one worker's heartbeat, padded to its own cache line so
+// that beats never false-share.
+type beatSlot struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+// beat records that worker tid advanced: it drained a chunk, landed a
+// steal or swept on. The slots exist only under a stall budget; the
+// slot is single-writer, so a load and a store replace a contended
+// read-modify-write.
+func (t *traversal) beat(tid int) {
+	if t.beats != nil {
+		s := &t.beats[tid].n
+		s.Store(s.Load() + 1)
+	}
+}
+
+// beatSum folds the heartbeats. Every slot only grows, so an unchanged
+// sum means no worker advanced.
+func (t *traversal) beatSum() int64 {
+	var sum int64
+	for i := range t.beats {
+		sum += t.beats[i].n.Load()
+	}
+	return sum
 }
 
 // Flag returns the workspace's cancel flag. The reuse contract: callers
@@ -221,38 +320,28 @@ func (w *Workspace) Run(seed uint64) ([]graph.VID, *Stats, error) {
 	}
 	w.stats.StubSize = t.stub()
 
-	// Step 2: wake the parked team and join it through the reused
-	// barrier, unless the flag tripped before the traversal started
-	// (e.g. an already-expired deadline). The watchdog is armed only
-	// around the traversal: the stub walk runs on this goroutine and
-	// never beats. It disarms synchronously on every exit path, so the
-	// next Run's flag Reset can never race a late stall trip; Arm/Disarm
-	// only write the armed run under the watchdog's mutex, so the steady
-	// state stays allocation-free and sends the monitor nothing.
+	// Step 2: wake the parked team and wait at the join, unless the
+	// flag tripped before the traversal started (e.g. an already-expired
+	// deadline). The stall budget is watched only from the join: the stub
+	// walk runs on this goroutine and never beats.
 	if !t.cancel.Tripped() {
-		if t.wd != nil {
-			t.wd.Arm(t.cancel, t.o.StallBudget)
-			defer t.wd.Disarm()
-		}
 		for tid := range w.wss {
 			t.resetWorkerState(tid, &w.wss[tid].workerState)
 		}
+		w.left.Store(int32(len(w.wakes)))
 		for _, wake := range w.wakes {
 			wake <- struct{}{}
 		}
-		// The coordinator is the extra participant. The join is the run's
-		// second barrier after the stub's, the paper's B = 2, and gives
-		// the work-stealing path per-worker barrier_waits like the SV
-		// family.
-		w.bar.Wait(len(w.wakes))
-		t.o.Model.AddBarriers(1)
+		w.join()
+		t.joined()
 	}
 	parent, err := t.finish(&w.stats)
 	return parent, &w.stats, err
 }
 
-// Close retires the parked team and marks the workspace unusable. It
-// must not race a Run. Idempotent.
+// Close retires the parked team and marks the workspace unusable; it
+// returns once every worker has exited. It must not race a Run.
+// Idempotent.
 func (w *Workspace) Close() {
 	if w.closed {
 		return
@@ -262,5 +351,4 @@ func (w *Workspace) Close() {
 		close(wake)
 	}
 	w.wg.Wait()
-	w.t.wd.Close()
 }

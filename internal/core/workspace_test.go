@@ -12,6 +12,7 @@ import (
 	"spantree/internal/graph"
 	"spantree/internal/leakcheck"
 	"spantree/internal/obs"
+	"spantree/internal/smpmodel"
 	"spantree/internal/verify"
 )
 
@@ -266,6 +267,9 @@ func TestWorkspaceRejectsUnsupportedOptions(t *testing.T) {
 		{NumProcs: 0},
 		{NumProcs: 1, Deg2Eliminate: true},
 		{NumProcs: 1, Cancel: &fault.Flag{}},
+		{NumProcs: 1, Model: smpmodel.New(1)},
+		{NumProcs: 1, Obs: obs.New(1)},
+		{NumProcs: 1, FallbackThreshold: 1},
 	}
 	for i, o := range bad {
 		if _, err := NewWorkspace(g, o); err == nil {

@@ -36,7 +36,7 @@ const (
 	// CausePanicked: a worker panicked; the run drained cooperatively
 	// and the panic value is held by the flag.
 	CausePanicked
-	// CauseStalled: the stuck-run watchdog observed no worker progress
+	// CauseStalled: the run's coordinator observed no worker progress
 	// within the stall budget and aborted the run.
 	CauseStalled
 )
@@ -67,9 +67,9 @@ var ErrCanceled = fmt.Errorf("spantree: run canceled: %w", context.Canceled)
 // It wraps context.DeadlineExceeded.
 var ErrDeadline = fmt.Errorf("spantree: run deadline exceeded: %w", context.DeadlineExceeded)
 
-// ErrStalled is returned when the stuck-run watchdog aborted a run
-// because no worker made progress within the stall budget. The run
-// drained cooperatively, so a pooled session stays reusable after it.
+// ErrStalled is returned when a run was aborted because no worker made
+// progress within the stall budget. The run drained cooperatively, so a
+// pooled session stays reusable after it.
 var ErrStalled = errors.New("spantree: run stalled: no worker progress within the stall budget")
 
 // PanicError reports a worker panic that the runtime isolated: the

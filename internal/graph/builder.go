@@ -29,10 +29,6 @@ func NewBuilder(n int) *Builder {
 // NumVertices returns the vertex count the builder was created with.
 func (b *Builder) NumVertices() int { return b.n }
 
-// NumPendingEdges returns the number of edges added so far (before
-// dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // AddEdge records the undirected edge {u,v}. Self-loops are silently
 // dropped; duplicates are removed at Build time. It panics on
 // out-of-range endpoints: generators are internal code, and a bad

@@ -118,10 +118,10 @@ const (
 	// compression during those finds.
 	CompressionWrites
 
-	// StallTrips counts runs the stuck-run watchdog aborted (recorded by
-	// the coordinator slot when a run ends with fault.CauseStalled). It
-	// was added with the serving-grade hardening and stays 0 for runs
-	// that never stall.
+	// StallTrips counts runs aborted for exceeding their stall budget
+	// (recorded in worker 0's slot when a run ends with
+	// fault.CauseStalled). It was added with the serving-grade hardening
+	// and stays 0 for runs that never stall.
 	StallTrips
 
 	numCounters

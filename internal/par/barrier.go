@@ -18,9 +18,9 @@ import (
 // barrier correct and fair when the host has fewer cores than
 // participants.
 //
-// Team synchronizes through one, and so does the work-stealing
-// traversal's one concurrent driver, the Workspace team in
-// internal/core.
+// Team synchronizes through one. The work-stealing traversal's join is
+// a latch of its own (internal/core's Workspace), because its waiting
+// coordinator also watches the run's stall budget.
 type Barrier struct {
 	mu       sync.Mutex
 	cond     *sync.Cond

@@ -4,7 +4,7 @@
 // with its drain chunk and steal threshold, and reductions — the
 // programming model of the paper's POSIX-threads implementation,
 // transplanted onto goroutines. The work-stealing traversal in
-// internal/core shares its barrier, chunk and steal threshold.
+// internal/core shares its chunk and steal threshold.
 package par
 
 import (

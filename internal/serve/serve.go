@@ -12,8 +12,8 @@
 // requested timeout clamped by the server cap, and the session layer
 // translates context expiry into the typed fault.ErrDeadline/
 // ErrCanceled, which the handlers map onto 504 (deadline) and 499
-// (client gone). A run aborted by the stuck-run watchdog maps onto a
-// retryable 503 (stalled). Every error response is a typed JSON object
+// (client gone). A run aborted for exceeding its stall budget maps onto
+// a retryable 503 (stalled). Every error response is a typed JSON object
 // {"error": code, "message": ...} so load generators can assert on
 // exact rejection classes.
 //
@@ -96,9 +96,11 @@ type Config struct {
 	// it is also the default when a request carries no timeout_ms.
 	// 0 means 10s.
 	MaxTimeout time.Duration
-	// StallBudget arms the per-session stuck-run watchdog: a run in
-	// which no worker advances for this long is aborted with the typed
-	// 503 (stalled) instead of burning its whole deadline. 0 disables.
+	// StallBudget is every session's SessionOptions.StallBudget: a run
+	// in which no worker advances for this long is aborted with the
+	// typed 503 (stalled) instead of burning its whole deadline. The
+	// request's own goroutine watches it; no goroutine is added.
+	// 0 disables.
 	StallBudget time.Duration
 	// CoolDown is how long a degraded graph must run failure-free
 	// before climbing back up one rung of the degradation ladder.

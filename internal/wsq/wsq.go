@@ -69,13 +69,6 @@ func (q *StealHalf) Reset() {
 	q.mu.Unlock()
 }
 
-// Cap returns the current buffer capacity (for provisioning checks).
-func (q *StealHalf) Cap() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
 // Push appends v at the back of the queue.
 func (q *StealHalf) Push(v int32) {
 	q.mu.Lock()

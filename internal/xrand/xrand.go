@@ -100,9 +100,6 @@ func (r *Rand) Uint64() uint64 {
 // Uint32 returns a pseudo-random 32-bit value.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -19,14 +19,12 @@ var ErrSessionClosed = errors.New("spantree: session closed")
 type SessionOptions struct {
 	// NumProcs is the number of virtual processors; 0 means 1.
 	NumProcs int
-	// FallbackThreshold enables the pathological-case detection (see
-	// Options.FallbackThreshold). A triggered fallback allocates — only
-	// the traversal itself is pooled.
-	FallbackThreshold int
-	// StallBudget, if > 0, arms the stuck-run watchdog exactly as in
-	// core.Options.StallBudget: a run in which no worker advances for a
-	// full budget returns ErrStalled with the session left reusable.
-	// 0 disables the watchdog.
+	// StallBudget, if > 0, bounds how long a run may go without
+	// progress, exactly as core.Options.StallBudget: the request's own
+	// goroutine, waiting for the team at the join, samples the workers'
+	// heartbeats, and a run in which no worker advances for a full
+	// budget returns ErrStalled with the session left reusable. It
+	// starts no goroutine. 0 disables it.
 	StallBudget time.Duration
 
 	// testHook, when non-nil, runs at every worker chunk boundary (see
@@ -47,7 +45,9 @@ func (o SessionOptions) withDefaults() SessionOptions {
 // mirror included, is allocated at construction and the worker team is
 // spawned once and parked between requests, so FindContext runs with
 // zero steady-state heap allocations (a cancellable context adds only
-// its own watcher; context.Background stays allocation-free).
+// its own watcher; context.Background stays allocation-free). A session
+// holds exactly NumProcs goroutines, with or without a stall budget:
+// the request's goroutine joins the team and watches the budget itself.
 // Construction runs no traversal. It cycles the parked team once through
 // its join instead, which pays the runtime's one-time costs behind the
 // team's waits, so the first request is allocation-free about as often
@@ -79,9 +79,8 @@ func NewSession(g *Graph, opt SessionOptions) (*Session, error) {
 		return nil, fmt.Errorf("spantree: NumProcs = %d, need >= 0", opt.NumProcs)
 	}
 	co := core.Options{
-		NumProcs:          o.NumProcs,
-		FallbackThreshold: o.FallbackThreshold,
-		StallBudget:       o.StallBudget,
+		NumProcs:    o.NumProcs,
+		StallBudget: o.StallBudget,
 	}
 	if o.testHook != nil {
 		co = core.WithTestHook(co, o.testHook)
@@ -144,8 +143,8 @@ func (s *Session) FindContext(ctx context.Context, seed uint64) (*Result, error)
 	return s.run(seed)
 }
 
-// Close releases the session's parked worker team. Idempotent; must not
-// race FindContext.
+// Close releases the session's parked worker team and returns once
+// every worker has exited. Idempotent; must not race FindContext.
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -156,9 +155,9 @@ func (s *Session) Close() {
 
 // SessionPool is a fixed-size freelist of sessions for one graph.
 // Unlike sync.Pool it never drops or lazily recreates members — the
-// worker teams of its sessions are durable, so the goroutine count of a
-// serving process is size*NumProcs regardless of request count — and
-// Close deterministically releases every team.
+// worker teams of its sessions are durable, so a pool holds exactly
+// size*NumProcs goroutines regardless of request count, with or without
+// a stall budget — and Close deterministically releases every team.
 type SessionPool struct {
 	free chan *Session
 	all  []*Session

@@ -13,7 +13,7 @@ import (
 	"spantree/internal/leakcheck"
 )
 
-// TestSessionStalledThenReuse drives the watchdog contract through the
+// TestSessionStalledThenReuse drives the stall contract through the
 // public session API: a run in which every worker wedges (no progress,
 // but still able to drain once aborted) returns ErrStalled within the
 // stall budget, and the same pooled session then serves healthy
@@ -71,8 +71,8 @@ func TestSessionStalledThenReuse(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("AllocsPerRun after a stall trip = %v, want 0", avg)
 	}
-	// The watchdog monitor is parked, not respawned, so the goroutine
-	// count settles back to the pre-trip level.
+	// The trip started no goroutine, so the count settles back to the
+	// pre-trip level.
 	leakcheck.Settle(t, base)
 }
 

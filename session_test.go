@@ -167,31 +167,36 @@ func TestSessionCancelThenReuse(t *testing.T) {
 }
 
 // TestSessionPoolGoroutinesFlat: the pool's parked teams are created
-// once — the goroutine count does not grow with the request count — and
-// pool Close releases every team.
+// once — a pool of 3 sessions at p = 2 holds its 6 workers and nothing
+// more, with or without a stall budget, and the count does not grow
+// with the request count — and pool Close releases every team.
 func TestSessionPoolGoroutinesFlat(t *testing.T) {
 	g := gen.Torus2D(16, 16)
-	before := runtime.NumGoroutine()
-	pool, err := NewSessionPool(g, SessionOptions{NumProcs: 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := runtime.NumGoroutine()
-	for i := 0; i < 60; i++ {
-		s, err := pool.Acquire(context.Background())
+	for _, budget := range []time.Duration{0, time.Minute} {
+		before := runtime.NumGoroutine()
+		pool, err := NewSessionPool(g, SessionOptions{NumProcs: 2, StallBudget: budget}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Find(uint64(i)); err != nil {
-			t.Fatal(err)
+		// Earlier tests' goroutines may still be exiting, so the check is
+		// "at most the workers": their 6 cannot have exited.
+		leakcheck.Settle(t, before+6)
+		for i := 0; i < 60; i++ {
+			s, err := pool.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Find(uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			pool.Release(s)
 		}
-		pool.Release(s)
-	}
-	leakcheck.Settle(t, base)
-	pool.Close()
-	leakcheck.Settle(t, before)
-	if _, err := pool.Acquire(context.Background()); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Acquire after Close: err = %v, want ErrSessionClosed", err)
+		leakcheck.Settle(t, before+6)
+		pool.Close()
+		leakcheck.Settle(t, before)
+		if _, err := pool.Acquire(context.Background()); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("budget %v: Acquire after Close: err = %v, want ErrSessionClosed", budget, err)
+		}
 	}
 }
 

@@ -65,10 +65,9 @@ var ErrCanceled = fault.ErrCanceled
 // also holds.
 var ErrDeadline = fault.ErrDeadline
 
-// ErrStalled is returned by a session whose stuck-run watchdog
-// (SessionOptions.StallBudget) observed no worker progress for a full
-// stall budget. The run drained cooperatively and the session remains
-// reusable.
+// ErrStalled is returned by a session whose run made no worker progress
+// for a full stall budget (SessionOptions.StallBudget). The run drained
+// cooperatively and the session remains reusable.
 var ErrStalled = fault.ErrStalled
 
 // PanicError is the structured record of a worker panic recovered by
@@ -447,9 +446,13 @@ func ConnectedComponents(g *Graph, p int, seed uint64) ([]VID, int, error) {
 }
 
 // ConnectedComponentsCount returns only the number of connected
-// components of g, computed with the work-stealing spanning-forest
-// algorithm on p virtual processors.
+// components of g: the root count of the spanning forest the
+// work-stealing algorithm computes on p virtual processors, with no
+// labelling pass.
 func ConnectedComponentsCount(g *Graph, p int, seed uint64) (int, error) {
-	_, count, err := conncomp.Labels(g, p, seed)
-	return count, err
+	_, st, err := core.SpanningForest(g, core.Options{NumProcs: p, Seed: seed})
+	if err != nil {
+		return 0, err
+	}
+	return st.Roots, nil
 }
